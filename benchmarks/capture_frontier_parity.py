@@ -1,22 +1,21 @@
-"""Capture the event-frontier parity reference (run at the PRE-frontier commit).
+"""Capture the scenario golden file, ``frontier_parity_reference.json``.
 
-The event-frontier refactor replaces per-pod tentative ``pod_finished``
-events with one ``node_next_finish`` event per node.  That is a pure
-event-machinery change: every registered scenario must reproduce its
-pre-refactor completion stream *bit for bit* under both the default
-FirstFit placement and the interference-aware LeastSlowdown placement
-(the policy that exercises rate changes hardest).
-
-Per scenario x placement the file stores the fingerprint of
+This file is one of the repo's two golden fingerprint files (the other is
+``service_parity_reference.json``, written by ``capture_service_parity.py``).
+Per registered scenario x placement {FirstFit, LeastSlowdown} at seed 0 it
+stores the fingerprint of
 :func:`repro.evaluation.contention.scenario_fingerprint`: the full summary
 dict (every float verbatim), each tenant's order-sensitive hardware
 decision stream, the accounting row count and a SHA-256 digest of the
 rows' canonical JSON (every per-completion float, pinned without storing
-megabytes of rows).
+megabytes of rows).  ``tests/test_cluster_frontier.py`` and the benchmark's
+output check (``perfbench/``) require the current engine to reproduce it
+bit for bit.
 
-Like the other ``*_parity_reference.json`` captures: generate this file
-with the engine *before* the refactor and never regenerate it after --
-the whole point is that the post-refactor engine must match it.
+The rule for regenerating it: run this script only with the parent
+commit's engine, only to add a surface (a new scenario or placement),
+never to absorb drift.  A change that moves a fingerprint is a behaviour
+change, not a reason to re-capture.
 
 Run from the repository root::
 

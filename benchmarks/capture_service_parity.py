@@ -1,26 +1,27 @@
-"""Capture the recommendation-service facade parity reference.
+"""Capture the serving golden file, ``service_parity_reference.json``.
 
-The sharded serving refactor must leave the ``RecommendationService`` facade
-bit-identical to the single-process implementation it replaces.  This script
-drives a deterministic multi-application request stream through the *public*
-facade API only -- registrations with every reward mode, warm starting, single
-and batched submissions, single and batched completions with queue delays and
-slowdowns, and tickets intentionally left pending -- and records everything
-observable: every ticket's id / hardware / explored flag, each recommender's
-final coefficients, observation counts and ε, the run-history ledger, and the
-pending set.
+This file is one of the repo's two golden fingerprint files (the other is
+``frontier_parity_reference.json``, written by
+``capture_frontier_parity.py``).  This script drives a deterministic
+multi-application request stream through the *public*
+``RecommendationService`` facade API only -- registrations with every
+reward mode, warm starting, single and batched submissions, single and
+batched completions with queue delays and slowdowns, and tickets
+intentionally left pending -- and records everything observable: every
+ticket's id / hardware / explored flag, each recommender's final
+coefficients, observation counts and ε, the run-history ledger, and the
+pending set.  ``tests/test_integration_sharding.py`` replays the same
+stream through the sharded facade (N = 1..4 shards) and requires the
+summary to match the file **exactly**; the checkpoint and serving tests
+reuse ``build_reference_service``.
 
-Run once at the pre-refactor commit to produce
-``benchmarks/service_parity_reference.json``::
+The rule for regenerating it: run this script only with the parent
+commit's engine, only to add a surface, never to absorb drift.  A change
+that moves the summary is a behaviour change, not a reason to re-capture.
+
+Run from the repository root::
 
     PYTHONPATH=src python benchmarks/capture_service_parity.py
-
-Tests (``tests/test_integration_sharding.py``), CI and the service benchmark
-suite then replay the same stream through the sharded facade (N = 1..4
-shards) and require the summary to match the reference **exactly**.
-
-Because only public API is used, the driver itself is shared by the capture,
-the tests and ``bench_engine.py --suite service``.
 """
 
 from __future__ import annotations

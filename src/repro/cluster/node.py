@@ -4,9 +4,10 @@
 totals are maintained incrementally (the pre-refactor properties re-summed
 the allocation dict on every read, which dominated the simulator's
 feasibility checks), and a node adopted by a
-:class:`~repro.cluster.state.ClusterState` additionally mirrors its totals
-into the state's flat per-node arrays so placement and interference
-evaluation can gather them in batch.  The public surface is unchanged;
+:class:`~repro.cluster.state.ClusterState` additionally reports every
+allocate/release to the state, which keeps the per-node resident index
+lists that batched interference evaluation gathers from.  The public
+surface is unchanged;
 standalone nodes (tests, probes, autoscaler deficit bins) never touch the
 array store.
 """
@@ -157,9 +158,7 @@ class Node:
         self._alloc_memory_gb += request.memory_gb
         self._alloc_gpus += request.gpus
         if self._state is not None:
-            self._state.on_allocate(
-                self._slot, pod_name, request.cpus, request.memory_gb, request.gpus
-            )
+            self._state.on_allocate(self._slot, pod_name)
 
     def clone(self) -> "Node":
         """An unallocated copy of this node (same capacity and labels).
@@ -187,9 +186,7 @@ class Node:
         self._alloc_memory_gb -= request.memory_gb
         self._alloc_gpus -= request.gpus
         if self._state is not None:
-            self._state.on_release(
-                self._slot, pod_name, request.cpus, request.memory_gb, request.gpus
-            )
+            self._state.on_release(self._slot, pod_name)
         return request
 
     @property

@@ -27,15 +27,6 @@ class PodPhase(str, enum.Enum):
     PENDING = "Pending"
     RUNNING = "Running"
     SUCCEEDED = "Succeeded"
-    FAILED = "Failed"
-
-
-_PHASE_CODES = {
-    PodPhase.PENDING: 0,
-    PodPhase.RUNNING: 1,
-    PodPhase.SUCCEEDED: 2,
-    PodPhase.FAILED: 3,
-}
 
 
 def _hot(local_name: str, array_name: str):
@@ -141,8 +132,8 @@ class Pod:
         self.submit_time = submit_time
         self.start_time = start_time
         self.finish_time = finish_time
-        self._node = node
-        self._phase = phase
+        self.node = node
+        self.phase = phase
         self.preemptions = preemptions
         self.wasted_runtime_seconds = wasted_runtime_seconds
         self.work_seconds = work_seconds
@@ -175,27 +166,6 @@ class Pod:
     speed = _hot("_local_speed", "speed")
     _running_wall_seconds = _hot("_local_running_wall", "running_wall")
     _progress_updated_at = _hot("_local_updated_at", "updated_at")
-
-    @property
-    def phase(self) -> PodPhase:
-        return self._phase
-
-    @phase.setter
-    def phase(self, value: PodPhase) -> None:
-        self._phase = value
-        if self._state is not None:
-            self._state.status[self._index] = _PHASE_CODES[value]
-
-    @property
-    def node(self) -> Optional[str]:
-        return self._node
-
-    @node.setter
-    def node(self, value: Optional[str]) -> None:
-        self._node = value
-        if self._state is not None:
-            slot = -1 if value is None else self._state.node_slot_by_name.get(value, -1)
-            self._state.node_slot[self._index] = slot
 
     def _bind(self, state, index: int) -> None:
         """Adopt this pod into ``state`` (called by ``ClusterState``).
@@ -252,11 +222,11 @@ class Pod:
         self._progress_updated_at = None
         self.progress_log = []
 
-    def mark_finished(self, time: float, succeeded: bool = True) -> None:
+    def mark_finished(self, time: float) -> None:
         if self.phase is not PodPhase.RUNNING:
             raise RuntimeError(f"pod {self.name!r} cannot finish from phase {self.phase}")
         self.finish_time = float(time)
-        self.phase = PodPhase.SUCCEEDED if succeeded else PodPhase.FAILED
+        self.phase = PodPhase.SUCCEEDED
 
     # ------------------------------------------------------------------ #
     # Progress-based execution (driven by the cluster simulator)
@@ -328,7 +298,7 @@ class Pod:
 
     @property
     def is_terminal(self) -> bool:
-        return self.phase in (PodPhase.SUCCEEDED, PodPhase.FAILED)
+        return self.phase is PodPhase.SUCCEEDED
 
     def to_dict(self) -> Dict[str, Any]:
         """Flatten into a serialisable dictionary."""

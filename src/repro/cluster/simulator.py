@@ -186,7 +186,7 @@ class ClusterSimulator:
         self._pod_workloads: Dict[str, WorkloadModel] = {}
         # The array kernel: flat SoA storage for pod/node runtime state.
         # Every node is adopted now; every pod is adopted at submission.
-        self._state = ClusterState(node_capacity=max(len(self.nodes), 4))
+        self._state = ClusterState()
         for node in self.nodes:
             self._state.adopt_node(node)
         # Models whose node_speeds override is MRO-consistent with speed()
@@ -853,7 +853,7 @@ class ClusterSimulator:
         node = state.nodes[slot]
         node.release(pod.name)
         self._running[node.name].remove(pod)
-        pod.mark_finished(event.time, succeeded=True)
+        pod.mark_finished(event.time)
         workload = self._pod_workloads.get(pod.name, self.workload)
         # Close out progress with the *scheduled* wall remainder rather than
         # finish - start: the subtraction loses low-order bits once the

@@ -18,10 +18,10 @@ views over these arrays once *adopted* (bound) by a state store:
   and behaves exactly as before this refactor.
 * The simulator adopts every node at construction and every pod at
   submission.  Adoption copies the current attribute values into the arrays;
-  from then on the facade's hot fields (pod progress/speed/work/
-  wall-clock accumulators, node allocation totals) read and write the
-  arrays, so object-level mutation and array-level batch updates can never
-  disagree.
+  from then on the pod facade's hot fields (progress/speed/work/
+  wall-clock accumulators) read and write the arrays, so object-level
+  mutation and array-level batch updates can never disagree, and node
+  ``allocate``/``release`` keep the per-node resident index lists current.
 * External code may freely *read* any facade attribute and may mutate pods
   and nodes through their public methods (``allocate``/``release``,
   ``mark_*``, ``set_speed``); it must not reach into ``ClusterState``
@@ -31,8 +31,8 @@ views over these arrays once *adopted* (bound) by a state store:
 **Exactness.**  The arrays hold the same float64 values the per-object
 engine held; batched updates use elementwise operations in the same order
 as the scalar code, so results are bit-identical on every registered
-scenario (pinned by ``benchmarks/kernel_parity_reference.json``, the
-kernel-parity tests, CI, and ``bench_engine.py --suite kernel``).
+scenario (pinned by the scenario fingerprints in
+``benchmarks/frontier_parity_reference.json``).
 
 ``NaN`` encodes ``None`` for the optional per-pod floats (``speed`` and the
 last-integration timestamp): the simulator's rate-unchanged check
@@ -53,20 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (facades import us)
     from repro.cluster.pod import Pod
 
 __all__ = ["ClusterState", "KernelProfile"]
-
-#: Pod phase codes stored in :attr:`ClusterState.status` (mirrors
-#: :class:`~repro.cluster.pod.PodPhase`; kept numeric for vectorised masks).
-STATUS_PENDING = 0
-STATUS_RUNNING = 1
-STATUS_SUCCEEDED = 2
-STATUS_FAILED = 3
-
-_STATUS_CODES = {
-    "Pending": STATUS_PENDING,
-    "Running": STATUS_RUNNING,
-    "Succeeded": STATUS_SUCCEEDED,
-    "Failed": STATUS_FAILED,
-}
 
 
 @dataclass
@@ -168,27 +154,17 @@ class ClusterState:
         ``finish_at - now``) so an uninterfered run reports its drawn
         runtime bit-for-bit: the subtraction loses low-order bits once the
         clock is large.
-    ``status``
-        Lifecycle phase code (see ``STATUS_*``).
-    ``node_slot``
-        Slot of the node the pod runs on (-1 when not placed).
 
-    Node slots (index = adoption order; slots survive drain so pod
-    ``node_slot`` references stay valid):
+    Node slots (index = adoption order; slots are never reused, so a
+    drained node's slot stays empty):
 
-    ``cap_cpus`` / ``cap_mem`` / ``cap_gpus``
-        Total capacity.
-    ``alloc_cpus`` / ``alloc_mem`` / ``alloc_gpus``
-        Currently allocated totals, maintained incrementally on
-        ``allocate``/``release`` (no more re-summing the allocation dict on
-        every property read).
     ``residents``
         Per-slot list of resident **pod indices** in allocation order --
         the co-residency structure every batched interference/placement
         evaluation gathers from.
     """
 
-    def __init__(self, pod_capacity: int = 64, node_capacity: int = 8):
+    def __init__(self, pod_capacity: int = 64):
         n = max(int(pod_capacity), 1)
         self.n_pods = 0
         self.work = np.full(n, np.nan)
@@ -199,22 +175,12 @@ class ClusterState:
         self.req_cpus = np.zeros(n, dtype=np.int64)
         self.req_mem = np.zeros(n)
         self.req_gpus = np.zeros(n, dtype=np.int64)
-        self.status = np.zeros(n, dtype=np.int8)
-        self.node_slot = np.full(n, -1, dtype=np.int32)
         self.finish_at = np.full(n, np.nan)
         self.remaining = np.zeros(n)
         self.pods: List["Pod"] = []
         self.pod_index: Dict[str, int] = {}
 
-        m = max(int(node_capacity), 1)
         self.n_nodes = 0
-        self.cap_cpus = np.zeros(m, dtype=np.int64)
-        self.cap_mem = np.zeros(m)
-        self.cap_gpus = np.zeros(m, dtype=np.int64)
-        self.alloc_cpus = np.zeros(m, dtype=np.int64)
-        self.alloc_mem = np.zeros(m)
-        self.alloc_gpus = np.zeros(m, dtype=np.int64)
-        self.node_alive = np.zeros(m, dtype=bool)
         self.residents: List[List[int]] = []
         self.nodes: List[Optional["Node"]] = []
         self.node_slot_by_name: Dict[str, int] = {}
@@ -238,8 +204,6 @@ class ClusterState:
         self.req_cpus = grow_f(self.req_cpus, 0)
         self.req_mem = grow_f(self.req_mem, 0.0)
         self.req_gpus = grow_f(self.req_gpus, 0)
-        self.status = grow_f(self.status, 0)
-        self.node_slot = grow_f(self.node_slot, -1)
         self.finish_at = grow_f(self.finish_at, np.nan)
         self.remaining = grow_f(self.remaining, 0.0)
 
@@ -262,10 +226,6 @@ class ClusterState:
         self.req_cpus[index] = pod.request.cpus
         self.req_mem[index] = pod.request.memory_gb
         self.req_gpus[index] = pod.request.gpus
-        self.status[index] = _STATUS_CODES[pod.phase.value]
-        self.node_slot[index] = (
-            self.node_slot_by_name.get(pod.node, -1) if pod.node else -1
-        )
         self.finish_at[index] = np.nan
         self.remaining[index] = 0.0
         self.pods.append(pod)
@@ -277,35 +237,11 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     # Nodes
     # ------------------------------------------------------------------ #
-    def _grow_nodes(self, needed: int) -> None:
-        size = len(self.cap_cpus)
-        if needed <= size:
-            return
-        new = max(needed, size * 2)
-        grow = lambda a, fill: np.concatenate(  # noqa: E731 - local helper
-            [a, np.full(new - size, fill, dtype=a.dtype)]
-        )
-        self.cap_cpus = grow(self.cap_cpus, 0)
-        self.cap_mem = grow(self.cap_mem, 0.0)
-        self.cap_gpus = grow(self.cap_gpus, 0)
-        self.alloc_cpus = grow(self.alloc_cpus, 0)
-        self.alloc_mem = grow(self.alloc_mem, 0.0)
-        self.alloc_gpus = grow(self.alloc_gpus, 0)
-        self.node_alive = grow(self.node_alive, False)
-
     def adopt_node(self, node: "Node") -> int:
-        """Bind ``node`` to this store, copying capacity and current totals."""
+        """Bind ``node`` to this store, indexing its current residents."""
         if node.name in self.node_slot_by_name:
             raise ValueError(f"node {node.name!r} is already adopted by this state")
         slot = self.n_nodes
-        self._grow_nodes(slot + 1)
-        self.cap_cpus[slot] = node.cpus
-        self.cap_mem[slot] = node.memory_gb
-        self.cap_gpus[slot] = node.gpus
-        self.alloc_cpus[slot] = node.allocated_cpus
-        self.alloc_mem[slot] = node.allocated_memory_gb
-        self.alloc_gpus[slot] = node.allocated_gpus
-        self.node_alive[slot] = True
         # Allocations made before adoption (not the simulator's path, but
         # legal on the public Node API) have no adopted pods to index.
         self.residents.append(
@@ -322,7 +258,6 @@ class ClusterState:
         slot = self.node_slot_by_name.pop(node.name, -1)
         if slot < 0:
             return
-        self.node_alive[slot] = False
         self.residents[slot] = []
         self.nodes[slot] = None
         node._unbind()
@@ -330,41 +265,21 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     # Allocation bookkeeping (called by bound Node facades)
     # ------------------------------------------------------------------ #
-    def on_allocate(self, slot: int, pod_name: str, cpus: int, mem: float, gpus: int) -> None:
-        self.alloc_cpus[slot] += cpus
-        self.alloc_mem[slot] += mem
-        self.alloc_gpus[slot] += gpus
+    def on_allocate(self, slot: int, pod_name: str) -> None:
         index = self.pod_index.get(pod_name)
         if index is not None:
             self.residents[slot].append(index)
-            self.node_slot[index] = slot
 
-    def on_release(self, slot: int, pod_name: str, cpus: int, mem: float, gpus: int) -> None:
-        self.alloc_cpus[slot] -= cpus
-        self.alloc_mem[slot] -= mem
-        self.alloc_gpus[slot] -= gpus
+    def on_release(self, slot: int, pod_name: str) -> None:
         index = self.pod_index.get(pod_name)
         if index is not None:
             try:
                 self.residents[slot].remove(index)
             except ValueError:  # pragma: no cover - defensive
                 pass
-            self.node_slot[index] = -1
 
     # ------------------------------------------------------------------ #
     def resident_requests(self, slot: int):
         """``(indices, cpus, mem, gpus)`` arrays for a node's residents."""
         idx = np.asarray(self.residents[slot], dtype=np.intp)
         return idx, self.req_cpus[idx], self.req_mem[idx], self.req_gpus[idx]
-
-    def nbytes(self) -> int:
-        """Total bytes held by the pod/node arrays (memory-gate accounting)."""
-        arrays = (
-            self.work, self.progress, self.speed, self.updated_at,
-            self.running_wall, self.req_cpus, self.req_mem, self.req_gpus,
-            self.status, self.node_slot, self.finish_at, self.remaining,
-            self.cap_cpus, self.cap_mem,
-            self.cap_gpus, self.alloc_cpus, self.alloc_mem, self.alloc_gpus,
-            self.node_alive,
-        )
-        return int(sum(a.nbytes for a in arrays))

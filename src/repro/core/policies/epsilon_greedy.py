@@ -50,11 +50,9 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         coefficients at zero -- which makes all estimates identical until an
         arm has data -- so a round-robin "seed every arm once" phase is the
         behaviour its ε₀ = 1 start effectively produces, made deterministic.
-    decay_during_seeding:
-        When false (default), ε is *not* decayed on the deterministic
-        seed-unseen-arms rounds: those rounds consume no ε-draw, so decaying
-        there would shift the effective exploration schedule of Algorithm 1
-        by ``|H|`` rounds.  Set true to restore the old (shifted) behaviour.
+        ε is *not* decayed on these seeding rounds: they consume no ε-draw,
+        so decaying there would shift the effective exploration schedule of
+        Algorithm 1 by ``|H|`` rounds.
     audit_estimates:
         When true (default), every decision carries the per-arm runtime
         estimates in ``PolicyDecision.estimates`` even on exploration rounds
@@ -72,7 +70,6 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         cost_model: Optional[ResourceCostModel] = None,
         min_epsilon: float = 0.0,
         explore_unseen_first: bool = True,
-        decay_during_seeding: bool = False,
         audit_estimates: bool = True,
     ):
         self.epsilon0 = check_probability(epsilon0, "epsilon0")
@@ -84,7 +81,6 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
             )
         self.selector = TolerantSelector(tolerance=tolerance, cost_model=cost_model)
         self.explore_unseen_first = bool(explore_unseen_first)
-        self.decay_during_seeding = bool(decay_during_seeding)
         self.audit_estimates = bool(audit_estimates)
         self._epsilon = self.epsilon0
         self._round = 0
@@ -160,8 +156,8 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
 
         # Decay ε after every round that ran the genuine ε-draw branch
         # (Algorithm 1, line 12).  Deterministic seeding rounds consume no
-        # ε-draw, so by default they do not advance the schedule.
-        if not seeded or self.decay_during_seeding:
+        # ε-draw, so they do not advance the schedule.
+        if not seeded:
             self._epsilon = max(self.min_epsilon, self._epsilon * self.decay)
         self._round += 1
 

@@ -856,9 +856,9 @@ def scenario_fingerprint(name: str, placement: Optional[str] = None, seed: int =
     any change in completion ordering changes what the bandit observes and
     therefore decides next), the accounting row count, and a SHA-256 of
     the rows' canonical JSON.  ``benchmarks/frontier_parity_reference.json``
-    stores these fingerprints as captured *before* the event-frontier
-    refactor; the bench suite, CI and the frontier tests require the
-    current engine to reproduce them exactly.
+    stores these fingerprints for every scenario under FirstFit and
+    LeastSlowdown at seed 0; the frontier tests and the benchmark's output check require the current
+    engine to reproduce them exactly.
     """
     import hashlib
     import json as _json

@@ -5,8 +5,8 @@ Drives Zipfian-skewed multi-application request mixes -- plus flash-crowd
 serving stack: consistent-hash routing to shards, bounded admission queues
 with explicit backpressure, request batching into the coalesced entry
 points, and real recommender learning on every completion.  Reports
-recommendations/sec and p50/p95/p99 request latency per mix, the numbers
-``bench_engine.py --suite service`` pins into ``BENCH_service.json``.
+recommendations/sec and p50/p95/p99 request latency per mix (the
+``run-service-load`` CLI command prints them).
 
 Clock model
 -----------
@@ -21,7 +21,8 @@ so reported throughput ratios measure the *architecture* (how many shards
 can drain queues concurrently, since shards share no state) rather than
 this container's core count; results label themselves with
 ``"clock": "simulated"`` and carry the calibrated constant.  Real measured
-wall-clock rates of the core are reported separately by the bench suite.
+wall-clock rates of the serving layer come from the benchmark's
+``service-zipf`` workload (``perfbench/``).
 """
 
 from __future__ import annotations

@@ -64,9 +64,6 @@ __all__ = ["SimulationConfig", "SimulationResult", "OnlineSimulation"]
 
 _ARM_MODEL_FACTORIES: Dict[str, Callable[[int], ArmModel]] = {
     "ols": lambda m: LeastSquaresModel(m),
-    # The seed implementation's literal per-round lstsq refit; kept as the
-    # reference/baseline for the incremental default (see bench_engine).
-    "ols_full": lambda m: LeastSquaresModel(m, solver="full"),
     "ridge": lambda m: RidgeModel(m, alpha=1.0),
     "rls": lambda m: RecursiveLeastSquaresModel(m, regularization=1.0),
 }

@@ -279,12 +279,17 @@ class TestPodLifecycle:
         with pytest.raises(RuntimeError):
             pod.mark_submitted(1.0)
 
-    def test_failed_phase(self, request_small):
+    def test_only_succeeded_is_terminal(self, request_small):
+        assert {phase.value for phase in PodPhase} == {"Pending", "Running", "Succeeded"}
         pod = Pod("p", request_small)
+        assert not pod.is_terminal
         pod.mark_submitted(0.0)
         pod.mark_running(0.0, "n")
-        pod.mark_finished(1.0, succeeded=False)
-        assert pod.phase is PodPhase.FAILED
+        assert not pod.is_terminal
+        pod.mark_finished(1.0)
+        assert pod.phase is PodPhase.SUCCEEDED and pod.is_terminal
+        with pytest.raises(RuntimeError):
+            pod.mark_finished(2.0)
 
     def test_to_dict(self, request_small):
         pod = Pod("p", request_small, features={"size": 10.0}, application="matmul")

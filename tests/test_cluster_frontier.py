@@ -13,8 +13,10 @@ scheme.  These tests pin that the change is pure event machinery:
 * ``peek_next_event_time`` never surfaces a superseded finish time, and the
   experiment engine steps only at instants where events are actually handled;
 * the frontier event always sits at the brute-force minimum of the node's
-  residents' tentative finishes -- audited at every event boundary under
-  preemption, autoscale provision/drain, and same-timestamp arrival batches.
+  residents' tentative finishes, and the kernel's per-node resident index
+  lists match the node's allocations -- audited at every event boundary
+  under preemption, autoscale provision/drain, and same-timestamp arrival
+  batches.
 """
 
 import json
@@ -174,11 +176,18 @@ class TestPeekNextEventTime:
 # Frontier == brute force, audited at every event boundary
 # --------------------------------------------------------------------- #
 def _audit_frontiers(sim: ClusterSimulator) -> int:
-    """Assert each node's frontier event sits at the brute-force minimum."""
+    """Assert each node's frontier event sits at the brute-force minimum.
+
+    Also checks that the kernel's resident index lists name exactly the
+    live node's allocations, in allocation order.
+    """
     state = sim.state
     audited = 0
     for slot in range(state.n_nodes):
         residents = state.residents[slot]
+        node = state.nodes[slot]
+        if node is not None:
+            assert [state.pods[i].name for i in residents] == node.resident_pods
         event = sim._frontier.get(slot)
         if not residents:
             assert event is None, f"slot {slot} has a frontier but no residents"

@@ -1,7 +1,8 @@
 """Pluggable placement policies: the node-choice axis of scheduling.
 
 Covers the policy unit behaviour, the scheduler/policy composition, the
-exact FirstFit parity against pre-refactor reference values, the
+exact FirstFit parity against the pre-refactor FirstFit summaries pinned in
+``benchmarks/frontier_parity_reference.json``, the
 deterministic BestFit tie-break, heterogeneous interference classes, and
 the headline acceptance result (LeastSlowdown strictly beats Pack on the
 interference-heavy scenario across seeds).
@@ -42,7 +43,13 @@ from repro.hardware import HardwareCatalog, HardwareConfig
 
 from conftest import constant_workload as _constant_workload
 
-_PARITY_PIN = Path(__file__).resolve().parent.parent / "benchmarks" / "placement_parity_reference.json"
+_PARITY_PIN = json.loads(
+    (
+        Path(__file__).resolve().parent.parent
+        / "benchmarks"
+        / "frontier_parity_reference.json"
+    ).read_text()
+)
 
 _CATALOG = HardwareCatalog(
     [
@@ -327,21 +334,20 @@ class TestNodeInterferenceClass:
 
 # --------------------------------------------------------------------- #
 class TestFirstFitExactParity:
-    """The decoupled placement engine under default FirstFit must reproduce
-    the pre-refactor engine bit for bit on every registered scenario."""
+    """The decoupled placement engine under an explicit FirstFit policy must
+    reproduce the pre-refactor engine bit for bit on every pinned scenario,
+    and naming FirstFit explicitly must change nothing."""
 
     def test_reference_file_covers_the_pre_refactor_registry(self):
-        pins = json.loads(_PARITY_PIN.read_text())
-        assert set(pins["scenarios"]) <= set(CONTENTION_SCENARIOS)
-        assert len(pins["scenarios"]) >= 10
+        assert "first-fit" in _PARITY_PIN["placements"]
+        assert set(_PARITY_PIN["scenarios"]) <= set(CONTENTION_SCENARIOS)
+        assert len(_PARITY_PIN["scenarios"]) >= 10
 
-    @pytest.mark.parametrize(
-        "name", sorted(json.loads(_PARITY_PIN.read_text())["scenarios"])
-    )
+    @pytest.mark.parametrize("name", sorted(_PARITY_PIN["scenarios"]))
     def test_scenario_summary_is_bit_identical(self, name):
-        pins = json.loads(_PARITY_PIN.read_text())
-        reference = pins["scenarios"][name]
-        summary = run_scenario(build_scenario(name, seed=pins["seed"])).summary()
+        reference = _PARITY_PIN["scenarios"][name]["first-fit"]["summary"]
+        scenario = build_scenario(name, seed=_PARITY_PIN["seed"])
+        summary = run_scenario(scenario.with_placement(FirstFit())).summary()
         for key, value in reference.items():
             assert summary[key] == value, f"{name}.{key} drifted"
 

@@ -5,9 +5,10 @@ things: the flat arrays are *invisible* through the public ``Pod``/``Node``
 facades, and every registered scenario reproduces the pre-refactor engine
 bit for bit.  This suite pins both:
 
-* the seed-0 summary of every scenario in ``CONTENTION_SCENARIOS`` equals
-  ``benchmarks/kernel_parity_reference.json`` exactly (captured *before*
-  the refactor; never regenerate it from a post-refactor engine);
+* the seed-0 summary of every scenario in ``CONTENTION_SCENARIOS``, run
+  under its scheduler's own default placement, equals the FirstFit summary
+  pinned in ``benchmarks/frontier_parity_reference.json`` exactly (the one
+  golden file; see its capture script for the regeneration rule);
 * the incrementally maintained co-residency map / cached placement context
   makes the same placement decisions as a context rebuilt from scratch on
   every call;
@@ -15,8 +16,8 @@ bit for bit.  This suite pins both:
   at one timestamp, and long-horizon work conservation (the piecewise
   progress-rate integral of ``pod.progress_log`` recovers ``work_seconds``)
   across interference models and seeds;
-* the facade contract: bound pods/nodes mirror the arrays both ways,
-  unbound ones behave as plain objects.
+* the facade contract: bound pods mirror the arrays both ways, bound nodes
+  keep the resident index lists, unbound ones behave as plain objects.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads import LinearRuntimeWorkload
 
 REFERENCE_PATH = (
-    Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_parity_reference.json"
+    Path(__file__).resolve().parents[1] / "benchmarks" / "frontier_parity_reference.json"
 )
 
 
@@ -59,17 +60,24 @@ REFERENCE_PATH = (
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def parity_reference():
+    """Seed-0 FirstFit summary of every pinned scenario, keyed by name."""
     with open(REFERENCE_PATH) as handle:
-        return json.load(handle)
+        reference = json.load(handle)
+    assert reference["seed"] == 0
+    return {
+        name: pins["first-fit"]["summary"]
+        for name, pins in reference["scenarios"].items()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
 def test_scenario_pinned_to_pre_refactor_reference(name, parity_reference):
     """Every registered scenario reproduces the pre-refactor engine exactly.
 
-    The reference summaries were captured from the per-object engine before
-    the array kernel landed; equality here is ``==`` on every float, not
-    approx -- the kernel's batched math must be bit-identical.
+    Every scheduler's default placement is FirstFit, so the scenario run
+    without a placement override must match the pinned FirstFit summary;
+    equality here is ``==`` on every float, not approx -- the kernel's
+    batched math must be bit-identical.
     """
     summary = run_scenario(build_scenario(name, seed=0)).summary()
     reference = parity_reference[name]
@@ -83,8 +91,8 @@ def test_scenario_pinned_to_pre_refactor_reference(name, parity_reference):
 
 
 def test_parity_reference_covers_every_registered_scenario(parity_reference):
-    """New scenarios must be captured into the reference (pre-refactor rule:
-    capture with the current engine *before* touching the kernel)."""
+    """New scenarios must be captured into the reference (capture rule:
+    capture with the parent commit's engine *before* touching the kernel)."""
     assert set(parity_reference) == set(CONTENTION_SCENARIOS)
 
 
@@ -360,20 +368,33 @@ class TestFacadeContract:
         assert np.isnan(state.speed[index])
         assert pod.speed is None
 
-    def test_adopted_pod_status_mirrors_phase(self):
+    def test_adopted_pod_phase_and_node_track_lifecycle(self):
+        """Phase and node are plain facade attributes; the kernel's only
+        record of placement is the node's resident index list."""
         state = ClusterState()
+        node = Node("n", cpus=4, memory_gb=16)
+        slot = state.adopt_node(node)
         pod = Pod("phased", request=_config())
         pod.work_seconds = 1.0
         index = state.adopt_pod(pod)
-        assert state.status[index] == 0  # pending
         pod.mark_submitted(0.0)
-        node = Node("n", cpus=4, memory_gb=16)
+        assert (pod.phase, pod.node) == (PodPhase.PENDING, None)
         node.allocate(pod.name, pod.request)
-        pod.mark_running(1.0, "n")
-        assert state.status[index] == 1
-        pod.set_speed(1.0, 1.0)
-        pod.mark_finished(2.0)
-        assert state.status[index] == 2
+        pod.mark_running(1.0, node.name)
+        assert (pod.phase, pod.node) == (PodPhase.RUNNING, "n")
+        assert list(state.residents[slot]) == [index]
+        pod.progress_seconds = 0.5
+        node.release(pod.name)
+        pod.mark_preempted(2.0)
+        assert (pod.phase, pod.node) == (PodPhase.PENDING, None)
+        assert state.progress[index] == 0.0  # checkpoint-free restart
+        assert list(state.residents[slot]) == []
+        node.allocate(pod.name, pod.request)
+        pod.mark_running(3.0, node.name)
+        node.release(pod.name)
+        pod.mark_finished(4.0)
+        assert (pod.phase, pod.node) == (PodPhase.SUCCEEDED, "n")
+        assert pod.is_terminal and pod.preemptions == 1
 
     def test_duplicate_adoption_rejected(self):
         state = ClusterState()
@@ -395,13 +416,9 @@ class TestFacadeContract:
             state.adopt_pod(pod)
             node.allocate(pod.name, pod.request)
         assert node.allocated_cpus == sum(r.cpus for r in node.allocations.values()) == 4
-        assert state.alloc_cpus[slot] == 4
-        assert state.alloc_mem[slot] == 16.0
-        assert state.alloc_gpus[slot] == 2
         # Resident slots track allocation order.
         assert [state.pods[i].name for i in state.residents[slot]] == ["p0", "p1"]
         node.release("p0")
-        assert state.alloc_cpus[slot] == 2
         assert [state.pods[i].name for i in state.residents[slot]] == ["p1"]
         assert node.free_cpus == 6
 
@@ -422,6 +439,6 @@ class TestFacadeContract:
         sim = _single_node_sim(constant_workload({"small": 10.0}))
         pod = sim.submit({"x": 0.0}, "small", at_time=0.0)
         assert sim.state.pod_index[pod.name] == pod._index
-        assert sim.state.nbytes() > 0
         sim.run_until_idle()
-        assert sim.state.status[pod._index] == 2  # succeeded, through the facade
+        assert pod.phase is PodPhase.SUCCEEDED
+        assert sim.state.progress[pod._index] == pod.work_seconds == 10.0

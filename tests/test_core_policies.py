@@ -93,13 +93,15 @@ class TestDecayingEpsilonGreedy:
             policy.select(np.array([1.0]), fresh, catalog, rng)
             assert policy.epsilon == pytest.approx(0.9**genuine_rounds)
 
-    def test_epsilon_decay_during_seeding_flag_restores_shifted_schedule(self, catalog, rng):
+    def test_epsilon_decays_from_first_round_without_seeding(self, catalog, rng):
+        # With seeding off there are no ε-free rounds: unseen arms go through
+        # the ε-draw like any other, so the schedule starts at round one.
         fresh = [LeastSquaresModel(1) for _ in catalog]
-        policy = DecayingEpsilonGreedyPolicy(epsilon0=1.0, decay=0.9, decay_during_seeding=True)
-        for seeded_rounds in range(1, 4):
+        policy = DecayingEpsilonGreedyPolicy(epsilon0=1.0, decay=0.9, explore_unseen_first=False)
+        for rounds in range(1, 4):
             decision = policy.select(np.array([1.0]), fresh, catalog, rng)
-            fresh[decision.arm_index].update([1.0], 10.0)
-            assert policy.epsilon == pytest.approx(0.9**seeded_rounds)
+            assert "seeded_unseen_arm" not in decision.detail
+            assert policy.epsilon == pytest.approx(0.9**rounds)
 
     def test_tolerance_trades_runtime_for_efficiency(self, catalog, rng):
         # H2 fastest, H0 within 20 s: exploitation should pick H0.

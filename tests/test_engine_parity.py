@@ -297,15 +297,3 @@ class TestServiceBatchParity:
             )
         assert not tickets[0].completed
         assert not service.history.records_for("app")
-
-
-@pytest.mark.slow
-def test_bench_engine_smoke(tmp_path):
-    """The benchmark harness runs end to end and emits a valid report."""
-    from benchmarks.bench_engine import run_bench
-
-    out = tmp_path / "BENCH_eval.json"
-    report = run_bench(n_rounds=6, n_simulations=2, n_workers=2, repeats=1, output=out)
-    assert out.exists()
-    assert report["parity"]["serial_vs_parallel_identical"]
-    assert report["speedup_serial_vs_seed"] > 0

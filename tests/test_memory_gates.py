@@ -65,13 +65,36 @@ def test_replication_sweep_memory_budget(request):
 def test_array_kernel_stress_memory_budget(request):
     """The 128-pod single-node kernel stress stays within its budget.
 
-    The stress drives tens of thousands of tentative-finish events through
-    the SoA kernel; the gate catches per-event payload copies or per-pod
-    array materialisation creeping back into the hot path.
+    128 identical-shaped pods (2 CPUs / 8 GiB each) arrive one per second
+    on a node big enough to run them all side by side under
+    ``LinearSlowdown``, so every arrival and finish reschedules every
+    resident.  The gate catches per-event payload copies or per-pod array
+    materialisation creeping back into the hot path.
     """
-    from benchmarks.bench_engine import _kernel_stress
+    from repro import HardwareCatalog, HardwareConfig, LinearRuntimeWorkload
+    from repro.cluster import ClusterSimulator, LinearSlowdown, Node
 
-    peak = _traced_peak_mb(lambda: _kernel_stress(128, 256, 1024))
+    n_pods = 128
+
+    def stress():
+        workload = LinearRuntimeWorkload(
+            feature_ranges={"size": (1.0, 8.0)},
+            coefficients={"s": ({"size": 100.0}, 50.0)},
+            noise_sigma=0.0,
+            name="stress",
+        )
+        sim = ClusterSimulator(
+            nodes=[Node("fat", cpus=256, memory_gb=1024)],
+            catalog=HardwareCatalog([HardwareConfig("s", cpus=2, memory_gb=8)]),
+            workload=workload,
+            seed=0,
+            interference=LinearSlowdown(alpha=0.5),
+        )
+        for i in range(n_pods):
+            sim.submit({"size": 1.0 + (i % 7)}, "s", at_time=float(i))
+        assert len(sim.run_until_idle()) == n_pods
+
+    peak = _traced_peak_mb(stress)
     assert peak < _budget_mb(request), f"kernel stress peaked at {peak:.1f} MiB"
 
 
