@@ -14,7 +14,7 @@ and is kept as the reference baseline for the engine benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,66 @@ except ImportError:  # pragma: no cover - scipy is present in the dev image
 #: Workspace sizes for dgelsd, keyed by (n_rows, n_params).
 _GELSD_WORKSPACE: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
-__all__ = ["LeastSquaresModel"]
+__all__ = ["LeastSquaresModel", "min_norm_solution", "solve_least_squares"]
+
+
+def min_norm_solution(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of ``design @ θ ≈ targets``.
+
+    Uses the dgelsd LAPACK driver directly when scipy is available -- dgelsd
+    with numpy's default cutoff is bit-identical to
+    ``numpy.linalg.lstsq(..., rcond=None)`` (same routine, same inputs)
+    without the wrapper overhead.
+    """
+    n, p = design.shape
+    if _dgelsd is not None:
+        key = (n, p)
+        workspace = _GELSD_WORKSPACE.get(key)
+        if workspace is None:
+            lwork, iwork, _ = _dgelsd_lwork(n, p, 1)
+            workspace = (int(lwork), int(iwork))
+            _GELSD_WORKSPACE[key] = workspace
+        rhs = np.zeros(max(n, p))
+        rhs[:n] = targets
+        rcond = np.finfo(np.float64).eps * max(n, p)
+        solution, _, _, info = _dgelsd(
+            design, rhs, workspace[0], workspace[1], rcond, False, True
+        )
+        if info == 0:
+            return solution[:p]
+    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    return solution
+
+
+def solve_least_squares(
+    gram: np.ndarray,
+    xty: np.ndarray,
+    n_rows: int,
+    rows: Callable[[], Tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """The least-squares solution of ``n_rows`` observations with normal equations ``(gram, xty)``.
+
+    Over-determined fits solve the m×m normal equations (Cholesky via LAPACK
+    dposv when scipy is present).  Under-determined fits keep the
+    minimum-norm solution the normal equations cannot express, and a
+    (semi-)singular gram -- e.g. repeated contexts -- falls back to it too;
+    only then is ``rows()`` called, returning the stored ``(design, targets)``
+    in arrival order.
+    """
+    if n_rows >= gram.shape[0]:
+        if _dposv is not None:
+            # info > 0 flags a (semi-)singular gram.
+            _, solution, info = _dposv(gram, xty, lower=0)
+            if info == 0 and np.isfinite(solution).all():
+                return solution
+        else:
+            try:
+                solution = np.linalg.solve(gram, xty)
+            except np.linalg.LinAlgError:
+                solution = None
+            if solution is not None and np.isfinite(solution).all():
+                return solution
+    return min_norm_solution(*rows())
 
 
 class LeastSquaresModel(ArmModel):
@@ -115,65 +174,23 @@ class LeastSquaresModel(ArmModel):
             self._w = solution
             self._b = 0.0
 
-    def _refit_full(self) -> None:
-        """The seed behaviour: minimum-norm lstsq on the stacked design.
-
-        Uses the dgelsd LAPACK driver directly when scipy is available --
-        dgelsd with numpy's default cutoff is bit-identical to
-        ``numpy.linalg.lstsq(..., rcond=None)`` (same routine, same inputs)
-        without the wrapper overhead.
-        """
+    def _stored_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self._n_observations
-        p = self._n_params
-        if _dgelsd is not None:
-            key = (n, p)
-            workspace = _GELSD_WORKSPACE.get(key)
-            if workspace is None:
-                lwork, iwork, _ = _dgelsd_lwork(n, p, 1)
-                workspace = (int(lwork), int(iwork))
-                _GELSD_WORKSPACE[key] = workspace
-            rhs = np.zeros(max(n, p))
-            rhs[:n] = self._targets[:n]
-            rcond = np.finfo(np.float64).eps * max(n, p)
-            solution, _, _, info = _dgelsd(
-                self._design[:n], rhs, workspace[0], workspace[1], rcond, False, True
-            )
-            if info == 0:
-                self._set_solution(solution[:p])
-                return
-        solution, *_ = np.linalg.lstsq(self._design[:n], self._targets[:n], rcond=None)
-        self._set_solution(solution)
+        return self._design[:n], self._targets[:n]
 
     def _resolve(self) -> None:
         """Recompute coefficients after the data store / gram changed."""
-        if not self._n_observations:
+        n = self._n_observations
+        if not n:
             self._w = np.zeros(self.n_features)
             self._b = 0.0
-            return
-        if self.solver == "full" or self._n_observations < self._n_params:
-            # Under-determined rounds keep the minimum-norm solution the
-            # normal equations cannot express.
-            self._refit_full()
-            return
-        if _dposv is not None:
-            # Cholesky solve of the SPD normal equations; info > 0 flags a
-            # (semi-)singular gram, e.g. repeated contexts.
-            _, solution, info = _dposv(self._gram, self._xty, lower=0)
-            if info == 0 and np.all(np.isfinite(solution)):
-                self._set_solution(solution)
-                return
-            self._refit_full()
-            return
-        try:
-            solution = np.linalg.solve(self._gram, self._xty)
-        except np.linalg.LinAlgError:
-            # Singular gram (e.g. repeated contexts): fall back to lstsq.
-            self._refit_full()
-            return
-        if not np.all(np.isfinite(solution)):
-            self._refit_full()
-            return
-        self._set_solution(solution)
+        elif self.solver == "full":
+            # The seed behaviour: minimum-norm lstsq on the stacked design.
+            self._set_solution(min_norm_solution(*self._stored_rows()))
+        else:
+            self._set_solution(
+                solve_least_squares(self._gram, self._xty, n, self._stored_rows)
+            )
 
     def _ingest(self, context: np.ndarray, runtime: float) -> None:
         n = self._n_observations

@@ -28,10 +28,12 @@ a run plays out:
   ties so an arrival at time *t* sees every completion whose event fires at
   *t*.
 
-The engine also hosts the replication runners: the sequential online-loop
-replication used by :class:`~repro.evaluation.simulation.OnlineSimulation`
-(process pool with bit-identical fallback) and a process-pool sweep over
-pickled contention scenarios (:func:`run_scenario_sweep`).
+The engine also hosts the replication runners: the online-loop
+replications behind :class:`~repro.evaluation.simulation.OnlineSimulation`
+-- played in lockstep blocks (:func:`run_online_block`) for the paper's
+ε-greedy/OLS configuration and one at a time (:func:`run_online_replication`)
+otherwise, serially or one block per pool worker -- and a process-pool sweep
+over pickled contention scenarios (:func:`run_scenario_sweep`).
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ from typing import (
 import numpy as np
 
 from repro.cluster.simulator import ClusterSimulator, CompletedRun
+from repro.core.models.linear import solve_least_squares
 from repro.core.rewards import RegretLedger, RoundOutcome
+from repro.core.selection import TolerantSelector
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog, ResourceCostModel
 from repro.integration.recommender_service import RecommendationService, WorkflowTicket
@@ -65,7 +69,7 @@ from repro.workloads.base import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.evaluation.contention import ContentionScenario, TenantSpec
-    from repro.evaluation.simulation import OnlineSimulation
+    from repro.evaluation.simulation import OnlineSimulation, SimulationConfig
 
 __all__ = [
     "TenantOutcome",
@@ -75,6 +79,7 @@ __all__ = [
     "replication_sequences",
     "stream_rng",
     "run_online_replication",
+    "run_online_block",
     "run_replications",
     "run_scenario_sweep",
     "ReplicationSummary",
@@ -705,8 +710,170 @@ def run_online_replication(
     return simulation._score_series(W_hist, b_hist)
 
 
+def _is_lockstep(config: "SimulationConfig") -> bool:
+    """Whether :func:`run_online_block` can play replications of ``config``."""
+    return config.policy == "epsilon_greedy" and config.arm_model == "ols"
+
+
+def run_online_block(
+    simulation: "OnlineSimulation", sequences: Sequence[np.random.SeedSequence]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Play a block of replications in lockstep; return each one's ``(rmse, accuracy)``.
+
+    Bit-identical to ``[run_online_replication(simulation, s) for s in
+    sequences]`` for the paper's configuration (decaying ε-greedy policy,
+    per-arm OLS models), and only valid for it.  Rounds advance together
+    across the block, with every replication's per-arm normal equations and
+    coefficients held in stacked arrays:
+
+    * **stacked, once per round:** the exploit estimates, tolerant selection
+      (argmin, clamped limit, efficiency-first candidate), the rank-1
+      ``XᵀX``/``Xᵀy`` updates and the history bookkeeping.  ε needs no
+      per-replication state: the seed-every-arm rounds are the first ``K``
+      for every replication and every later round decays it.
+    * **per replication:** its own Generator's draws, in the reference order
+      (pool row or sampled features → ε draw → explore arm → runtime
+      noise); the LAPACK refit of the arm it updated; and its
+      ``_score_series`` call.  Batched solvers take other LAPACK paths and
+      OpenBLAS GEMM bits depend on the call shape, so stacking either would
+      change the results.
+
+    The stored state is one design row, target, arm index and refit
+    solution per replication per round; each replication's ``(T, K, m)``
+    coefficient history is rebuilt from them just before it is scored.
+    """
+    cfg = simulation.config
+    if not _is_lockstep(cfg):
+        raise ValueError(
+            "run_online_block plays the epsilon_greedy policy with ols arm models, "
+            f"not policy={cfg.policy!r} with arm_model={cfg.arm_model!r}"
+        )
+    catalog = simulation.catalog
+    workload = simulation.workload
+    feature_names = simulation.feature_names
+    n_reps, n_rounds = len(sequences), cfg.n_rounds
+    n_arms, n_features = len(catalog), len(feature_names)
+    n_params = n_features + 1
+    n_pool = len(simulation._workflow_pool)
+    shift, scale = simulation._feature_mean, simulation._feature_std
+    rngs = [np.random.default_rng(seq) for seq in sequences]
+    tolerance = cfg.tolerance
+    order = TolerantSelector(tolerance).efficiency_order(catalog)
+
+    gram = np.zeros((n_reps, n_arms, n_params, n_params))
+    xty = np.zeros((n_reps, n_arms, n_params))
+    counts = np.zeros((n_reps, n_arms), dtype=np.intp)
+    W = np.zeros((n_reps, n_arms, n_features))
+    b = np.zeros((n_reps, n_arms))
+    design = np.empty((n_reps, n_rounds, n_params))
+    design[:, :, n_features] = 1.0
+    targets = np.empty((n_reps, n_rounds))
+    arms = np.empty((n_reps, n_rounds), dtype=np.intp)
+    solutions = np.empty((n_reps, n_rounds, n_params))
+    reps = np.arange(n_reps)
+    epsilon = cfg.epsilon0
+
+    def arm_rows(r: int, arm: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        mask = arms[r, :stop] == arm
+        return design[r, :stop][mask], targets[r, :stop][mask]
+
+    for t in range(n_rounds):
+        # Each phase draws once from every replication's stream, so every
+        # stream sees the reference order: pool row (or sampled features),
+        # ε draw, explore arm, runtime noise.
+        if simulation.sample_from_frame:
+            pool_idx = np.array([rng.integers(n_pool) for rng in rngs], dtype=np.intp)
+            contexts = simulation._pool_contexts[pool_idx]
+        else:
+            features = [workload.sample_features(rng) for rng in rngs]
+            contexts = np.array(
+                [
+                    [(float(f[name]) - shift[i]) / scale[i] for i, name in enumerate(feature_names)]
+                    for f in features
+                ]
+            )
+        if t < n_arms:
+            # Every arm is seeded once, in arm order, before any ε draw.
+            chosen = np.full(n_reps, t, dtype=np.intp)
+        else:
+            explored = np.array([rng.random() < epsilon for rng in rngs])
+            # A stacked (1×m)@(m×1) product reproduces each model's `w @ x`
+            # bit for bit (einsum and gemv do not).
+            estimates = (W[:, :, None, :] @ contexts[:, None, :, None])[:, :, 0, 0] + b
+            if not np.isfinite(estimates.sum()) and not np.isfinite(estimates[~explored]).all():
+                raise ValueError("runtime estimates must be finite")
+            limit = tolerance.limit(estimates.min(axis=1))
+            candidates = (estimates <= limit[:, None])[:, order]
+            chosen = order[candidates.argmax(axis=1)]
+            for r in np.flatnonzero(explored).tolist():
+                chosen[r] = rngs[r].integers(n_arms)
+            epsilon *= cfg.decay
+
+        if simulation._env_fast:
+            means = simulation._truth[pool_idx, chosen]
+            sigmas = simulation._pool_sigma[pool_idx, chosen]
+            draws = [
+                rng.normal(mean, sigma) if sigma > 0 else mean
+                for rng, mean, sigma in zip(rngs, means.tolist(), sigmas.tolist())
+            ]
+            runtimes = np.maximum(np.maximum(draws, 0.01 * means), 0.0)
+        else:
+            if simulation.sample_from_frame:
+                features = [simulation._workflow_pool[i] for i in pool_idx.tolist()]
+            runtimes = np.array(
+                [
+                    workload.observed_runtime(f, catalog[arm], rng)
+                    for f, arm, rng in zip(features, chosen.tolist(), rngs)
+                ],
+                dtype=float,
+            )
+
+        rows = design[:, t]
+        rows[:, :n_features] = contexts
+        targets[:, t] = runtimes
+        arms[:, t] = chosen
+        gram[reps, chosen] += rows[:, :, None] * rows[:, None, :]
+        xty[reps, chosen] += rows * runtimes[:, None]
+        counts[reps, chosen] += 1
+        fits = [
+            solve_least_squares(
+                gram[r, arm], xty[r, arm], n_rows, lambda: arm_rows(r, arm, t + 1)
+            )
+            for r, arm, n_rows in zip(
+                range(n_reps), chosen.tolist(), counts[reps, chosen].tolist()
+            )
+        ]
+        solutions[:, t] = fits
+        W[reps, chosen] = solutions[:, t, :n_features]
+        b[reps, chosen] = solutions[:, t, n_features]
+
+    del gram, xty, design, targets
+    # last[t, k]: the latest round <= t that refit arm k, or -1 (the zero row
+    # of `padded`) while the arm is still unfitted.
+    steps = np.arange(n_rounds)[:, None]
+    padded = np.zeros((n_rounds + 1, n_params))
+    outcomes = []
+    for r in range(n_reps):
+        last = np.where(arms[r][:, None] == np.arange(n_arms), steps, -1)
+        np.maximum.accumulate(last, axis=0, out=last)
+        padded[:n_rounds] = solutions[r]
+        outcomes.append(
+            simulation._score_series(padded[last, :n_features], padded[last, n_features])
+        )
+    return outcomes
+
+
+def _play_replications(
+    simulation: "OnlineSimulation", sequences: Sequence[np.random.SeedSequence]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Play replications in lockstep when the configuration allows, else one by one."""
+    if _is_lockstep(simulation.config):
+        return run_online_block(simulation, sequences)
+    return [run_online_replication(simulation, seq) for seq in sequences]
+
+
 # Process-pool plumbing.  The simulation object is shipped to each worker
-# once (via the initializer) instead of once per replication.
+# once (via the initializer) instead of once per block.
 _WORKER_SIMULATION: Optional["OnlineSimulation"] = None
 
 
@@ -715,9 +882,11 @@ def _replication_worker_init(simulation: "OnlineSimulation") -> None:
     _WORKER_SIMULATION = simulation
 
 
-def _replication_worker_run(seed_seq: np.random.SeedSequence) -> Tuple[np.ndarray, np.ndarray]:
+def _replication_worker_run(
+    block: Sequence[np.random.SeedSequence],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
     assert _WORKER_SIMULATION is not None, "worker used before initialisation"
-    return run_online_replication(_WORKER_SIMULATION, seed_seq)
+    return _play_replications(_WORKER_SIMULATION, block)
 
 
 def run_replications(
@@ -727,25 +896,32 @@ def run_replications(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Run a simulation's replications (serial or process pool), in order.
 
-    Results are ordered like ``sequences`` and each replication owns an
-    independent child seed, so the parallel path is bit-identical to the
-    serial one regardless of scheduling.
+    The paper's ε-greedy/OLS configuration plays in lockstep
+    (:func:`run_online_block`); every other policy × model pair plays one
+    replication at a time (:func:`run_online_replication`).  With
+    ``n_workers > 1`` each worker plays one contiguous block of
+    ``sequences``.  Results are ordered like ``sequences`` and each
+    replication owns an independent child seed, so the parallel path is
+    bit-identical to the serial one regardless of scheduling.
     """
     cfg = simulation.config
     if sequences is None:
         sequences = replication_sequences(cfg.seed, cfg.n_simulations)
+    sequences = list(sequences)
     if n_workers is None:
         n_workers = cfg.n_workers
     n_workers = min(n_workers, len(sequences))
     if n_workers <= 1:
-        return [run_online_replication(simulation, seq) for seq in sequences]
+        return _play_replications(simulation, sequences)
+    bounds = [len(sequences) * i // n_workers for i in range(n_workers + 1)]
+    blocks = [sequences[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     try:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_replication_worker_init,
             initargs=(simulation,),
         ) as executor:
-            return list(executor.map(_replication_worker_run, sequences))
+            parts = list(executor.map(_replication_worker_run, blocks))
     except (OSError, PermissionError, ImportError, BrokenExecutor,
             pickle.PicklingError, AttributeError, TypeError):
         # Process pools can be unavailable (restricted sandboxes, exotic
@@ -754,9 +930,10 @@ def run_replications(
         # if not parallel speed.  A genuine bug inside the replication loop
         # re-raises from the thread fallback.
         with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            return list(
-                executor.map(lambda seq: run_online_replication(simulation, seq), sequences)
+            parts = list(
+                executor.map(lambda block: _play_replications(simulation, block), blocks)
             )
+    return [outcome for part in parts for outcome in part]
 
 
 # --------------------------------------------------------------------- #

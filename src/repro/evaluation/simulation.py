@@ -20,11 +20,15 @@ Engine notes
 ------------
 This class is a thin frontend over the unified experiment engine
 (:mod:`repro.evaluation.engine`), which owns the round loop, the
-completion→observe path and the seeding discipline.  The online loop itself
-is inherently sequential (each decision depends on the previous observation
-through both the models and the random stream), but everything around it is
-batched:
+completion→observe path and the seeding discipline.  Within one replication
+the loop is sequential (each decision depends on the previous observation
+through both the models and the random stream); across replications it is
+not, and everything around it is batched:
 
+* the paper's configuration (ε-greedy policy, OLS arm models) plays every
+  replication of a block in lockstep, round by round on stacked state
+  (:func:`~repro.evaluation.engine.run_online_block`); other policy × model
+  pairs play one replication at a time;
 * per-round scoring is deferred -- each replication records the per-round
   coefficient matrices and scores **all** rounds against the evaluation set
   with a handful of large matrix products at the end (``_score_series``);
@@ -32,9 +36,10 @@ batched:
   :class:`~repro.core.models.LeastSquaresModel`);
 * replications are independent and can run in a process pool
   (``SimulationConfig(n_workers=...)`` via
-  :func:`~repro.evaluation.engine.run_replications`).  Each replication is
-  driven by its own :class:`~numpy.random.SeedSequence` child, so the
-  parallel path is bit-identical to the serial one.
+  :func:`~repro.evaluation.engine.run_replications`), one contiguous block
+  per worker.  Each replication is driven by its own
+  :class:`~numpy.random.SeedSequence` child, so the parallel path is
+  bit-identical to the serial one.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.banditware import BanditWare
 from repro.core.models import ArmModel, LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
 from repro.core.policies import (
     BanditPolicy,
@@ -57,6 +61,7 @@ from repro.core.policies import (
 from repro.core.selection import ToleranceConfig
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog, ResourceCostModel
+from repro.utils.validation import check_non_negative, check_probability
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["SimulationConfig", "SimulationResult", "OnlineSimulation"]
@@ -89,10 +94,11 @@ class SimulationConfig:
     normalize_features: bool = True
     seed: int = 0
     #: Number of worker processes for the replication loop.  ``1`` (default)
-    #: runs serially in-process; ``n`` runs replications in a pool of ``n``
-    #: processes with bit-identical results (each replication owns an
-    #: independent child seed).  Falls back to threads where process pools
-    #: are unavailable (e.g. sandboxed environments).
+    #: runs serially in-process; ``n`` splits the replications into ``n``
+    #: contiguous blocks, one per pool process, with bit-identical results
+    #: (each replication owns an independent child seed).  Falls back to
+    #: threads where process pools are unavailable (e.g. sandboxed
+    #: environments).
     n_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -110,6 +116,10 @@ class SimulationConfig:
             )
         if self.evaluation_subsample is not None and self.evaluation_subsample < 1:
             raise ValueError("evaluation_subsample must be >= 1 when given")
+        check_probability(self.epsilon0, "epsilon0")
+        check_probability(self.decay, "decay")
+        check_non_negative(self.tolerance_ratio, "tolerance_ratio")
+        check_non_negative(self.tolerance_seconds, "tolerance_seconds")
 
     @property
     def tolerance(self) -> ToleranceConfig:
@@ -379,16 +389,11 @@ class OnlineSimulation:
             }
             for row in frame.iterrows()
         ]
-        # Scaled context vector of every pool row (row i of the standardised
-        # evaluation matrix is exactly _scale_context(pool[i]) in vector form).
+        # Scaled context vector of every pool row: pool row i is evaluation
+        # row i, so its context is row i of the standardised matrix.
         self._pool_contexts = self._X_eval
 
     # ------------------------------------------------------------------ #
-    def _coefficient_matrices(self, bandit: BanditWare) -> Tuple[np.ndarray, np.ndarray]:
-        W = np.vstack([model.coefficients for model in bandit.models])
-        b = np.asarray([model.intercept for model in bandit.models])
-        return W, b
-
     def _score_models(self, W: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
         """Vectorised RMSE + tolerant-selection accuracy on the evaluation set."""
         rmse, accuracy = self._score_series(W[None, :, :], np.asarray(b, dtype=float)[None, :])
@@ -460,13 +465,6 @@ class OnlineSimulation:
             accuracy[start:stop] = np.count_nonzero(correct, axis=1) / E
         return rmse, accuracy
 
-    def _scale_context(self, features: Dict[str, float]) -> Dict[str, float]:
-        """Apply the evaluation-set standardisation to one workflow's features."""
-        return {
-            name: (float(features[name]) - self._feature_mean[i]) / self._feature_std[i]
-            for i, name in enumerate(self.feature_names)
-        }
-
     def _reference_scores(self) -> Tuple[float, float]:
         """Full-data per-arm least squares, fitted in the same (scaled) space."""
         n_features = len(self.feature_names)
@@ -483,18 +481,6 @@ class OnlineSimulation:
         return self._score_models(W, b)
 
     # ------------------------------------------------------------------ #
-    def _run_replication(self, seed_seq: np.random.SeedSequence) -> Tuple[np.ndarray, np.ndarray]:
-        """Play one replication and return its per-round ``(rmse, accuracy)``.
-
-        The round loop lives in the unified engine
-        (:func:`~repro.evaluation.engine.run_online_replication`); this is a
-        convenience delegate kept for callers that drive replications
-        one at a time.
-        """
-        from repro.evaluation.engine import run_online_replication
-
-        return run_online_replication(self, seed_seq)
-
     def run(self) -> SimulationResult:
         """Run all replications (serial or pooled) and return the collected series.
 

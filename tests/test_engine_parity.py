@@ -6,6 +6,9 @@ The engine's contract is that none of its speed machinery changes results:
   final model state of sequential calls under identical seeds;
 * ``n_workers > 1`` reproduces the serial per-round RMSE/accuracy series
   bit for bit;
+* the lockstep block reproduces ``run_online_replication`` bit for bit.
+  It is compared in-process, never against a stored file: scoring bits
+  depend on the host's BLAS kernels;
 * the array-based tolerant-selection fast path picks the same arm as the
   dict-based audit path;
 * the incremental normal-equation solver matches the full per-round lstsq
@@ -19,7 +22,12 @@ from repro.core.banditware import BanditWare
 from repro.core.models import LeastSquaresModel, RidgeModel
 from repro.core.policies import DecayingEpsilonGreedyPolicy
 from repro.core.selection import ToleranceConfig, TolerantSelector
-from repro.evaluation import OnlineSimulation, SimulationConfig
+from repro.evaluation import EXPERIMENT_NAMES, OnlineSimulation, SimulationConfig, build_experiment
+from repro.evaluation.engine import (
+    replication_sequences,
+    run_online_block,
+    run_online_replication,
+)
 from repro.hardware import ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
 
@@ -154,20 +162,94 @@ class TestBatchSequentialParity:
 
 
 class TestWorkerParity:
-    def _series(self, linear_setup, ndp, n_workers):
+    def _series(self, linear_setup, ndp, n_workers, **overrides):
         workload, frame = linear_setup
-        config = SimulationConfig(n_rounds=12, n_simulations=4, seed=9, n_workers=n_workers)
+        config = SimulationConfig(
+            n_rounds=12, n_simulations=5, seed=9, n_workers=n_workers, **overrides
+        )
         return OnlineSimulation(workload, ndp, frame, config=config).run()
 
-    def test_parallel_bit_identical_to_serial(self, linear_setup, ndp):
-        serial = self._series(linear_setup, ndp, n_workers=1)
-        parallel = self._series(linear_setup, ndp, n_workers=2)
+    # Five replications over 2 or 3 workers make uneven contiguous blocks.
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"policy": "thompson", "arm_model": "rls"}],
+        ids=["lockstep", "per-replication"],
+    )
+    def test_parallel_bit_identical_to_serial(self, linear_setup, ndp, overrides, n_workers):
+        serial = self._series(linear_setup, ndp, 1, **overrides)
+        parallel = self._series(linear_setup, ndp, n_workers, **overrides)
         assert np.array_equal(serial.rmse, parallel.rmse)
         assert np.array_equal(serial.accuracy, parallel.accuracy)
 
     def test_n_workers_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(n_workers=0)
+
+
+class _LognormalRuntimeWorkload(LinearRuntimeWorkload):
+    """Overrides ``observed_runtime``, which disables the replay fast path."""
+
+    def observed_runtime(self, features, hardware, rng=None):
+        return self.expected_runtime(features, hardware) * float(rng.lognormal(0.0, 0.1))
+
+
+def _assert_block_matches_reference(simulation):
+    cfg = simulation.config
+    sequences = replication_sequences(cfg.seed, cfg.n_simulations)
+    block = run_online_block(simulation, sequences)
+    reference = [run_online_replication(simulation, seq) for seq in sequences]
+    assert len(block) == len(reference) == cfg.n_simulations
+    for (rmse, accuracy), (ref_rmse, ref_accuracy) in zip(block, reference):
+        assert np.array_equal(rmse, ref_rmse)
+        assert np.array_equal(accuracy, ref_accuracy)
+
+
+class TestLockstepParity:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_block_matches_reference_on_every_experiment(self, name, seed):
+        definition = build_experiment(name, n_simulations=6, n_rounds=40, seed=seed)
+        _assert_block_matches_reference(definition.simulation())
+
+    @pytest.mark.parametrize("sample_from_frame", [True, False], ids=["pool", "sampled"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # Fewer rounds than arms: the run never leaves the seeding rounds.
+            {"n_rounds": 2},
+            {"epsilon0": 0.5, "decay": 0.9, "tolerance_ratio": 0.1, "tolerance_seconds": 2.0},
+        ],
+        ids=["paper", "seeding-only", "tolerant"],
+    )
+    def test_block_matches_reference_on_linear_workload(
+        self, linear_setup, ndp, overrides, sample_from_frame
+    ):
+        workload, frame = linear_setup
+        config = SimulationConfig(**{"n_rounds": 30, "n_simulations": 5, "seed": 4, **overrides})
+        simulation = OnlineSimulation(
+            workload, ndp, frame, config=config, sample_from_frame=sample_from_frame
+        )
+        _assert_block_matches_reference(simulation)
+
+    @pytest.mark.parametrize("sample_from_frame", [True, False], ids=["pool", "sampled"])
+    def test_block_matches_reference_with_custom_observed_runtime(self, ndp, sample_from_frame):
+        workload = _LognormalRuntimeWorkload.random(ndp, n_features=2, seed=3)
+        frame = TraceGenerator(workload, ndp, seed=17).generate_frame(30, grid=True)
+        config = SimulationConfig(n_rounds=30, n_simulations=5, seed=2)
+        simulation = OnlineSimulation(
+            workload, ndp, frame, config=config, sample_from_frame=sample_from_frame
+        )
+        assert not simulation._env_fast
+        _assert_block_matches_reference(simulation)
+
+    def test_block_rejects_other_policy_model_pairs(self, linear_setup, ndp):
+        workload, frame = linear_setup
+        config = SimulationConfig(n_rounds=5, n_simulations=2, policy="thompson", arm_model="rls")
+        simulation = OnlineSimulation(workload, ndp, frame, config=config)
+        with pytest.raises(ValueError, match="epsilon_greedy"):
+            run_online_block(simulation, replication_sequences(0, 2))
 
 
 class TestSelectorFastPath:

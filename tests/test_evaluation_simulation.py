@@ -52,6 +52,16 @@ class TestSimulationConfig:
             SimulationConfig(arm_model="bogus")
         with pytest.raises(ValueError):
             SimulationConfig(evaluation_subsample=0)
+        with pytest.raises(ValueError, match="epsilon0"):
+            SimulationConfig(epsilon0=1.5)
+        with pytest.raises(ValueError, match="decay"):
+            SimulationConfig(decay=1.2)
+        with pytest.raises(ValueError, match="decay"):
+            SimulationConfig(decay=-0.1)
+        with pytest.raises(ValueError, match="tolerance_ratio"):
+            SimulationConfig(tolerance_ratio=-0.05)
+        with pytest.raises(ValueError, match="tolerance_seconds"):
+            SimulationConfig(tolerance_seconds=-1.0)
 
     def test_policy_factory(self):
         for name in ("epsilon_greedy", "greedy", "random", "linucb", "thompson"):

@@ -4,11 +4,11 @@ mlbench-style allocation budgets: each test carries a
 ``@pytest.mark.limit_memory("N MB")`` marker (enforced by pytest-memray in
 environments that have the plugin installed) *and* self-enforces the same
 budget with :mod:`tracemalloc`, so the gate holds in this repo's
-plugin-free environment too.  The budgets are deliberately several times
-the measured peaks (sweep ~0.7 MB, stress ~4.3 MB at the time of writing):
-they exist to catch an accidental switch from flat array storage back to
-per-object/per-event allocation blowups, not to pin the allocator's exact
-behaviour.
+plugin-free environment too.  The budgets are deliberately above the
+measured peaks (sweep ~0.7 MB, stress ~4.3 MB, paper-scale simulation
+~3.9 MB at the time of writing): they exist to catch an accidental switch
+from flat array storage back to per-object/per-event allocation blowups,
+not to pin the allocator's exact behaviour.
 """
 
 from __future__ import annotations
@@ -96,6 +96,21 @@ def test_array_kernel_stress_memory_budget(request):
 
     peak = _traced_peak_mb(stress)
     assert peak < _budget_mb(request), f"kernel stress peaked at {peak:.1f} MiB"
+
+
+@pytest.mark.limit_memory("8 MB")
+def test_paper_scale_online_simulation_memory_budget(request):
+    """A paper-scale (100 x 50) Figure 7 simulation stays within its budget.
+
+    The lockstep block keeps O(replications x rounds x parameters) state and
+    scores one replication at a time; the gate catches a block that stacks
+    the scoring of all replications into one prediction tensor.
+    """
+    from repro.evaluation import build_experiment
+
+    simulation = build_experiment("bp3d_all_features", n_simulations=100, n_rounds=50).simulation()
+    peak = _traced_peak_mb(simulation.run)
+    assert peak < _budget_mb(request), f"paper-scale simulation peaked at {peak:.1f} MiB"
 
 
 @pytest.mark.limit_memory("8 MB")
