@@ -23,7 +23,9 @@ Historical data can seed the models before going online via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -31,10 +33,11 @@ import numpy as np
 from repro.core.models import ArmModel, LeastSquaresModel
 from repro.core.policies import BanditPolicy, DecayingEpsilonGreedyPolicy, PolicyDecision
 from repro.core.rewards import RewardConfig
-from repro.core.selection import ToleranceConfig
+from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import all_finite
 
 __all__ = ["Recommendation", "ObservationRecord", "ModelSnapshot", "BanditWare"]
 
@@ -132,6 +135,13 @@ class ModelSnapshot:
         """``(n_rows, n_arms)`` estimates for an already-ordered design matrix."""
         X = np.asarray(X, dtype=float)
         return X @ self.coefficients.T + self.intercepts
+
+
+def _checked_runtime(runtime_seconds: float) -> float:
+    runtime = float(runtime_seconds)
+    if not math.isfinite(runtime) or runtime < 0:
+        raise ValueError(f"runtime_seconds must be finite and non-negative, got {runtime}")
+    return runtime
 
 
 class BanditWare:
@@ -261,16 +271,49 @@ class BanditWare:
         return {hw.name: model.n_observations for hw, model in zip(self.catalog, self._models)}
 
     # ------------------------------------------------------------------ #
-    # Feature handling
+    # Feature handling and input checks
+    #
+    # Each input is checked once, by the public entry it came through:
+    # ``recommend_vector`` / ``observe_vector`` check contexts (``recommend``
+    # / ``observe`` hand them the vector ``context_vector`` built), the
+    # ``observe*`` entries check runtimes, and the batch entries check every
+    # row first.  The policy and the arm models behind them trust their inputs.
     # ------------------------------------------------------------------ #
     def context_vector(self, features: Dict[str, float]) -> np.ndarray:
-        """Order the ``features`` dict into the context vector ``x``."""
-        missing = [name for name in self.feature_names if name not in features]
-        if missing:
+        """Order the ``features`` dict into the context vector ``x``.
+
+        Raises ``KeyError`` naming any missing feature; extra keys are
+        ignored.  Finiteness is checked by the entry the vector is handed to.
+        """
+        try:
+            return np.asarray([float(features[name]) for name in self.feature_names])
+        except KeyError:
+            missing = [name for name in self.feature_names if name not in features]
             raise KeyError(
                 f"features missing {missing}; BanditWare expects {self.feature_names}"
+            ) from None
+
+    def _checked_context(self, context: np.ndarray) -> np.ndarray:
+        """``context`` as a float vector of length :attr:`n_features`, all finite."""
+        context = np.asarray(context, dtype=float)
+        if context.shape != (len(self.feature_names),):
+            raise ValueError(
+                f"context must have shape ({self.n_features},), got {context.shape}"
             )
-        return np.asarray([float(features[name]) for name in self.feature_names])
+        if not all_finite(context.tolist()):
+            raise ValueError("context contains non-finite values")
+        return context
+
+    def _arm_index(self, hardware: Union[str, HardwareConfig, int]) -> int:
+        """The arm of a hardware name, a configuration or an integer arm index."""
+        if isinstance(hardware, (str, HardwareConfig)):
+            return self.catalog.index_of(hardware)
+        if isinstance(hardware, bool):
+            raise TypeError(f"an arm index must be an integer, not a bool ({hardware!r})")
+        arm = operator.index(hardware)
+        if not 0 <= arm < len(self.catalog):
+            raise IndexError(f"arm index {arm} out of range for {len(self.catalog)} arms")
+        return arm
 
     # ------------------------------------------------------------------ #
     # The online loop
@@ -282,10 +325,14 @@ class BanditWare:
     def recommend_vector(self, context: np.ndarray) -> Recommendation:
         """Recommend for an already-ordered context vector.
 
-        This is the fast path behind :meth:`recommend`; ``context`` must be a
-        1-D array in :attr:`feature_names` order.  It produces exactly the
-        same decision stream as the dict-based API.
+        ``context`` must be a 1-D array in :attr:`feature_names` order with
+        finite entries; it is checked here, before the policy draws anything,
+        whichever branch the policy then takes.  It produces exactly the same
+        decision stream as the dict-based API.
         """
+        return self._recommend(self._checked_context(context))
+
+    def _recommend(self, context: np.ndarray) -> Recommendation:
         decision = self.policy.select(context, self._models, self.catalog, self._rng)
         return Recommendation(hardware=decision.hardware, decision=decision)
 
@@ -294,10 +341,13 @@ class BanditWare:
 
         Decisions are identical to calling :meth:`recommend` once per element
         in order: the policy state (ε schedule, random stream) advances one
-        step per workflow, and no observation happens in between.
+        step per workflow, and no observation happens in between.  Every
+        context is checked before the first recommendation.
         """
-        contexts = [self.context_vector(features) for features in features_batch]
-        return [self.recommend_vector(context) for context in contexts]
+        contexts = [
+            self._checked_context(self.context_vector(features)) for features in features_batch
+        ]
+        return [self._recommend(context) for context in contexts]
 
     def observe(
         self,
@@ -315,9 +365,8 @@ class BanditWare:
         the observed/planned runtime ratio an interference-aware cluster
         measured; it only shapes the signal in ``slowdown_inclusive`` mode.
         """
-        context = self.context_vector(features)
         self.observe_vector(
-            context,
+            self.context_vector(features),
             hardware,
             runtime_seconds,
             features=features,
@@ -337,33 +386,22 @@ class BanditWare:
     ) -> None:
         """Feed back one observation given an already-ordered context vector.
 
-        ``hardware`` may also be an arm index.  ``features`` is only used for
-        the history record; when omitted it is reconstructed from the context
-        vector and :attr:`feature_names`.  ``validate=False`` skips the
-        context/runtime checks -- only for callers (the evaluation engine)
-        whose inputs were validated once up front.
+        ``hardware`` may also be an integer arm index (any type
+        :func:`operator.index` accepts, but not ``bool``).  ``features`` is
+        only used for the history record; when omitted it is reconstructed
+        from the context vector and :attr:`feature_names`.
+
+        The runtime and the context are checked here, once: :meth:`observe`
+        hands over the context it built without checking it first.
+        ``validate=False`` skips these two checks, for callers whose context
+        and runtime were checked where they entered (the evaluation engine's
+        replay arrays).  The arm, queue delay and slowdown are checked either
+        way, before any state changes.
         """
         if validate:
-            runtime_seconds = float(runtime_seconds)
-            if not np.isfinite(runtime_seconds) or runtime_seconds < 0:
-                raise ValueError(
-                    f"runtime_seconds must be finite and non-negative, got {runtime_seconds}"
-                )
-            context = np.asarray(context, dtype=float)
-            if context.shape != (self.n_features,):
-                raise ValueError(
-                    f"context must have shape ({self.n_features},), got {context.shape}"
-                )
-            if not np.all(np.isfinite(context)):
-                raise ValueError("context contains non-finite values")
-        if isinstance(hardware, int):
-            if not 0 <= hardware < len(self.catalog):
-                raise IndexError(
-                    f"arm index {hardware} out of range for {len(self.catalog)} arms"
-                )
-            arm = hardware
-        else:
-            arm = self.catalog.index_of(hardware)
+            runtime_seconds = _checked_runtime(runtime_seconds)
+            context = self._checked_context(context)
+        arm = self._arm_index(hardware)
         # In the default "runtime" mode this is runtime_seconds, untouched.
         target = self.reward.effective_runtime(runtime_seconds, queue_seconds, slowdown)
         self._models[arm].update_vector(context, target)
@@ -396,9 +434,10 @@ class BanditWare:
         :meth:`observe` calls in the same order would leave behind: per-arm
         model data is ingested in arrival order and the policy hook runs once
         per observation.  Only the intermediate per-row model refits are
-        skipped (via :meth:`ArmModel.update_batch`), which is where the batch
-        path earns its speedup.  All rows are validated before any state
-        changes.
+        skipped (via :meth:`ArmModel.update_batch` for an arm with several
+        rows; an arm with one row takes :meth:`ArmModel.update_vector`),
+        which is where the batch path earns its speedup.  All rows are
+        checked before any state changes, and only here.
 
         ``queues_seconds`` optionally reports each workflow's capacity wait;
         like :meth:`observe`, it only shapes the learning signal in
@@ -421,35 +460,34 @@ class BanditWare:
                 f"batch length mismatch: {len(runtimes_seconds)} runtimes but "
                 f"{len(slowdowns)} slowdowns"
             )
-        contexts = [self.context_vector(features) for features in features_batch]
-        if contexts and not np.all(np.isfinite(np.vstack(contexts))):
-            raise ValueError("context contains non-finite values")
-        arms = [self.catalog.index_of(hw) for hw in hardware]
-        runtimes = [float(r) for r in runtimes_seconds]
-        for runtime in runtimes:
-            if not np.isfinite(runtime) or runtime < 0:
-                raise ValueError(
-                    f"runtime_seconds must be finite and non-negative, got {runtime}"
-                )
+        contexts = [
+            self._checked_context(self.context_vector(features)) for features in features_batch
+        ]
+        arms = [self._arm_index(hw) for hw in hardware]
+        runtimes = [_checked_runtime(r) for r in runtimes_seconds]
         queues = [0.0] * len(runtimes) if queues_seconds is None else [float(q) for q in queues_seconds]
         ratios = (
             [None] * len(runtimes)
             if slowdowns is None
             else [None if s is None else float(s) for s in slowdowns]
         )
-        # effective_runtime validates queue delays and slowdowns (and is the
+        # effective_runtime checks queue delays and slowdowns (and is the
         # identity in the default "runtime" mode).
         targets = [
             self.reward.effective_runtime(runtime, queue, ratio)
             for runtime, queue, ratio in zip(runtimes, queues, ratios)
         ]
-        per_arm_X: Dict[int, List[np.ndarray]] = {}
-        per_arm_y: Dict[int, List[float]] = {}
-        for context, arm, target in zip(contexts, arms, targets):
-            per_arm_X.setdefault(arm, []).append(context)
-            per_arm_y.setdefault(arm, []).append(target)
-        for arm, rows in per_arm_X.items():
-            self._models[arm].update_batch(np.vstack(rows), per_arm_y[arm])
+        per_arm: Dict[int, List[int]] = {}
+        for row, arm in enumerate(arms):
+            per_arm.setdefault(arm, []).append(row)
+        for arm, rows in per_arm.items():
+            if len(rows) == 1:
+                # Bit-identical to update_batch on one row, minus its checks.
+                self._models[arm].update_vector(contexts[rows[0]], targets[rows[0]])
+            else:
+                self._models[arm].update_batch(
+                    np.vstack([contexts[row] for row in rows]), [targets[row] for row in rows]
+                )
         self._version += len(runtimes)
         for features, context, arm, target, runtime, queue, ratio in zip(
             features_batch, contexts, arms, targets, runtimes, queues, ratios
@@ -510,8 +548,6 @@ class BanditWare:
         self, features: Dict[str, float], tolerance: Optional[ToleranceConfig] = None
     ) -> HardwareConfig:
         """The hardware tolerant selection would pick right now (no exploration)."""
-        from repro.core.selection import TolerantSelector
-
         selector = TolerantSelector(tolerance=tolerance or ToleranceConfig())
         outcome = selector.select(self.catalog, self.predict_runtimes(features))
         return outcome.chosen

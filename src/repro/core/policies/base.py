@@ -45,8 +45,9 @@ class BanditPolicy(abc.ABC):
     """Selects a hardware arm given the context and the per-arm models.
 
     The BanditWare façade owns the catalog and the per-arm runtime models;
-    policies are pure decision rules.  They receive the context vector and the
-    models (in arm order) and return a :class:`PolicyDecision`.  Policies that
+    policies are pure decision rules.  They receive the context vector (which
+    the façade has already checked) and the models (in arm order) and return
+    a :class:`PolicyDecision`.  Policies that
     keep internal state across rounds (the decaying ε, LinUCB's round counter)
     update it inside :meth:`select` and reset it in :meth:`reset`.
     """
@@ -78,13 +79,11 @@ class BanditPolicy(abc.ABC):
     ) -> Dict[str, float]:
         """Point-estimate runtimes for every arm, in catalog order.
 
-        The context is validated once here (rather than once per arm inside
-        :meth:`ArmModel.predict`); the per-arm evaluation uses the models'
-        raw :meth:`~ArmModel.predict_vector` fast path.
+        ``context`` is trusted: :class:`~repro.core.BanditWare` checks every
+        context where it enters (``recommend*`` / ``observe*``), so the
+        per-arm evaluation goes straight to the models' raw
+        :meth:`~ArmModel.predict_vector` fast path.
         """
-        context = np.asarray(context, dtype=float).reshape(-1)
-        if context.size and not np.all(np.isfinite(context)):
-            raise ValueError("context contains non-finite values")
         return {
             hw.name: model.predict_vector(context)
             for hw, model in zip(catalog, models)
@@ -94,7 +93,7 @@ class BanditPolicy(abc.ABC):
     def estimate_runtime_vector(
         context: np.ndarray, models: Sequence[ArmModel]
     ) -> np.ndarray:
-        """Per-arm runtime estimates as an array in arm order (hot path)."""
+        """Per-arm runtime estimates as an array in arm order (trusted ``context``)."""
         return np.fromiter(
             (model.predict_vector(context) for model in models),
             dtype=float,

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.models.base import ArmModel
 from repro.core.policies.base import BanditPolicy, PolicyDecision
-from repro.core.selection import SelectionOutcome, ToleranceConfig, TolerantSelector
+from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.hardware import HardwareCatalog, ResourceCostModel
 from repro.utils.validation import check_in_range, check_probability
 
@@ -55,11 +55,13 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         Algorithm 1 by ``|H|`` rounds.
     audit_estimates:
         When true (default), every decision carries the per-arm runtime
-        estimates in ``PolicyDecision.estimates`` even on exploration rounds
-        where they do not influence the choice.  The evaluation engine turns
-        this off: skipping the unused estimates on explore/seed rounds does
-        not change any decision (no random draw is involved) but removes a
-        per-round cost.
+        estimates in ``PolicyDecision.estimates``, also on exploration rounds
+        where they do not influence the choice.  Exploitation rounds decide
+        the same way either way (one estimate vector, one
+        :meth:`~repro.core.selection.TolerantSelector.select_index` call);
+        the audit dict is built from that same vector, so turning it off
+        changes no decision and no ``detail`` entry.  The evaluation engine
+        turns it off to skip the estimates on explore/seed rounds.
     """
 
     def __init__(
@@ -119,7 +121,7 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         epsilon_used = self._epsilon
         explored = False
         seeded = False
-        estimates: Dict[str, float] = {}
+        values = None
         detail: Dict[str, float] = {"epsilon": epsilon_used, "round": float(self._round)}
 
         if self.explore_unseen_first and not self._all_seen:
@@ -128,31 +130,25 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
                 self._all_seen = True
         else:
             unseen = []
-        if self.explore_unseen_first and unseen:
-            arm = int(unseen[0])
+        if unseen:
+            arm = unseen[0]
             explored = True
             seeded = True
             detail["seeded_unseen_arm"] = 1.0
         elif float(rng.random()) < epsilon_used:
             arm = int(rng.integers(len(catalog)))
             explored = True
-        elif self.audit_estimates:
-            estimates = self.estimate_runtimes(context, models, catalog)
-            outcome: SelectionOutcome = self.selector.select(catalog, estimates)
-            arm = catalog.index_of(outcome.chosen)
-            detail["tolerance_limit"] = outcome.limit
-            detail["n_candidates"] = float(len(outcome.candidates))
-            detail["traded_runtime"] = outcome.traded_runtime
         else:
-            # Hot path: identical decisions to the dict-based selector (see
-            # TolerantSelector.select_index), minus the audit bookkeeping.
             values = self.estimate_runtime_vector(context, models)
             arm, fastest, limit, n_candidates = self.selector.select_index(catalog, values)
             detail["tolerance_limit"] = limit
             detail["n_candidates"] = float(n_candidates)
             detail["traded_runtime"] = float(values[arm] - values[fastest])
-        if not estimates and self.audit_estimates:
-            estimates = self.estimate_runtimes(context, models, catalog)
+        estimates: Dict[str, float] = {}
+        if self.audit_estimates:
+            if values is None:
+                values = self.estimate_runtime_vector(context, models)
+            estimates = dict(zip(catalog.names, values.tolist()))
 
         # Decay ε after every round that ran the genuine ε-draw branch
         # (Algorithm 1, line 12).  Deterministic seeding rounds consume no

@@ -16,13 +16,14 @@ hardware, which is what Figures 11 and 12 study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import all_finite, check_non_negative
 
 __all__ = ["ToleranceConfig", "TolerantSelector", "SelectionOutcome"]
 
@@ -152,35 +153,40 @@ class TolerantSelector:
         return cached[1]
 
     def select_index(self, catalog: HardwareCatalog, values: np.ndarray) -> tuple:
-        """Array-based tolerant selection (the policies' hot path).
+        """Tolerant selection over per-arm estimates: the one implementation of the rule.
 
-        ``values`` are per-arm runtime estimates in catalog order.  Returns
-        ``(chosen_arm, fastest_arm, limit, n_candidates)`` and makes exactly
-        the same choice as :meth:`select` on the same estimates.
+        ``values`` are per-arm runtime estimates in catalog order (a 1-D
+        array or a sequence of floats).  Returns ``(chosen_arm, fastest_arm,
+        limit, n_candidates)``: the fastest arm is the first minimum, the
+        limit is :meth:`ToleranceConfig.limit` of its estimate, and the
+        chosen arm is the first arm in :meth:`efficiency_order` whose
+        estimate is within the limit.  The ε-greedy policy calls this on
+        every exploitation round; :meth:`select` wraps it for the dict API.
+
+        The rule runs on Python floats: for a handful of arms that is
+        cheaper than the equivalent NumPy reductions, and it compares the
+        same IEEE doubles, so the choice is identical.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != len(catalog):
-            raise ValueError(f"expected {len(catalog)} estimates, got {values.shape[0]}")
-        # A finite sum implies all-finite; the detailed scan only runs when
-        # the cheap scalar check trips (non-finite entries or fp overflow).
-        if not np.isfinite(values.sum()) and not np.all(np.isfinite(values)):
-            bad = {catalog[int(i)].name: float(values[i]) for i in np.flatnonzero(~np.isfinite(values))}
+        est = values.tolist() if isinstance(values, np.ndarray) else [float(v) for v in values]
+        if len(est) != len(catalog):
+            raise ValueError(f"expected {len(catalog)} estimates, got {len(est)}")
+        if not all_finite(est):
+            bad = {hw.name: v for hw, v in zip(catalog, est) if not math.isfinite(v)}
             raise ValueError(f"runtime estimates must be finite, got {bad}")
-        fastest = int(np.argmin(values))
-        limit = self.tolerance.limit(float(values[fastest]))
-        mask = values <= limit
-        chosen = fastest
-        for arm in self.efficiency_order(catalog):
-            if mask[arm]:
-                chosen = int(arm)
-                break
-        return chosen, fastest, limit, int(mask.sum())
+        fastest = est.index(min(est))
+        limit = self.tolerance.limit(est[fastest])
+        # The limit never falls below the fastest estimate, so some arm qualifies.
+        chosen = next(
+            arm for arm in self.efficiency_order(catalog).tolist() if est[arm] <= limit
+        )
+        return chosen, fastest, limit, len([v for v in est if v <= limit])
+
     def select(
         self,
         catalog: HardwareCatalog,
         estimates: Dict[str, float] | Sequence[float] | np.ndarray,
     ) -> SelectionOutcome:
-        """Apply tolerant selection to runtime ``estimates``.
+        """Apply tolerant selection to runtime ``estimates``, with an audit trail.
 
         Parameters
         ----------
@@ -194,21 +200,16 @@ class TolerantSelector:
         -------
         SelectionOutcome
             The chosen configuration plus the decision's full audit trail.
+            The decision itself is :meth:`select_index`'s.
         """
         est = self._normalise_estimates(catalog, estimates)
-        fastest_name = min(est, key=lambda name: (est[name], catalog.index_of(name)))
-        fastest = catalog[fastest_name]
-        limit = self.tolerance.limit(est[fastest_name])
-        candidates = [hw for hw in catalog if est[hw.name] <= limit]
-        if not candidates:  # numerical guard: the fastest always qualifies
-            candidates = [fastest]
-        chosen = self.cost_model.most_efficient(candidates)
+        chosen, fastest, limit, _ = self.select_index(catalog, list(est.values()))
         return SelectionOutcome(
-            chosen=chosen,
-            fastest=fastest,
+            chosen=catalog[chosen],
+            fastest=catalog[fastest],
             estimates=est,
             limit=limit,
-            candidates=[hw.name for hw in candidates],
+            candidates=[name for name, value in est.items() if value <= limit],
         )
 
     @staticmethod
@@ -228,7 +229,4 @@ class TolerantSelector:
                     f"expected {len(catalog)} estimates, got {values.shape[0]}"
                 )
             est = {name: float(v) for name, v in zip(catalog.names, values)}
-        bad = {k: v for k, v in est.items() if not np.isfinite(v)}
-        if bad:
-            raise ValueError(f"runtime estimates must be finite, got {bad}")
         return est

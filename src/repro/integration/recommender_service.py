@@ -150,12 +150,18 @@ class RecommendationService:
 
     def shard_for(self, application: str) -> int:
         """The shard id serving one registered application."""
-        self.recommender_for(application)  # raises the canonical KeyError
-        return self._app_shard[application]
+        return self._shard_of_application(application).shard_id
 
     def shard_assignments(self) -> Dict[int, List[str]]:
         """``{shard_id: [applications...]}`` over all registered applications."""
         return {shard.shard_id: shard.applications for shard in self._shards}
+
+    def _shard_of_application(self, application: str) -> ServiceShard:
+        if application not in self._app_shard:
+            raise KeyError(
+                f"application {application!r} has no recommender; register it first"
+            )
+        return self._shards[self._app_shard[application]]
 
     def _shard_of_ticket(self, ticket_id: str) -> ServiceShard:
         if ticket_id not in self._ticket_shard:
@@ -212,25 +218,19 @@ class RecommendationService:
         if warm_start_history and self.history.records_for(name):
             frame = self.history.frame_for(name)
             ingested = recommender.warm_start(frame)
-            self.log.record("service", "warm_start", application=name, rows=ingested)
-        self.log.record("service", "application_registered", application=name, owner=owner)
+            if self.log.enabled:
+                self.log.record("service", "warm_start", application=name, rows=ingested)
+        if self.log.enabled:
+            self.log.record("service", "application_registered", application=name, owner=owner)
         return recommender
 
     def recommender_for(self, application: str) -> BanditWare:
         """The BanditWare instance serving one application."""
-        if application not in self._app_shard:
-            raise KeyError(
-                f"application {application!r} has no recommender; register it first"
-            )
-        return self._shards[self._app_shard[application]].recommender_for(application)
+        return self._shard_of_application(application).recommender_for(application)
 
     def priority_for(self, application: str) -> int:
         """The priority class of one registered application."""
-        if application not in self._app_shard:
-            raise KeyError(
-                f"application {application!r} has no recommender; register it first"
-            )
-        return self._shards[self._app_shard[application]].priority_for(application)
+        return self._shard_of_application(application).priority_for(application)
 
     # ------------------------------------------------------------------ #
     # Read path: copy-on-write snapshots
@@ -242,8 +242,7 @@ class RecommendationService:
         readers never observe a half-applied ``observe`` batch and never
         block on one (copy-on-write).
         """
-        self.recommender_for(application)  # raises the canonical KeyError
-        return self._shards[self._app_shard[application]].snapshot_for(application)
+        return self._shard_of_application(application).snapshot_for(application)
 
     def predict_runtimes(self, application: str, features: Dict[str, float]) -> Dict[str, float]:
         """Estimated runtime of ``features`` on every arm, from the snapshot.
@@ -256,27 +255,34 @@ class RecommendationService:
 
     # ------------------------------------------------------------------ #
     def submit_workflow(self, application: str, features: Dict[str, float]) -> WorkflowTicket:
-        """Ask for a hardware recommendation for one incoming workflow."""
-        self.recommender_for(application)  # raises the canonical KeyError
-        shard = self._shards[self._app_shard[application]]
+        """Ask for a hardware recommendation for one incoming workflow.
+
+        Every feature value is converted to a float before the recommender
+        is asked, so a request that is rejected -- an unknown application, a
+        non-numeric value, a missing or non-finite feature -- changes no
+        state: no ticket is issued and the exploration schedule does not move.
+        """
+        shard = self._shard_of_application(application)
+        features = {k: float(v) for k, v in features.items()}
         recommendation = shard.recommend(application, features)
         ticket = WorkflowTicket(
             ticket_id=self._issue_ticket_id(),
             application=application,
-            features={k: float(v) for k, v in features.items()},
+            features=features,
             recommendation=recommendation,
             priority=shard.priority_for(application),
         )
         shard.add_ticket(ticket)
         self._ticket_shard[ticket.ticket_id] = shard.shard_id
-        self.log.record(
-            "service",
-            "recommendation",
-            ticket=ticket.ticket_id,
-            application=application,
-            hardware=recommendation.hardware.name,
-            explored=recommendation.explored,
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "recommendation",
+                ticket=ticket.ticket_id,
+                application=application,
+                hardware=recommendation.hardware.name,
+                explored=recommendation.explored,
+            )
         return ticket
 
     def submit_workflows(
@@ -286,31 +292,36 @@ class RecommendationService:
 
         Decisions are identical to calling :meth:`submit_workflow` once per
         element in order (the recommender's policy state advances one step
-        per workflow); tickets are issued in submission order.
+        per workflow); tickets are issued in submission order.  The whole
+        batch is converted and checked before the first recommendation, so a
+        rejected batch changes no state.
         """
-        self.recommender_for(application)  # raises the canonical KeyError
-        shard = self._shards[self._app_shard[application]]
-        recommendations = shard.recommend_batch(application, list(features_batch))
+        shard = self._shard_of_application(application)
+        features_batch = [
+            {k: float(v) for k, v in features.items()} for features in features_batch
+        ]
+        recommendations = shard.recommend_batch(application, features_batch)
         priority = shard.priority_for(application)
         tickets: List[WorkflowTicket] = []
         for features, recommendation in zip(features_batch, recommendations):
             ticket = WorkflowTicket(
                 ticket_id=self._issue_ticket_id(),
                 application=application,
-                features={k: float(v) for k, v in features.items()},
+                features=features,
                 recommendation=recommendation,
                 priority=priority,
             )
             shard.add_ticket(ticket)
             self._ticket_shard[ticket.ticket_id] = shard.shard_id
             tickets.append(ticket)
-        self.log.record(
-            "service",
-            "recommendation_batch",
-            application=application,
-            tickets=len(tickets),
-            hardware=[t.recommendation.hardware.name for t in tickets],
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "recommendation_batch",
+                application=application,
+                tickets=len(tickets),
+                hardware=[t.recommendation.hardware.name for t in tickets],
+            )
         return tickets
 
     def complete_workflows(self, completions: Sequence[tuple]) -> None:
@@ -404,9 +415,8 @@ class RecommendationService:
                     features=ticket.features,
                 )
             )
-        self.log.record(
-            "service", "workflow_completed_batch", tickets=len(resolved)
-        )
+        if self.log.enabled:
+            self.log.record("service", "workflow_completed_batch", tickets=len(resolved))
 
     def complete_workflow(
         self,
@@ -426,7 +436,8 @@ class RecommendationService:
 
         Completing an already-completed ticket raises ``ValueError``: a
         double report would silently re-observe the runtime and skew the
-        application's models.
+        application's models.  The runtime, queue delay and slowdown are
+        checked once, by :meth:`BanditWare.observe`, before anything changes.
         """
         shard = self._shard_of_ticket(ticket_id)
         ticket = shard.ticket(ticket_id)
@@ -457,12 +468,13 @@ class RecommendationService:
                 features=ticket.features,
             )
         )
-        self.log.record(
-            "service",
-            "workflow_completed",
-            ticket=ticket_id,
-            runtime=float(runtime_seconds),
-        )
+        if self.log.enabled:
+            self.log.record(
+                "service",
+                "workflow_completed",
+                ticket=ticket_id,
+                runtime=float(runtime_seconds),
+            )
 
     def run_workflow(
         self,

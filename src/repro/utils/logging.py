@@ -55,6 +55,15 @@ class EventLog:
         self._records: List[LogRecord] = []
         self._counter = itertools.count()
 
+    @property
+    def enabled(self) -> bool:
+        """Whether :meth:`record` keeps what it is given.
+
+        Hot paths test this before building a record's payload, so a
+        disabled log costs one attribute read per event.
+        """
+        return True
+
     def record(self, source: str, event: str, time: float = 0.0, **detail: Any) -> LogRecord:
         """Append a record and return it."""
         rec = LogRecord(seq=next(self._counter), time=float(time), source=source, event=event, detail=dict(detail))
@@ -89,9 +98,13 @@ class EventLog:
 class NullLog(EventLog):
     """An :class:`EventLog` that silently discards everything.
 
-    Used as the default log so that hot loops pay no bookkeeping cost unless
-    the caller explicitly asks for a real log.
+    Used as the default log.  Its :attr:`enabled` is false, so callers that
+    check it build no records at all unless they are given a real log.
     """
+
+    @property
+    def enabled(self) -> bool:
+        return False
 
     def record(self, source: str, event: str, time: float = 0.0, **detail: Any) -> LogRecord:
         return LogRecord(seq=-1, time=float(time), source=source, event=event, detail=dict(detail))

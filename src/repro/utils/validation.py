@@ -7,11 +7,13 @@ lengths) instead of silently producing nonsense recommendations.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence, Sized
 
 import numpy as np
 
 __all__ = [
+    "all_finite",
     "check_positive",
     "check_non_negative",
     "check_probability",
@@ -19,6 +21,17 @@ __all__ = [
     "check_feature_matrix",
     "check_same_length",
 ]
+
+
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every float in ``values`` is finite.
+
+    A finite sum implies finite terms, so the per-element scan only runs
+    when the sum is not (a non-finite term or a floating-point overflow).
+    For a handful of Python floats this is several times cheaper than
+    ``np.isfinite(...).all()``.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def check_positive(value: float, name: str) -> float:

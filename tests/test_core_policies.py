@@ -122,6 +122,34 @@ class TestDecayingEpsilonGreedy:
         decision = policy.select(np.array([5.0]), models, catalog, rng)
         assert set(decision.estimates) == set(catalog.names)
 
+    def test_audit_estimates_change_no_decision(self, catalog):
+        """Audit on and off give one arm/explored/detail stream over 200 rounds."""
+        streams = {}
+        for audit in (True, False):
+            policy = DecayingEpsilonGreedyPolicy(
+                tolerance=ToleranceConfig(ratio=0.1, seconds=2.0), audit_estimates=audit
+            )
+            models = [LeastSquaresModel(2) for _ in catalog]
+            rng, data = np.random.default_rng(3), np.random.default_rng(7)
+            stream = []
+            for _ in range(200):
+                context = data.uniform(0.0, 10.0, size=2)
+                decision = policy.select(context, models, catalog, rng)
+                expected = (
+                    {hw.name: m.predict_vector(context) for hw, m in zip(catalog, models)}
+                    if audit
+                    else {}
+                )
+                assert decision.estimates == expected
+                stream.append((decision.arm_index, decision.explored, decision.detail))
+                runtime = (decision.arm_index + 1.0) * context.sum() + data.normal(0.0, 0.5)
+                models[decision.arm_index].update(context, max(runtime, 0.0))
+            streams[audit] = stream
+        assert streams[True] == streams[False]
+        exploited = [detail for _, explored, detail in streams[True] if not explored]
+        assert len(exploited) > 50
+        assert all("traded_runtime" in detail for detail in exploited)
+
     def test_model_count_mismatch(self, catalog, models, rng):
         policy = DecayingEpsilonGreedyPolicy()
         with pytest.raises(ValueError):

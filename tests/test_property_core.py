@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
 from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.core import BanditWare
-from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel, ndp_catalog
+from repro.hardware import (
+    HardwareCatalog,
+    HardwareConfig,
+    ResourceCostModel,
+    matmul_catalog,
+    ndp_catalog,
+)
 
 finite_floats = st.floats(min_value=0.0, max_value=1e5, allow_nan=False, allow_infinity=False)
 small_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -64,6 +70,47 @@ class TestTolerantSelectionProperties:
         narrow = TolerantSelector(ToleranceConfig(seconds=0.0), cost_model=cost).select(catalog, estimates)
         wide = TolerantSelector(ToleranceConfig(seconds=seconds), cost_model=cost).select(catalog, estimates)
         assert cost.footprint(wide.chosen) <= cost.footprint(narrow.chosen) + 1e-12
+
+
+#: Estimates that tie often: a small pool of repeated values (zeros of both
+#: signs and negatives included) mixed with arbitrary finite floats.
+tie_prone_estimates = st.one_of(
+    st.sampled_from([-250.0, -50.0, -0.0, 0.0, 10.0, 100.0]),
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+tolerance_knob = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0))
+
+
+class TestOneSelectionRule:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["ndp", "matmul"]),
+        st.data(),
+        tolerance_knob.map(lambda v: v / 50.0),
+        tolerance_knob,
+    )
+    def test_dict_and_index_selection_agree(self, catalog_name, data, ratio, seconds):
+        catalog = ndp_catalog() if catalog_name == "ndp" else matmul_catalog()
+        values = data.draw(
+            st.lists(tie_prone_estimates, min_size=len(catalog), max_size=len(catalog)),
+            label="estimates",
+        )
+        selector = TolerantSelector(ToleranceConfig(ratio=ratio, seconds=seconds))
+        outcome = selector.select(catalog, dict(zip(catalog.names, values)))
+        chosen, fastest, limit, n_candidates = selector.select_index(catalog, np.asarray(values))
+        assert catalog.index_of(outcome.chosen) == chosen
+        assert catalog.index_of(outcome.fastest) == fastest
+        assert outcome.limit == limit
+        assert len(outcome.candidates) == n_candidates
+        # Both follow Algorithm 1 as written: first-minimum fastest arm, the
+        # clamped limit, the most efficient arm within it.
+        first_fastest = int(np.argmin(values))
+        reference_limit = max((1.0 + ratio) * values[first_fastest] + seconds, values[first_fastest])
+        candidates = [hw for hw, value in zip(catalog, values) if value <= reference_limit]
+        assert fastest == first_fastest
+        assert limit == reference_limit
+        assert outcome.chosen == ResourceCostModel().most_efficient(candidates)
+        assert n_candidates == len(candidates)
 
 
 class TestModelProperties:
