@@ -28,16 +28,15 @@ Components:
   (:class:`NoInterference`, :class:`LinearSlowdown`,
   :class:`CapacityContention`): co-located pods slow each other's progress
   rate down.
-* :mod:`~repro.cluster.state` -- the array kernel: :class:`ClusterState`
-  holds every pod's and node's hot runtime scalars in flat
-  structure-of-arrays storage, and :class:`KernelProfile` accounts where
-  simulation wall-time goes.  :class:`Pod` and :class:`Node` remain thin
-  object facades over these arrays.
 * :mod:`~repro.cluster.simulator` -- :class:`ClusterSimulator`, which ties the
   pieces together and exposes the ``submit → run → observe runtime`` loop the
   online recommender drives.  Execution is progress-based: pods advance at
-  the interference model's rate and tentative finish events are rescheduled
-  on every topology change.
+  the interference model's rate, every topology change re-integrates the
+  node's residents, and each node keeps one live finish event at its
+  earliest tentative finish.  :class:`KernelProfile` accounts where
+  simulation wall-time goes.  Pods and nodes are plain objects; the
+  simulator's node-name -> running-pods map is the one co-residency
+  record.
 """
 
 from repro.cluster.autoscaler import AutoscalingNodePool, ScaleEvent
@@ -69,8 +68,7 @@ from repro.cluster.scheduler import (
     PriorityScheduler,
     SchedulingDecision,
 )
-from repro.cluster.simulator import ClusterSimulator, CompletedRun
-from repro.cluster.state import ClusterState, KernelProfile
+from repro.cluster.simulator import ClusterSimulator, CompletedRun, KernelProfile
 
 __all__ = [
     "Event",
@@ -102,6 +100,5 @@ __all__ = [
     "ScaleEvent",
     "ClusterSimulator",
     "CompletedRun",
-    "ClusterState",
     "KernelProfile",
 ]

@@ -11,9 +11,8 @@ surface a superseded time and never advance the clock past one.
 The queue keeps three monotonic counters -- :attr:`~EventQueue.pushed`,
 :attr:`~EventQueue.popped` (live events handled) and
 :attr:`~EventQueue.skipped` (cancelled entries discarded) -- which the
-simulator mirrors into :class:`~repro.cluster.state.KernelProfile` so event
-machinery regressions show up in ``run-contention --profile`` and the kernel
-benchmark suite.
+simulator mirrors into :class:`~repro.cluster.simulator.KernelProfile` so
+event machinery regressions show up in ``run-contention --profile``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.cluster.node import Node
 
 __all__ = [
     "Event",
@@ -56,19 +58,19 @@ class Event:
         Event name (``"pod_submitted"``, ``"node_next_finish"`` ...).
     payload:
         Data attached to the event.  Frontier events carry ``None`` -- their
-        only datum is :attr:`node_slot`, stored as a slot field so the hot
-        path allocates no per-event dict.
+        only datum is :attr:`node`, stored as a slot field so the hot path
+        allocates no per-event dict.
     seq:
         Tie-breaking sequence number assigned by the queue; events at equal
         times are processed in insertion order.
-    node_slot:
-        Kernel slot of the node a ``node_next_finish`` event belongs to
-        (``-1`` for every other kind).
+    node:
+        The :class:`~repro.cluster.node.Node` a ``node_next_finish`` event
+        belongs to (``None`` for every other kind).
     alive:
         ``False`` once cancelled; dead entries are skipped, not handled.
     """
 
-    __slots__ = ("time", "kind", "payload", "seq", "node_slot", "alive")
+    __slots__ = ("time", "kind", "payload", "seq", "node", "alive")
 
     def __init__(
         self,
@@ -76,7 +78,7 @@ class Event:
         kind: str,
         payload: Optional[Dict[str, Any]] = None,
         seq: int = -1,
-        node_slot: int = -1,
+        node: Optional["Node"] = None,
     ) -> None:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
@@ -84,14 +86,14 @@ class Event:
         self.kind = kind
         self.payload = {} if payload is None else payload
         self.seq = seq
-        self.node_slot = node_slot
+        self.node = node
         self.alive = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Event(time={self.time!r}, kind={self.kind!r}, "
             f"payload={self.payload!r}, seq={self.seq}, "
-            f"node_slot={self.node_slot}, alive={self.alive})"
+            f"node={self.node!r}, alive={self.alive})"
         )
 
 
@@ -142,11 +144,11 @@ class EventQueue:
         self.pushed += 1
         return event
 
-    def push_frontier(self, time: float, node_slot: int) -> Event:
-        """Schedule a ``node_next_finish`` event for ``node_slot``.
+    def push_frontier(self, time: float, node: "Node") -> Event:
+        """Schedule a ``node_next_finish`` event for ``node``.
 
         The payload-free fast path: the event is built via ``__new__`` with
-        ``payload=None`` and the node slot in a slot field, so re-pushing a
+        ``payload=None`` and the node in a slot field, so re-pushing a
         node's frontier allocates no dict and runs no keyword plumbing.
         """
         if time < self._now:
@@ -159,7 +161,7 @@ class EventQueue:
         event.kind = NODE_NEXT_FINISH
         event.payload = None
         event.seq = seq
-        event.node_slot = node_slot
+        event.node = node
         event.alive = True
         heapq.heappush(self._heap, (event.time, seq, event))
         self._live += 1

@@ -11,7 +11,7 @@ pile on.
 The :class:`~repro.cluster.simulator.ClusterSimulator` consults the model on
 every topology change (pod start/finish, preemption, autoscale provision or
 drain), re-integrates each running pod's progress at its previous rate, and
-reschedules its tentative finish event at the new rate -- see the simulator's
+moves its tentative finish to the new rate -- see the simulator's
 progress-based execution engine.  Models therefore only need to answer one
 pure question: *given this pod, this node, and these co-residents, how fast
 does the pod run right now?*
@@ -38,11 +38,6 @@ import numpy as np
 
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
-
-#: Pre-extracted resident requests for the batched path: ``(cpus, memory_gb,
-#: gpus)`` arrays aligned with the pod sequence, gathered from the cluster's
-#: flat state so batched evaluation needs no per-pod attribute walks.
-RequestArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
     "InterferenceModel",
@@ -96,8 +91,8 @@ def _co_resident_utilisation(node: Node, co_residents: Sequence[Pod]) -> float:
     return max(fractions)
 
 
-def _request_arrays(pods: Sequence[Pod]) -> RequestArrays:
-    """Extract request arrays from pod objects (fallback when no state)."""
+def _request_arrays(pods: Sequence[Pod]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pods' ``(cpus, memory_gb, gpus)`` requests as aligned arrays."""
     cpus = np.array([p.request.cpus for p in pods], dtype=np.int64)
     mem = np.array([p.request.memory_gb for p in pods], dtype=np.float64)
     gpus = np.array([p.request.gpus for p in pods], dtype=np.int64)
@@ -117,27 +112,16 @@ class InterferenceModel(abc.ABC):
         ``co_residents`` is empty.
         """
 
-    def node_speeds(
-        self,
-        node: Node,
-        pods: Sequence[Pod],
-        requests: Optional[RequestArrays] = None,
-    ) -> np.ndarray:
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
         """Progress rates of **all** of a node's residents at once.
 
-        The array kernel's batched entry point: one call per topology
-        change replaces k per-pod :meth:`speed` calls (each of which
-        rebuilt a k-1 co-resident list).  The default implementation falls
-        back to the per-pod loop so custom third-party models keep working
-        unchanged; the built-in models override it with closed-form array
-        math that reproduces the scalar path bit for bit on the
-        integer-valued requests every catalog uses.
-
-        ``requests`` optionally carries the residents' pre-extracted
-        ``(cpus, memory_gb, gpus)`` arrays (from
-        :meth:`~repro.cluster.state.ClusterState.resident_requests`);
-        models that only need request totals can then skip touching the pod
-        objects entirely.
+        The simulator's batched entry point: one call per topology change
+        replaces k per-pod :meth:`speed` calls (each of which rebuilt a k-1
+        co-resident list).  The default implementation falls back to the
+        per-pod loop so custom third-party models keep working unchanged;
+        the built-in models override it with closed-form array math that
+        reproduces the scalar path bit for bit on the integer-valued
+        requests every catalog uses.
         """
         speeds = np.empty(len(pods), dtype=np.float64)
         for i, pod in enumerate(pods):
@@ -157,12 +141,7 @@ class NoInterference(InterferenceModel):
     def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
         return 1.0
 
-    def node_speeds(
-        self,
-        node: Node,
-        pods: Sequence[Pod],
-        requests: Optional[RequestArrays] = None,
-    ) -> np.ndarray:
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
         return np.ones(len(pods), dtype=np.float64)
 
 
@@ -233,12 +212,7 @@ class LinearSlowdown(InterferenceModel):
             1.0 + self.node_alpha(node) * _co_resident_utilisation(node, co_residents)
         )
 
-    def node_speeds(
-        self,
-        node: Node,
-        pods: Sequence[Pod],
-        requests: Optional[RequestArrays] = None,
-    ) -> np.ndarray:
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
         """Batched form of :meth:`speed` for every resident of ``node``.
 
         Each pod's co-resident total is the node total minus its own
@@ -250,11 +224,11 @@ class LinearSlowdown(InterferenceModel):
         k = len(pods)
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        cpus, mem, gpus = requests if requests is not None else _request_arrays(pods)
         if k == 1:
             # Solo pods short-circuit to exactly 1.0, mirroring the scalar
             # path's u = 0 -> 1/(1 + a*0) == 1.0.
             return np.ones(1, dtype=np.float64)
+        cpus, mem, gpus = _request_arrays(pods)
         co_cpus = (int(cpus.sum()) - cpus) / node.cpus
         co_mem = (float(mem.sum()) - mem) / node.memory_gb
         u = np.maximum(co_cpus, co_mem)
@@ -317,12 +291,7 @@ class CapacityContention(InterferenceModel):
                 factors.append(min(1.0, (fraction * capacity) / total))
         return min(factors) if factors else 1.0
 
-    def node_speeds(
-        self,
-        node: Node,
-        pods: Sequence[Pod],
-        requests: Optional[RequestArrays] = None,
-    ) -> np.ndarray:
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
         """Batched form of :meth:`speed` for every resident of ``node``.
 
         The throttle depends only on the node-wide allocation totals
@@ -335,7 +304,7 @@ class CapacityContention(InterferenceModel):
             return np.empty(0, dtype=np.float64)
         if k == 1:
             return np.ones(1, dtype=np.float64)
-        cpus, mem, gpus = requests if requests is not None else _request_arrays(pods)
+        cpus, mem, gpus = _request_arrays(pods)
         factors = []
         for capacity, fraction, total in (
             (node.cpus, self.cpu_fraction, int(cpus.sum())),

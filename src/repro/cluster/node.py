@@ -1,15 +1,11 @@
 """Cluster nodes with resource-capacity accounting.
 
-:class:`Node` is a *facade* since the array-kernel refactor: allocation
-totals are maintained incrementally (the pre-refactor properties re-summed
-the allocation dict on every read, which dominated the simulator's
-feasibility checks), and a node adopted by a
-:class:`~repro.cluster.state.ClusterState` additionally reports every
-allocate/release to the state, which keeps the per-node resident index
-lists that batched interference evaluation gathers from.  The public
-surface is unchanged;
-standalone nodes (tests, probes, autoscaler deficit bins) never touch the
-array store.
+A :class:`Node` is a plain capacity record: its allocation dict keeps the
+resident pods in allocation order, and the allocation totals are maintained
+incrementally (re-summing the dict on every read dominated the simulator's
+feasibility checks).  The simulator, probes and autoscaler deficit bins all
+use the same object; who runs where in a simulation is recorded once, in the
+simulator's co-residency map.
 """
 
 from __future__ import annotations
@@ -76,18 +72,6 @@ class Node:
         self._alloc_cpus = 0
         self._alloc_memory_gb = 0.0
         self._alloc_gpus = 0
-        # Array-kernel binding (None/-1 while unbound).
-        self._state = None
-        self._slot = -1
-
-    def _bind(self, state, slot: int) -> None:
-        """Adopt this node into ``state`` (called by ``ClusterState``)."""
-        self._state = state
-        self._slot = slot
-
-    def _unbind(self) -> None:
-        self._state = None
-        self._slot = -1
 
     # ------------------------------------------------------------------ #
     @property
@@ -157,16 +141,13 @@ class Node:
         self._alloc_cpus += request.cpus
         self._alloc_memory_gb += request.memory_gb
         self._alloc_gpus += request.gpus
-        if self._state is not None:
-            self._state.on_allocate(self._slot, pod_name)
 
     def clone(self) -> "Node":
         """An unallocated copy of this node (same capacity and labels).
 
         Used wherever pristine capacity matters -- feasibility probes and
         fresh per-run clusters -- so capacity fields added to ``Node`` later
-        cannot silently be dropped by ad-hoc copy sites.  Clones are always
-        unbound, whatever the original was.
+        cannot silently be dropped by ad-hoc copy sites.
         """
         return Node(
             self.name,
@@ -185,8 +166,6 @@ class Node:
         self._alloc_cpus -= request.cpus
         self._alloc_memory_gb -= request.memory_gb
         self._alloc_gpus -= request.gpus
-        if self._state is not None:
-            self._state.on_release(self._slot, pod_name)
         return request
 
     @property

@@ -272,7 +272,7 @@ class LeastSlowdown(PlacementPolicy):
         # Custom models that only implement speed() -- including subclasses
         # of the built-ins that override speed() alone -- keep the scalar
         # loop verbatim, preserving their exact call pattern (and
-        # co-resident ordering) from before the array kernel.
+        # co-resident ordering) from before batched dispatch.
         batched = uses_batched_speeds(model)
         best: Optional[Node] = None
         best_key = None
@@ -285,7 +285,7 @@ class LeastSlowdown(PlacementPolicy):
                 # Accumulate the excess slowdown sequentially in the same
                 # order as the scalar loop (pod first, then residents), so
                 # the float sum -- and therefore every tie-break -- is
-                # bit-identical to the pre-kernel policy.
+                # bit-identical to the scalar policy.
                 cost = 0.0
                 for s in speeds.tolist():
                     cost += 1.0 / s - 1.0

@@ -1,14 +1,11 @@
 """Pods: one workload run bound to a hardware (resource) request.
 
-:class:`Pod` is a *facade* since the array-kernel refactor: a pod
-constructed directly (tests, examples, probes) stores its state in plain
-attributes and behaves exactly as the pre-refactor dataclass did; a pod
-adopted by a :class:`~repro.cluster.state.ClusterState` (which the
-simulator does at submission) keeps its hot numeric fields -- work,
-progress, speed, wall-clock accumulators -- in the state's flat arrays so
-the simulator can batch-update thousands of pods without attribute-walking
-Python objects.  The public surface (constructor signature, attributes,
-methods) is unchanged either way.
+A :class:`Pod` is a plain object: every runtime field is an ordinary
+attribute, whether the pod was built directly (tests, examples, feasibility
+probes) or by :meth:`~repro.cluster.simulator.ClusterSimulator.submit`.  The
+simulator re-integrates a running pod's progress through these attributes
+and keeps its tentative finish in two private ones (``_finish_at``,
+``_remaining``) that nothing else writes.
 """
 
 from __future__ import annotations
@@ -27,29 +24,6 @@ class PodPhase(str, enum.Enum):
     PENDING = "Pending"
     RUNNING = "Running"
     SUCCEEDED = "Succeeded"
-
-
-def _hot(local_name: str, array_name: str):
-    """An array-backed-when-bound float property (``None`` <-> ``NaN``)."""
-
-    def getter(self):
-        state = self._state
-        if state is None:
-            return getattr(self, local_name)
-        value = getattr(state, array_name)[self._index]
-        # NaN encodes None; NaN != NaN makes the check branch-free.
-        return None if value != value else float(value)
-
-    def setter(self, value):
-        state = self._state
-        if state is None:
-            object.__setattr__(self, local_name, value)
-        else:
-            getattr(state, array_name)[self._index] = (
-                float("nan") if value is None else value
-            )
-
-    return property(getter, setter)
 
 
 class Pod:
@@ -121,9 +95,6 @@ class Pod:
         observed_runtime_seconds: Optional[float] = None,
         metadata: Optional[Dict[str, Any]] = None,
     ):
-        # Facade plumbing must exist before any hot-property assignment.
-        self._state = None
-        self._index = -1
         self.name = name
         self.request = request
         self.features = {} if features is None else features
@@ -149,6 +120,11 @@ class Pod:
         self._running_wall_seconds = 0.0
         #: simulation time progress was last integrated to (None while pending)
         self._progress_updated_at = None
+        #: tentative finish time at the current rate, and the wall seconds
+        #: from the last integration point to it (written only by the
+        #: simulator; the remainder feeds :meth:`complete_progress`)
+        self._finish_at: Optional[float] = None
+        self._remaining = 0.0
         #: ``(time, speed)`` changepoints of the current attempt; the work
         #: conservation property test integrates this piecewise-constant rate
         self.progress_log: list = []
@@ -156,26 +132,6 @@ class Pod:
         self._waited_seconds = 0.0
         #: when the current pending stretch began (None while running/terminal)
         self._queued_since: Optional[float] = None
-
-    # ------------------------------------------------------------------ #
-    # Array-backed hot fields (plain attributes until the simulator adopts
-    # the pod into a ClusterState)
-    # ------------------------------------------------------------------ #
-    work_seconds = _hot("_local_work", "work")
-    progress_seconds = _hot("_local_progress", "progress")
-    speed = _hot("_local_speed", "speed")
-    _running_wall_seconds = _hot("_local_running_wall", "running_wall")
-    _progress_updated_at = _hot("_local_updated_at", "updated_at")
-
-    def _bind(self, state, index: int) -> None:
-        """Adopt this pod into ``state`` (called by ``ClusterState``).
-
-        The caller has already copied the current attribute values into the
-        arrays at ``index``; from here on the hot properties read/write the
-        arrays.
-        """
-        self._state = state
-        self._index = index
 
     # ------------------------------------------------------------------ #
     def mark_submitted(self, time: float) -> None:
@@ -231,32 +187,6 @@ class Pod:
     # ------------------------------------------------------------------ #
     # Progress-based execution (driven by the cluster simulator)
     # ------------------------------------------------------------------ #
-    def set_speed(self, time: float, new_speed: float) -> None:
-        """Integrate progress up to ``time`` at the current rate, then switch.
-
-        The progress rate is piecewise constant between topology changes, so
-        integrating lazily -- only when the rate actually changes -- is
-        exact.  The first call of an attempt (``speed is None``) merely
-        records the initial rate.
-        """
-        time = float(time)
-        if self.phase is not PodPhase.RUNNING:
-            raise RuntimeError(f"pod {self.name!r} is not running; cannot set a progress rate")
-        if self.speed is not None:
-            since = self._progress_updated_at if self._progress_updated_at is not None else time
-            elapsed = time - since
-            self.progress_seconds += elapsed * self.speed
-            self._running_wall_seconds += elapsed
-        self._progress_updated_at = time
-        self.speed = float(new_speed)
-        self.progress_log.append((time, float(new_speed)))
-
-    def remaining_wall_seconds(self) -> float:
-        """Wall-clock seconds to completion at the current rate."""
-        if self.work_seconds is None or self.speed is None:
-            raise RuntimeError(f"pod {self.name!r} has no work/rate; was it started?")
-        return max(self.work_seconds - self.progress_seconds, 0.0) / self.speed
-
     def complete_progress(self, remaining_wall: float) -> float:
         """Close out the attempt's progress and return the observed runtime.
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,13 +46,68 @@ from repro.cluster.node import InsufficientCapacityError, Node
 from repro.cluster.placement import PlacementContext
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.scheduler import FIFOScheduler, Scheduler
-from repro.cluster.state import ClusterState, KernelProfile
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.logging import EventLog, NullLog
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.base import RunRecord, WorkloadModel
 
-__all__ = ["CompletedRun", "ClusterSimulator"]
+__all__ = ["CompletedRun", "ClusterSimulator", "KernelProfile"]
+
+_tentative_finish = attrgetter("_finish_at")
+
+
+@dataclass
+class KernelProfile:
+    """Wall-clock accounting of the simulator's hot paths.
+
+    Enabled via ``ClusterSimulator.enable_profiling()`` (the CLI's
+    ``run-contention --profile`` flag); the counters make hot-path
+    regressions diagnosable without re-running cProfile: a jump in
+    ``reintegration_seconds`` points at the kernel, ``placement_seconds``
+    at the policy, ``scheduling_seconds`` at the queue discipline.
+    """
+
+    #: Seconds spent re-integrating progress / rescheduling tentative
+    #: finishes on topology changes (:meth:`ClusterSimulator._reschedule_node`).
+    reintegration_seconds: float = 0.0
+    #: Seconds spent in schedule passes over the pending queue, *including*
+    #: placement (placement is also reported separately below).
+    scheduling_seconds: float = 0.0
+    #: Seconds spent inside placement decisions (``scheduler.schedule`` /
+    #: ``select_node`` calls).
+    placement_seconds: float = 0.0
+    events_processed: int = 0
+    reschedule_calls: int = 0
+    pods_rescheduled: int = 0
+    schedule_passes: int = 0
+    placement_calls: int = 0
+    #: Heap traffic, mirrored from :class:`~repro.cluster.events.EventQueue`:
+    #: total events scheduled, live events handled, and cancelled (superseded
+    #: frontier) entries discarded without handling.  Under the per-node
+    #: frontier protocol ``events_pushed`` stays O(completions +
+    #: topology-changes) instead of O(pods x topology-changes).
+    events_pushed: int = 0
+    events_popped: int = 0
+    events_skipped: int = 0
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "reintegration_seconds": self.reintegration_seconds,
+            "scheduling_seconds": self.scheduling_seconds,
+            "placement_seconds": self.placement_seconds,
+            "events_processed": float(self.events_processed),
+            "reschedule_calls": float(self.reschedule_calls),
+            "pods_rescheduled": float(self.pods_rescheduled),
+            "schedule_passes": float(self.schedule_passes),
+            "placement_calls": float(self.placement_calls),
+            "events_pushed": float(self.events_pushed),
+            "events_popped": float(self.events_popped),
+            "events_skipped": float(self.events_skipped),
+        }
+
+    @staticmethod
+    def clock() -> float:
+        return perf_counter()
 
 
 @dataclass(frozen=True)
@@ -150,14 +207,14 @@ class ClusterSimulator:
     model reports for its current co-residency.  Every topology change --
     pod start, finish, preemption, autoscale provision or drain -- lazily
     re-integrates affected pods' progress at the old rate and rewrites
-    their tentative finish times in the kernel's ``finish_at`` array at the
-    new one.  Completions are driven by a **per-node finish frontier**: each
-    node keeps exactly one live ``node_next_finish`` event at the minimum of
-    its residents' tentative finishes, re-pushed (with the superseded event
-    cancelled in O(1)) only when that minimum moves, so heap traffic is
-    O(completions + topology changes) instead of O(pods x topology
-    changes).  When the event fires, the argmin over residents names the
-    finishing pod.
+    their tentative finish times at the new one.  Completions are driven by
+    a **per-node finish frontier**: each node keeps exactly one live
+    ``node_next_finish`` event at the minimum of its residents' tentative
+    finishes, re-pushed (with the superseded event cancelled in O(1)) only
+    when that minimum moves, so heap traffic is O(completions + topology
+    changes) instead of O(pods x topology changes).  When the event fires,
+    the first resident with the earliest tentative finish is the finishing
+    pod.
     """
 
     def __init__(
@@ -184,25 +241,20 @@ class ClusterSimulator:
         self._pending: List[Pod] = []
         self._pods: Dict[str, Pod] = {}
         self._pod_workloads: Dict[str, WorkloadModel] = {}
-        # The array kernel: flat SoA storage for pod/node runtime state.
-        # Every node is adopted now; every pod is adopted at submission.
-        self._state = ClusterState()
-        for node in self.nodes:
-            self._state.adopt_node(node)
         # Models whose node_speeds override is MRO-consistent with speed()
         # get batched dispatch; anything else keeps the per-pod scalar call
         # pattern via InterferenceModel.node_speeds.
         self._batched_interference = uses_batched_speeds(self.interference)
-        # Incrementally maintained co-residency: node name -> running pods in
-        # allocation order, updated on start/finish/preempt/provision/drain
-        # instead of being rebuilt from the allocation dicts on every
-        # schedule pass.
+        # The one co-residency record: node name -> running pods in
+        # allocation order, updated on start/finish/preempt/provision/drain.
+        # Re-integration, finish selection and interference-aware placement
+        # all read it.
         self._running: Dict[str, List[Pod]] = {n.name: [] for n in self.nodes}
-        # The finish frontier: node slot -> the node's single live
+        # The finish frontier: node name -> the node's single live
         # ``node_next_finish`` event (absent when the node has no residents).
         # Entries are popped when the event fires and cancelled + replaced
         # when a topology change moves the node's earliest tentative finish.
-        self._frontier: Dict[int, Event] = {}
+        self._frontier: Dict[str, Event] = {}
         self._context_cache: Optional[PlacementContext] = None
         self._profile: Optional[KernelProfile] = None
         # Queue-counter values already folded into the profile (delta sync,
@@ -230,20 +282,11 @@ class ClusterSimulator:
         """Current simulation time (seconds)."""
         return self._events.now
 
-    @property
-    def state(self) -> ClusterState:
-        """The flat array kernel backing this simulator's pods and nodes.
-
-        Read-only introspection for tests and benchmarks; external code
-        must mutate pods/nodes through their facades, never the arrays.
-        """
-        return self._state
-
     def enable_profiling(self) -> KernelProfile:
         """Switch on hot-path wall-clock accounting and return the profile.
 
         Used by ``run-contention --profile``: the returned
-        :class:`~repro.cluster.state.KernelProfile` accumulates time spent
+        :class:`KernelProfile` accumulates time spent
         in progress re-integration, schedule passes and placement decisions
         for the rest of the simulator's life.
         """
@@ -417,8 +460,7 @@ class ClusterSimulator:
         # start time (the old engine) made observed runtimes depend on
         # scheduling order -- and a preempted pod re-drew noise from the
         # shared RNG on restart, breaking replication determinism.
-        pod.work_seconds = workload.observed_runtime(features, config, self._rng)
-        self._state.adopt_pod(pod)
+        pod.work_seconds = float(workload.observed_runtime(features, config, self._rng))
         submit_time = self.now if at_time is None else float(at_time)
         self._events.push(submit_time, POD_SUBMITTED, pod_name=name)
         self._pods[name] = pod
@@ -485,113 +527,92 @@ class ClusterSimulator:
 
         Called on every topology change touching the node.  Each resident's
         rate is recomputed from the interference model; a pod whose rate is
-        unchanged keeps its tentative ``finish_at`` (progress integration is
-        lazy -- the rate is piecewise constant between changes, so deferring
-        the integral to the next change is exact).  Changed pods get their
-        finish times rewritten in the kernel arrays; no per-pod events are
-        pushed.  The node's single ``node_next_finish`` event is then
-        re-pushed only if the frontier (min over residents) moved, with the
-        superseded event cancelled in O(1) -- so heap traffic per topology
-        change is O(1), not O(residents).
+        unchanged keeps its tentative ``_finish_at`` (progress integration
+        is lazy -- the rate is piecewise constant between changes, so
+        deferring the integral to the next change is exact).  Changed pods
+        get their finish times rewritten; no per-pod events are pushed.
+        The node's single ``node_next_finish`` event is then re-pushed only
+        if the frontier (min over residents) moved, with the superseded
+        event cancelled in O(1) -- so heap traffic per topology change is
+        O(1), not O(residents).
         """
         profile = self._profile
         started = KernelProfile.clock() if profile is not None else 0.0
-        state = self._state
-        if node._state is not state:  # pragma: no cover - simulator adopts all nodes
-            raise RuntimeError(f"node {node.name!r} is not adopted by this simulator")
-        slot = node._slot
-        indices = state.residents[slot]
-        if not indices:
+        pods = self._running[node.name]
+        if not pods:
             # No residents left: the node has no next finish.  The popped
             # frontier event (if any) must be cancelled here, not left to
             # fire against an empty node.
-            current = self._frontier.pop(slot, None)
+            current = self._frontier.pop(node.name, None)
             if current is not None:
                 self._events.cancel(current)
             if profile is not None:
                 profile.reschedule_calls += 1
                 profile.reintegration_seconds += KernelProfile.clock() - started
             return
-        pods = [state.pods[i] for i in indices]
-        ia = np.asarray(indices, dtype=np.intp)
-        requests = (state.req_cpus[ia], state.req_mem[ia], state.req_gpus[ia])
         if self._batched_interference:
-            speeds = np.asarray(
-                self.interference.node_speeds(node, pods, requests), dtype=np.float64
-            )
+            speeds = self.interference.node_speeds(node, pods)
         else:
-            # Force the base-class fallback: per-pod speed() calls in the
-            # exact pre-kernel pattern, so models that override speed()
-            # alone (including subclasses of the built-ins) are honoured.
+            # Force the base-class fallback (one speed() call per pod), so
+            # models that override speed() alone (including subclasses of
+            # the built-ins) are honoured.
             speeds = InterferenceModel.node_speeds(self.interference, node, pods)
-        invalid = ~((speeds > 0.0) & (speeds <= 1.0))
-        if invalid.any():
-            i = int(np.argmax(invalid))
-            speed = float(speeds[i])
-            raise ValueError(
-                f"interference model {type(self.interference).__name__} returned "
-                f"progress rate {speed!r} for pod {pods[i].name!r}; rates must be in (0, 1]"
-            )
-        if len(pods) == 1 and float(speeds[0]) != 1.0:
-            speed = float(speeds[0])
+        speeds = np.asarray(speeds, dtype=np.float64).tolist()
+        for pod, speed in zip(pods, speeds):
+            if not 0.0 < speed <= 1.0:
+                raise ValueError(
+                    f"interference model {type(self.interference).__name__} returned "
+                    f"progress rate {speed!r} for pod {pod.name!r}; rates must be in (0, 1]"
+                )
+        if len(pods) == 1 and speeds[0] != 1.0:
             raise ValueError(
                 f"interference model {type(self.interference).__name__} slowed a "
-                f"pod running alone (rate {speed!r}); solo pods must run at 1.0"
+                f"pod running alone (rate {speeds[0]!r}); solo pods must run at 1.0"
             )
         now = self.now
-        # Batched re-integration: one elementwise pass over the node's
-        # residents, arithmetically identical to the per-pod set_speed
-        # sequence (same operations in the same order per element).
-        current_speeds = state.speed[ia]
-        changed_mask = speeds != current_speeds  # NaN current -> True (unset rate)
         n_changed = 0
-        if changed_mask.any():
-            ci = ia[changed_mask]
-            old_speeds = current_speeds[changed_mask]
-            had_rate = ~np.isnan(old_speeds)
-            if had_rate.any():
-                hi = ci[had_rate]
-                elapsed = now - state.updated_at[hi]
-                state.progress[hi] += elapsed * old_speeds[had_rate]
-                state.running_wall[hi] += elapsed
-            new_speeds = speeds[changed_mask]
-            state.updated_at[ci] = now
-            state.speed[ci] = new_speeds
-            remaining = np.maximum(state.work[ci] - state.progress[ci], 0.0) / new_speeds
+        for pod, speed in zip(pods, speeds):
+            old_speed = pod.speed
+            if speed == old_speed:  # an unset rate (None) always changes
+                continue
+            if old_speed is not None:
+                elapsed = now - pod._progress_updated_at
+                pod.progress_seconds += elapsed * old_speed
+                pod._running_wall_seconds += elapsed
+            pod._progress_updated_at = now
+            pod.speed = speed
+            remaining = max(pod.work_seconds - pod.progress_seconds, 0.0) / speed
             # ``now + remaining`` is exactly what ``push_in(remaining)``
             # scheduled in the per-pod-event engine: the clock has not
             # advanced since ``now`` was read.  The wall remainder is kept
             # alongside so completion can report the drawn runtime without
             # a lossy ``finish - updated_at`` subtraction.
-            state.remaining[ci] = remaining
-            state.finish_at[ci] = now + remaining
-            for pod, flag, speed in zip(pods, changed_mask.tolist(), speeds.tolist()):
-                if flag:
-                    pod.progress_log.append((now, speed))
-                    n_changed += 1
-        self._update_frontier(slot, ia)
+            pod._remaining = remaining
+            pod._finish_at = now + remaining
+            pod.progress_log.append((now, speed))
+            n_changed += 1
+        self._update_frontier(node, min(map(_tentative_finish, pods)))
         if profile is not None:
             profile.reschedule_calls += 1
             profile.pods_rescheduled += n_changed
             profile.reintegration_seconds += KernelProfile.clock() - started
 
-    def _update_frontier(self, slot: int, ia: np.ndarray) -> None:
-        """Re-point the node's ``node_next_finish`` event at its frontier.
+    def _update_frontier(self, node: Node, t: float) -> None:
+        """Re-point the node's ``node_next_finish`` event at time ``t``.
 
-        ``ia`` indexes the node's residents (non-empty).  If the minimum
-        tentative finish equals the outstanding event's time the event is
-        kept -- the argmin is recomputed at fire time, so it does not matter
-        *which* resident defines the frontier, only *when* it is.  Otherwise
-        the outstanding event is cancelled (O(1), handled never) and one
-        event is pushed at the new frontier.
+        ``t`` is the minimum tentative finish over the node's residents.  If
+        it equals the outstanding event's time the event is kept -- the
+        finishing pod is picked at fire time, so it does not matter *which*
+        resident defines the frontier, only *when* it is.  Otherwise the
+        outstanding event is cancelled (O(1), handled never) and one event
+        is pushed at the new frontier.
         """
-        t = float(self._state.finish_at[ia].min())
-        current = self._frontier.get(slot)
+        current = self._frontier.get(node.name)
         if current is not None:
             if current.time == t:
                 return
             self._events.cancel(current)
-        self._frontier[slot] = self._events.push_frontier(t, slot)
+        self._frontier[node.name] = self._events.push_frontier(t, node)
 
     def _preempt_victims(self, plan) -> List[Pod]:
         """Evict the plan's victims (checkpoint-free) and return them."""
@@ -761,7 +782,6 @@ class ClusterSimulator:
         name = event.payload["node_name"]
         node = state.pool.template_node(name)
         self.nodes.append(node)
-        self._state.adopt_node(node)
         self._running[name] = []
         self._feasibility.clear()
         self._busy_since[name] = float(event.time)
@@ -802,7 +822,6 @@ class ClusterSimulator:
         if node is None or node.allocations:
             return
         self.nodes.remove(node)
-        self._state.release_node(node)
         self._running.pop(name, None)
         self._feasibility.clear()
         self._busy_since.pop(name, None)
@@ -844,31 +863,28 @@ class ClusterSimulator:
     def _handle_node_finish(self, event) -> None:
         """Complete the finishing pod named by a fired frontier event.
 
-        The event carries only its node's kernel slot; the finishing pod is
-        the argmin of the residents' tentative finish times, recomputed at
-        fire time (ties resolve to the earliest resident in allocation
-        order, matching the per-pod-event engine's push order).  The queue
-        never surfaces superseded frontier events, so every event reaching
-        this handler is a genuine completion.
+        The event carries only its node; the finishing pod is the resident
+        with the earliest tentative finish, picked at fire time (ties
+        resolve to the earliest resident in allocation order, matching the
+        per-pod-event engine's push order).  The queue never surfaces
+        superseded frontier events, so every event reaching this handler is
+        a genuine completion.
         """
-        slot = event.node_slot
+        node = event.node
         # The fired event is consumed; _reschedule_node pushes the node's
         # next frontier below.
-        self._frontier.pop(slot, None)
-        state = self._state
-        indices = state.residents[slot]
-        index = indices[int(np.argmin(state.finish_at[np.asarray(indices, dtype=np.intp)]))]
-        pod = state.pods[index]
-        node = state.nodes[slot]
+        self._frontier.pop(node.name, None)
+        residents = self._running[node.name]
+        pod = min(residents, key=_tentative_finish)
         node.release(pod.name)
-        self._running[node.name].remove(pod)
+        residents.remove(pod)
         pod.mark_finished(event.time)
         workload = self._pod_workloads.get(pod.name, self.workload)
         # Close out progress with the *scheduled* wall remainder rather than
         # finish - start: the subtraction loses low-order bits once the
         # clock is large, and an uninterfered run must report the drawn
         # runtime bit-for-bit (matching the synchronous path).
-        runtime = pod.complete_progress(float(state.remaining[index]))
+        runtime = pod.complete_progress(pod._remaining)
         record = RunRecord(
             run_id=f"{workload.name}-run-{next(self._run_counter):06d}",
             application=workload.name,

@@ -34,7 +34,7 @@ __all__ = [
 def format_kernel_profile(profile: Mapping[str, float]) -> str:
     """Render a simulator kernel wall-time breakdown (``--profile`` output).
 
-    ``profile`` is :meth:`~repro.cluster.state.KernelProfile.as_dict`:
+    ``profile`` is :meth:`~repro.cluster.simulator.KernelProfile.as_dict`:
     seconds spent in progress re-integration, scheduling passes and
     placement scoring, plus the event/reschedule counters that give the
     seconds a denominator.

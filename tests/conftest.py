@@ -36,6 +36,23 @@ def constant_workload(runtimes, name="const"):
     )
 
 
+def integrated_work(pod):
+    """Integrate a finished pod's piecewise-constant progress rate.
+
+    ``pod.progress_log`` holds the ``(time, speed)`` changepoints of the
+    final attempt; the integral up to ``pod.finish_time`` must recover the
+    pod's drawn ``work_seconds`` (work conservation).
+    """
+    log = pod.progress_log
+    assert log, f"pod {pod.name} finished without a progress log"
+    total = 0.0
+    for (t0, s0), (t1, _) in zip(log, log[1:]):
+        total += (t1 - t0) * s0
+    t_last, s_last = log[-1]
+    total += (pod.finish_time - t_last) * s_last
+    return total
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -93,6 +94,23 @@ class TestRunContention:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run-contention", "--scenario", "imaginary"])
+
+
+class TestRunContentionProfile:
+    def test_profile_block_follows_an_unchanged_report(self):
+        argv = ("run-contention", "--scenario", "interference-heavy")
+        plain_code, plain = run_cli(*argv)
+        code, profiled = run_cli(*argv, "--profile")
+        assert plain_code == code == 0
+        report, marker, block = profiled.partition("\nkernel profile (")
+        assert marker, "no kernel profile block"
+        assert report == plain  # profiling leaves the report byte-identical
+        reschedules = int(re.search(r"over (\d+) reschedules", block).group(1))
+        assert reschedules > 0
+        pushed, handled, superseded = map(
+            int, re.search(r"(\d+) pushed / (\d+) handled / (\d+) superseded", block).groups()
+        )
+        assert pushed == handled + superseded
 
 
 class TestListScenarios:

@@ -189,9 +189,11 @@ class TestEventQueue:
         from repro.cluster.events import NODE_NEXT_FINISH
 
         q = EventQueue()
-        event = q.push_frontier(4.0, 7)
+        node = Node("n", cpus=4, memory_gb=16)
+        event = q.push_frontier(4.0, node)
         assert event.kind is NODE_NEXT_FINISH
-        assert event.node_slot == 7
+        assert event.node is node
+        assert q.push(5.0, "other").node is None
         assert event.payload is None  # the hot path allocates no dict
         assert event.alive
         assert q.pop() is event

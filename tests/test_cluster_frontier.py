@@ -13,20 +13,32 @@ scheme.  These tests pin that the change is pure event machinery:
 * ``peek_next_event_time`` never surfaces a superseded finish time, and the
   experiment engine steps only at instants where events are actually handled;
 * the frontier event always sits at the brute-force minimum of the node's
-  residents' tentative finishes, and the kernel's per-node resident index
-  lists match the node's allocations -- audited at every event boundary
-  under preemption, autoscale provision/drain, and same-timestamp arrival
-  batches.
+  residents' tentative finishes, the simulator's co-residency record
+  matches the node's allocations, and no drained node keeps a frontier --
+  audited at every event boundary under preemption, autoscale
+  provision/drain, same-timestamp arrival batches, a 64-pod node and
+  generated clusters (hypothesis), where work is also conserved through
+  each pod's ``progress_log``.
 """
 
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import ClusterSimulator, Node
-from repro.cluster.interference import LinearSlowdown
+from conftest import integrated_work
+from repro.cluster import (
+    CapacityContention,
+    ClusterSimulator,
+    FirstFit,
+    LeastSlowdown,
+    LinearSlowdown,
+    NoInterference,
+    Node,
+    PriorityScheduler,
+)
 from repro.evaluation.contention import (
     CONTENTION_SCENARIOS,
     build_scenario,
@@ -178,25 +190,28 @@ class TestPeekNextEventTime:
 def _audit_frontiers(sim: ClusterSimulator) -> int:
     """Assert each node's frontier event sits at the brute-force minimum.
 
-    Also checks that the kernel's resident index lists name exactly the
-    live node's allocations, in allocation order.
+    Also checks that the co-residency record names exactly each live node's
+    allocations, in allocation order, and that no drained node keeps a
+    frontier entry.
     """
-    state = sim.state
+    live = {node.name for node in sim.nodes}
+    assert set(sim._running) == live
+    stale = set(sim._frontier) - live
+    assert not stale, f"drained nodes {sorted(stale)} keep a frontier entry"
     audited = 0
-    for slot in range(state.n_nodes):
-        residents = state.residents[slot]
-        node = state.nodes[slot]
-        if node is not None:
-            assert [state.pods[i].name for i in residents] == node.resident_pods
-        event = sim._frontier.get(slot)
+    for node in sim.nodes:
+        residents = sim._running[node.name]
+        assert [pod.name for pod in residents] == node.resident_pods
+        event = sim._frontier.get(node.name)
         if not residents:
-            assert event is None, f"slot {slot} has a frontier but no residents"
+            assert event is None, f"{node.name} has a frontier but no residents"
             continue
-        finishes = state.finish_at[np.asarray(residents, dtype=np.intp)]
-        assert not np.isnan(finishes).any(), f"slot {slot} has unscheduled residents"
-        assert event is not None, f"slot {slot} has residents but no frontier"
-        assert event.alive, f"slot {slot} holds a cancelled frontier event"
-        assert event.time == float(finishes.min())
+        finishes = [pod._finish_at for pod in residents]
+        assert None not in finishes, f"{node.name} has unscheduled residents"
+        assert event is not None, f"{node.name} has residents but no frontier"
+        assert event.alive, f"{node.name} holds a cancelled frontier event"
+        assert event.node is node
+        assert event.time == min(finishes)
         audited += 1
     return audited
 
@@ -237,3 +252,135 @@ class TestFrontierMatchesBruteForce:
         runs = sim.run_until_idle()
         assert len(runs) == 12
         assert frontier_audit["audits"] > 0
+
+    def test_on_a_crowded_node(self, frontier_audit):
+        """64 co-resident pods, far past the handful any registered scenario
+        puts on one node: every reschedule re-integrates the whole record,
+        and work is still conserved."""
+        sim = _contended_sim(node_cpus=128, node_memory_gb=512.0)
+        for i in range(64):
+            sim.submit({"size": 1.0 + (i % 8)}, "s", at_time=float(i % 4))
+        sim.run_until(3.5)
+        assert len(sim._running["fat"]) == 64
+        runs = sim.run_until_idle()
+        assert len(runs) == 64
+        assert frontier_audit["audits"] > 0
+        for run in runs:
+            pod = sim.pods[run.pod_name]
+            assert integrated_work(pod) == pytest.approx(pod.work_seconds, rel=1e-9)
+
+    def test_equal_finishes_complete_in_allocation_order(self):
+        """A frontier tie goes to the earliest resident in allocation order."""
+        sim = _contended_sim()
+        pods = [sim.submit({"size": 2.0}, "s", at_time=5.0) for _ in range(4)]
+        runs = sim.run_until_idle()
+        assert [run.pod_name for run in runs] == [pod.name for pod in pods]
+
+
+# --------------------------------------------------------------------- #
+# Generated clusters: audit at every event, conserve work
+# --------------------------------------------------------------------- #
+INTERFERENCE_CLASSES = ("standard", "numa-quiet", "io-noisy")
+INTERFERENCE_MODELS = (
+    NoInterference(),
+    LinearSlowdown(alpha=0.7),
+    LinearSlowdown(alpha=0.7, class_weights={"numa-quiet": 0.25, "io-noisy": 2.5}),
+    CapacityContention(cpu_fraction=0.6, memory_fraction=0.8),
+)
+
+
+class AuditedSimulator(ClusterSimulator):
+    """Runs the frontier audit after every handled event."""
+
+    audits = 0
+
+    def _handle_event(self, event):
+        super()._handle_event(event)
+        self.audits += _audit_frontiers(self)
+
+
+@st.composite
+def cluster_cases(draw):
+    """1-3 nodes, a small integer catalog and a priority/preemption stream.
+
+    Plain data, so a failing case prints readably; ``_audited_sim`` builds
+    and loads the simulator.
+    """
+    nodes = [
+        (
+            draw(st.integers(4, 12)),  # cpus
+            draw(st.integers(16, 48)),  # memory_gb
+            draw(st.integers(1 if i == 0 else 0, 2)),  # gpus: node 0 fits every request
+            draw(st.sampled_from(INTERFERENCE_CLASSES)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    requests = [
+        (draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    stream = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(requests) - 1),  # hardware index
+                st.integers(0, 40),  # arrival time
+                st.integers(0, 2),  # priority
+                st.integers(1, 8),  # size feature
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return {
+        "nodes": nodes,
+        "requests": requests,
+        "stream": stream,
+        "interference": draw(st.sampled_from(INTERFERENCE_MODELS)),
+        "placement": draw(st.sampled_from((FirstFit, LeastSlowdown))),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _audited_sim(case) -> AuditedSimulator:
+    catalog = HardwareCatalog(
+        [
+            HardwareConfig(f"h{j}", cpus=cpus, memory_gb=memory_gb, gpus=gpus)
+            for j, (cpus, memory_gb, gpus) in enumerate(case["requests"])
+        ]
+    )
+    workload = LinearRuntimeWorkload(
+        feature_ranges={"size": (1.0, 8.0)},
+        coefficients={hw.name: ({"size": 10.0 * hw.cpus}, 5.0) for hw in catalog},
+        noise_sigma=0.25,
+        name="audited",
+    )
+    sim = AuditedSimulator(
+        workload,
+        catalog,
+        nodes=[
+            Node(f"n{i}", cpus=cpus, memory_gb=memory_gb, gpus=gpus, interference_class=tier)
+            for i, (cpus, memory_gb, gpus, tier) in enumerate(case["nodes"])
+        ],
+        scheduler=PriorityScheduler(preemption=True, placement=case["placement"]()),
+        seed=case["seed"],
+        interference=case["interference"],
+    )
+    for hardware, arrival, priority, size in case["stream"]:
+        sim.submit({"size": float(size)}, f"h{hardware}", at_time=float(arrival), priority=priority)
+    return sim
+
+
+class TestGeneratedClusters:
+    @settings(max_examples=120, deadline=None)
+    @given(cluster_cases())
+    def test_frontier_audit_and_work_conservation(self, case):
+        sim = _audited_sim(case)
+        runs = sim.run_until_idle()
+        assert len(runs) == len(case["stream"])
+        assert sim.audits > 0
+        for run in runs:
+            pod = sim.pods[run.pod_name]
+            assert integrated_work(pod) == pytest.approx(pod.work_seconds, rel=1e-9)
+            if len(pod.progress_log) == 1 and pod.progress_log[0][1] == 1.0:
+                # Never slowed: the observed runtime is the drawn one, bit for bit.
+                assert run.record.runtime_seconds == run.planned_runtime_seconds

@@ -7,6 +7,7 @@ from repro.cluster import (
     CapacityContention,
     ClusterSimulator,
     FIFOScheduler,
+    InterferenceModel,
     LinearSlowdown,
     Node,
     NoInterference,
@@ -92,6 +93,33 @@ class TestInterferenceModels:
         model = CapacityContention(cpu_fraction=0.75)  # 6 usable CPUs
         others = [self._pod("small", "q")]  # total 4 <= 6
         assert model.speed(self._pod(), node, others) == 1.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoInterference(),
+            LinearSlowdown(alpha=0.7),
+            LinearSlowdown(alpha=0.7, class_weights={"io-noisy": 2.5}),
+            CapacityContention(cpu_fraction=0.6, memory_fraction=0.8),
+        ],
+        ids=["none", "linear", "linear-weighted", "capacity"],
+    )
+    def test_node_speeds_matches_the_per_pod_speed_loop(self, model):
+        """Each built-in ``node_speeds`` override equals the default per-pod
+        ``speed`` loop bit for bit, from an empty node to a crowded one with
+        every resource dimension contended."""
+        node = Node("n", cpus=16, memory_gb=64, gpus=2, interference_class="io-noisy")
+        shapes = [
+            HardwareConfig("a", cpus=1, memory_gb=4),
+            HardwareConfig("b", cpus=4, memory_gb=8, gpus=1),
+            HardwareConfig("c", cpus=2, memory_gb=16),
+        ]
+        pods = [Pod(f"p{i}", shapes[i % len(shapes)]) for i in range(6)]
+        for k in range(len(pods) + 1):
+            residents = pods[:k]
+            batched = model.node_speeds(node, residents)
+            per_pod = InterferenceModel.node_speeds(model, node, residents)
+            assert batched.tolist() == per_pod.tolist()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

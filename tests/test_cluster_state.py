@@ -1,9 +1,7 @@
-"""The array kernel: parity pins, facade contract and re-integration edge cases.
+"""The simulator kernel: parity pins, plain pod/node objects, re-integration.
 
-The structure-of-arrays refactor (:mod:`repro.cluster.state`) promised two
-things: the flat arrays are *invisible* through the public ``Pod``/``Node``
-facades, and every registered scenario reproduces the pre-refactor engine
-bit for bit.  This suite pins both:
+Every registered scenario must reproduce the pinned engine bit for bit,
+whatever shape the kernel's bookkeeping takes.  This suite pins:
 
 * the seed-0 summary of every scenario in ``CONTENTION_SCENARIOS``, run
   under its scheduler's own default placement, equals the FirstFit summary
@@ -16,8 +14,9 @@ bit for bit.  This suite pins both:
   at one timestamp, and long-horizon work conservation (the piecewise
   progress-rate integral of ``pod.progress_log`` recovers ``work_seconds``)
   across interference models and seeds;
-* the facade contract: bound pods mirror the arrays both ways, bound nodes
-  keep the resident index lists, unbound ones behave as plain objects.
+* pods and nodes are plain objects: runtime fields are ordinary
+  attributes, a checkpoint-free restart resets progress, and node totals
+  and resident order follow allocate/release.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import constant_workload
+from conftest import constant_workload, integrated_work
 from repro.cluster import (
     CapacityContention,
     ClusterSimulator,
-    ClusterState,
     FIFOScheduler,
     LeastSlowdown,
     LinearSlowdown,
@@ -218,18 +215,6 @@ def _single_node_sim(workload, runtime_name="small", cpus=8, memory_gb=32, **kwa
     )
 
 
-def _integrated_work(pod):
-    """Integrate the attempt's piecewise-constant progress rate to the finish."""
-    log = pod.progress_log
-    assert log, f"pod {pod.name} finished without a progress log"
-    total = 0.0
-    for (t0, s0), (t1, _) in zip(log, log[1:]):
-        total += (t1 - t0) * s0
-    t_last, s_last = log[-1]
-    total += (pod.finish_time - t_last) * s_last
-    return total
-
-
 class TestReintegrationEdgeCases:
     def test_zero_work_pods_complete_immediately(self):
         workload = constant_workload({"small": 0.0})
@@ -310,7 +295,7 @@ class TestReintegrationEdgeCases:
         for run in runs:
             pod = sim.pods[run.pod_name]
             rate_changes += len(pod.progress_log)
-            integral = _integrated_work(pod)
+            integral = integrated_work(pod)
             assert integral == pytest.approx(pod.work_seconds, rel=1e-9, abs=1e-9)
             assert pod.progress_seconds == pod.work_seconds
         if not isinstance(model, NoInterference):
@@ -326,69 +311,44 @@ class TestReintegrationEdgeCases:
 
 
 # ---------------------------------------------------------------------- #
-# Facade contract
+# Plain pod and node objects
 # ---------------------------------------------------------------------- #
 def _config(name="hw", cpus=2, memory_gb=8.0, gpus=0):
     return HardwareConfig(name, cpus=cpus, memory_gb=memory_gb, gpus=gpus)
 
 
-class TestFacadeContract:
-    def test_unbound_pod_keeps_plain_attribute_behaviour(self):
+class TestPlainObjects:
+    def test_pod_runtime_fields_are_plain_attributes(self):
         pod = Pod("standalone", request=_config())
-        assert pod._state is None
         assert pod.speed is None and pod.work_seconds is None
+        assert pod._finish_at is None and pod._remaining == 0.0
         pod.work_seconds = 12.5
         pod.progress_seconds = 3.0
         pod.speed = 0.5
         assert (pod.work_seconds, pod.progress_seconds, pod.speed) == (12.5, 3.0, 0.5)
+        assert {"work_seconds", "progress_seconds", "speed"} <= set(vars(pod))
         pod.speed = None
         assert pod.speed is None
 
-    def test_adopted_pod_mirrors_state_arrays_both_ways(self):
-        state = ClusterState()
-        pod = Pod("bound", request=_config(cpus=3, memory_gb=24.0, gpus=1))
-        pod.work_seconds = 7.0
-        index = state.adopt_pod(pod)
-        # Adoption snapshots the facade's values...
-        assert state.work[index] == 7.0
-        assert state.req_cpus[index] == 3
-        assert state.req_mem[index] == 24.0
-        assert state.req_gpus[index] == 1
-        assert np.isnan(state.speed[index])
-        # ...then property writes land in the arrays...
-        pod.progress_seconds = 3.25
-        pod.speed = 0.5
-        assert state.progress[index] == 3.25
-        assert state.speed[index] == 0.5
-        # ...array writes are visible through the facade...
-        state.progress[index] = 4.0
-        assert pod.progress_seconds == 4.0
-        # ...and None round-trips through NaN.
-        pod.speed = None
-        assert np.isnan(state.speed[index])
-        assert pod.speed is None
-
-    def test_adopted_pod_phase_and_node_track_lifecycle(self):
-        """Phase and node are plain facade attributes; the kernel's only
-        record of placement is the node's resident index list."""
-        state = ClusterState()
+    def test_pod_phase_node_and_progress_track_lifecycle(self):
+        """A checkpoint-free restart resets the attempt's progress."""
         node = Node("n", cpus=4, memory_gb=16)
-        slot = state.adopt_node(node)
         pod = Pod("phased", request=_config())
         pod.work_seconds = 1.0
-        index = state.adopt_pod(pod)
         pod.mark_submitted(0.0)
         assert (pod.phase, pod.node) == (PodPhase.PENDING, None)
         node.allocate(pod.name, pod.request)
         pod.mark_running(1.0, node.name)
         assert (pod.phase, pod.node) == (PodPhase.RUNNING, "n")
-        assert list(state.residents[slot]) == [index]
+        assert node.resident_pods == [pod.name]
         pod.progress_seconds = 0.5
+        pod.speed = 0.75
         node.release(pod.name)
         pod.mark_preempted(2.0)
         assert (pod.phase, pod.node) == (PodPhase.PENDING, None)
-        assert state.progress[index] == 0.0  # checkpoint-free restart
-        assert list(state.residents[slot]) == []
+        assert pod.progress_seconds == 0.0  # checkpoint-free restart
+        assert pod.speed is None and pod.progress_log == []
+        assert node.resident_pods == []
         node.allocate(pod.name, pod.request)
         pod.mark_running(3.0, node.name)
         node.release(pod.name)
@@ -396,49 +356,17 @@ class TestFacadeContract:
         assert (pod.phase, pod.node) == (PodPhase.SUCCEEDED, "n")
         assert pod.is_terminal and pod.preemptions == 1
 
-    def test_duplicate_adoption_rejected(self):
-        state = ClusterState()
-        pod = Pod("dup", request=_config())
-        state.adopt_pod(pod)
-        with pytest.raises(ValueError, match="already adopted"):
-            state.adopt_pod(Pod("dup", request=_config()))
-        node = Node("n", cpus=4, memory_gb=16)
-        state.adopt_node(node)
-        with pytest.raises(ValueError, match="already adopted"):
-            state.adopt_node(Node("n", cpus=4, memory_gb=16))
-
-    def test_adopted_node_totals_match_allocation_dict(self):
-        state = ClusterState()
+    def test_node_totals_and_resident_order_follow_allocations(self):
         node = Node("n", cpus=8, memory_gb=32, gpus=2)
-        slot = state.adopt_node(node)
         pods = [Pod(f"p{i}", request=_config(cpus=2, memory_gb=8.0, gpus=1)) for i in range(2)]
         for pod in pods:
-            state.adopt_pod(pod)
             node.allocate(pod.name, pod.request)
         assert node.allocated_cpus == sum(r.cpus for r in node.allocations.values()) == 4
-        # Resident slots track allocation order.
-        assert [state.pods[i].name for i in state.residents[slot]] == ["p0", "p1"]
+        assert node.allocated_gpus == 2 and node.free_memory_gb == 16.0
+        # Residents are listed in allocation order.
+        assert node.resident_pods == ["p0", "p1"]
         node.release("p0")
-        assert [state.pods[i].name for i in state.residents[slot]] == ["p1"]
+        assert node.resident_pods == ["p1"]
         assert node.free_cpus == 6
-
-    def test_pod_array_growth_preserves_values(self):
-        state = ClusterState(pod_capacity=2)
-        pods = []
-        for i in range(20):
-            pod = Pod(f"grow-{i}", request=_config())
-            pod.work_seconds = float(i)
-            state.adopt_pod(pod)
-            pods.append(pod)
-        assert state.n_pods == 20
-        for i, pod in enumerate(pods):
-            assert pod.work_seconds == float(i)
-            assert state.work[i] == float(i)
-
-    def test_simulator_state_exposes_kernel(self):
-        sim = _single_node_sim(constant_workload({"small": 10.0}))
-        pod = sim.submit({"x": 0.0}, "small", at_time=0.0)
-        assert sim.state.pod_index[pod.name] == pod._index
-        sim.run_until_idle()
-        assert pod.phase is PodPhase.SUCCEEDED
-        assert sim.state.progress[pod._index] == pod.work_seconds == 10.0
+        node.allocate("p0", pods[0].request)
+        assert node.resident_pods == ["p1", "p0"]

@@ -1,4 +1,4 @@
-"""Memory-budget regression gates for the evaluation engine and array kernel.
+"""Memory-budget regression gates for the evaluation engine and simulator kernel.
 
 mlbench-style allocation budgets: each test carries a
 ``@pytest.mark.limit_memory("N MB")`` marker (enforced by pytest-memray in
@@ -6,9 +6,8 @@ environments that have the plugin installed) *and* self-enforces the same
 budget with :mod:`tracemalloc`, so the gate holds in this repo's
 plugin-free environment too.  The budgets are deliberately above the
 measured peaks (sweep ~0.7 MB, stress ~4.3 MB, paper-scale simulation
-~3.9 MB at the time of writing): they exist to catch an accidental switch
-from flat array storage back to per-object/per-event allocation blowups,
-not to pin the allocator's exact behaviour.
+~3.9 MB when the gates were set): they exist to catch per-object or
+per-event allocation blowups, not to pin the allocator's exact behaviour.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def test_array_kernel_stress_memory_budget(request):
     128 identical-shaped pods (2 CPUs / 8 GiB each) arrive one per second
     on a node big enough to run them all side by side under
     ``LinearSlowdown``, so every arrival and finish reschedules every
-    resident.  The gate catches per-event payload copies or per-pod array
-    materialisation creeping back into the hot path.
+    resident.  The gate catches per-event payload copies or per-reschedule
+    copies of the resident list creeping into the hot path.
     """
     from repro import HardwareCatalog, HardwareConfig, LinearRuntimeWorkload
     from repro.cluster import ClusterSimulator, LinearSlowdown, Node
