@@ -1,10 +1,22 @@
-"""Setuptools entry point.
+"""Setuptools metadata for the ``repro`` package, whose sources live in ``src/``.
 
-The pyproject.toml metadata is authoritative; this file exists so that
-``pip install -e .`` also works in offline environments whose setuptools
-lacks PEP 660 editable-wheel support (no ``wheel`` package available).
+This file is the whole packaging configuration: ``pip install -e .`` installs
+``repro`` from it, also with a setuptools that lacks PEP 660 editable-wheel
+support.  The version is read from ``repro.__version__`` without importing
+the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -301,6 +301,9 @@ def _cmd_list_scenarios(out) -> int:
 
 
 def _cmd_run_experiment(args, out) -> int:
+    for flag, value in (("--rounds", args.rounds), ("--simulations", args.simulations)):
+        if value is not None and value < 1:
+            raise SystemExit(f"{flag} must be positive, got {value}")
     definition = build_experiment(
         args.name,
         n_simulations=args.simulations,
@@ -321,6 +324,11 @@ def _cmd_run_contention(args, out) -> int:
     interference = _parse_interference(args.interference)
     if args.sweep_seeds > 0 and args.replications > 0:
         raise SystemExit("--sweep-seeds and --replications are mutually exclusive")
+    if (args.sweep_seeds > 0 or args.replications > 0) and (args.profile or args.rows > 0):
+        raise SystemExit(
+            "--profile and --rows apply to single runs only, "
+            "not to --sweep-seeds or --replications"
+        )
 
     def _build(seed: int):
         scenario = build_scenario(args.scenario, seed=seed)

@@ -12,9 +12,8 @@ This module is a thin frontend over the unified experiment engine
 arrival streams, the cluster's nodes, scheduler, autoscaler and reward mode
 -- and the engine plays them out:
 
-* several **tenants** (applications), each with its own
-  :class:`~repro.core.BanditWare` recommender behind the
-  :class:`~repro.integration.RecommendationService`, submit workflow streams
+* several **tenants** (applications), each with its own warm-started
+  :class:`~repro.core.BanditWare` recommender, submit workflow streams
   generated by configurable **arrival processes** (Poisson, bursty, or
   closed-loop -- :mod:`repro.workloads.arrivals`);
 * every workflow becomes a **pod** on the shared
@@ -23,10 +22,9 @@ arrival streams, the cluster's nodes, scheduler, autoscaler and reward mode
   other tenant; priority classes may preempt (checkpoint-free requeues with
   accounted wasted resource-seconds) and an
   :class:`~repro.cluster.AutoscalingNodePool` may grow/shrink the cluster;
-* completions feed back to each application's recommender through
-  :meth:`~repro.integration.RecommendationService.complete_workflows`
-  (and therefore :meth:`BanditWare.observe_batch`) **in event order**,
-  carrying queue delays for the opt-in queue-aware reward mode
+* completions feed back to each tenant's recommender through
+  :meth:`BanditWare.observe_batch` **in event order**, carrying queue
+  delays and slowdowns for the opt-in shaped reward modes
   (:class:`~repro.core.rewards.RewardConfig`);
 * accounting is queue-aware: per-round queue delay, batch makespan,
   :meth:`~repro.hardware.ResourceCostModel.occupancy_cost` resource-seconds
@@ -128,8 +126,8 @@ class TenantSpec:
         Tenant (owner) name; used in reports.
     workload:
         Application model providing ground-truth runtimes.  Its ``name``
-        becomes the application registered with the service, so it must be
-        unique within a scenario.
+        labels the tenant's runs and accounting rows, so it must be unique
+        within a scenario.
     catalog:
         The hardware configurations this application may request (its arm
         space).  May be a subset of the cluster's union catalog.

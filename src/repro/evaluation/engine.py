@@ -11,12 +11,12 @@ a run plays out:
   completion into a :class:`~repro.core.rewards.RoundOutcome`, a per-tenant
   :class:`~repro.core.rewards.RegretLedger` entry and one accounting row,
   identically for the queued and the synchronous path;
-* **one completion → observe path** -- completions are reported to the
-  :class:`~repro.integration.RecommendationService` in completion-event
-  order, one ``complete_workflows`` batch per event drain, which feeds each
-  application's recommender through
-  :meth:`~repro.core.BanditWare.observe_batch` (queue delays ride along for
-  the queue-aware reward mode);
+* **one completion → observe path** -- each tenant's
+  :class:`~repro.core.BanditWare` gets one
+  :meth:`~repro.core.BanditWare.observe_batch` call per event drain, rows in
+  completion-event order, which checks every row once before that tenant's
+  models change (queue delays and slowdowns ride along for the shaped
+  reward modes);
 * **one seeding discipline** -- replications derive from a
   :class:`~repro.utils.rng.SeedSequencePool` via
   :func:`replication_sequences`; tenant feature/arrival/warm-start streams
@@ -56,12 +56,12 @@ from typing import (
 import numpy as np
 
 from repro.cluster.simulator import ClusterSimulator, CompletedRun
+from repro.core.banditware import BanditWare, Recommendation
 from repro.core.models.linear import solve_least_squares
 from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.core.selection import TolerantSelector
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog, ResourceCostModel
-from repro.integration.recommender_service import RecommendationService, WorkflowTicket
 from repro.utils.logging import EventLog
 from repro.utils.rng import SeedSequencePool
 from repro.workloads import ClosedLoopArrivals, TraceGenerator
@@ -224,7 +224,7 @@ class ContentionResult:
 
 # --------------------------------------------------------------------- #
 # Shared construction (queued runner and synchronous reference must build
-# byte-identical services and workflow streams for the parity guarantee)
+# byte-identical recommenders and workflow streams for the parity guarantee)
 # --------------------------------------------------------------------- #
 def tenant_feature_streams(scenario: "ContentionScenario") -> List[List[Dict[str, float]]]:
     """The workflow feature stream of every tenant, in tenant order."""
@@ -240,31 +240,27 @@ def tenant_feature_streams(scenario: "ContentionScenario") -> List[List[Dict[str
     return streams
 
 
-def build_scenario_service(
-    scenario: "ContentionScenario",
-    catalog: HardwareCatalog,
-    log: Optional[EventLog] = None,
-) -> RecommendationService:
-    """A recommendation service with one warm-started recommender per tenant."""
-    service = RecommendationService(catalog=catalog, seed=scenario.seed, log=log)
+def build_recommenders(scenario: "ContentionScenario") -> List[BanditWare]:
+    """One warm-started recommender per tenant, in tenant order."""
+    recommenders: List[BanditWare] = []
     for index, tenant in enumerate(scenario.tenants):
+        recommender = BanditWare(
+            catalog=tenant.catalog,
+            feature_names=tenant.workload.feature_names,
+            tolerance=tenant.tolerance,
+            seed=scenario.seed,
+            track_history=False,
+            reward=tenant.reward,
+        )
         if tenant.warm_start_runs > 0:
             generator = TraceGenerator(
                 tenant.workload,
                 tenant.catalog,
                 seed=stream_rng(scenario.seed, index, "warm_start"),
             )
-            service.history.extend(generator.generate_grid(tenant.warm_start_runs))
-        service.register_application(
-            tenant.workload.name,
-            owner=tenant.name,
-            feature_names=tenant.workload.feature_names,
-            catalog=tenant.catalog,
-            tolerance=tenant.tolerance,
-            reward=tenant.reward,
-            priority=tenant.priority,
-        )
-    return service
+            recommender.warm_start(generator.generate_frame(tenant.warm_start_runs, grid=True))
+        recommenders.append(recommender)
+    return recommenders
 
 
 def oracle_runtimes(
@@ -284,10 +280,17 @@ def oracle_runtimes(
 class _TenantState:
     """Mutable per-tenant bookkeeping while a scenario plays."""
 
-    def __init__(self, index: int, spec: "TenantSpec", features: List[Dict[str, float]]):
+    def __init__(
+        self,
+        index: int,
+        spec: "TenantSpec",
+        features: List[Dict[str, float]],
+        recommender: BanditWare,
+    ):
         self.index = index
         self.spec = spec
         self.features = features
+        self.recommender = recommender
         self.next_index = 0  # next workflow to submit
         #: Workflows whose arrival is already on the heap or submitted.  The
         #: closed-loop refill gates on this (not on ``next_index``): two
@@ -313,7 +316,7 @@ class _TenantState:
 @dataclass(frozen=True)
 class _InFlight:
     state: _TenantState
-    ticket: WorkflowTicket
+    recommendation: Recommendation
     features: Dict[str, float]
 
 
@@ -463,10 +466,10 @@ class ExperimentEngine:
         scenario = self.scenario
         cluster = self._build_cluster(scenario.tenants[0].workload)
         kernel_profile = cluster.enable_profiling() if self.profile else None
-        service = build_scenario_service(scenario, self.catalog, log=self.log)
         accountant = ScenarioAccountant(self.catalog, self.cost_model)
+        recommenders = build_recommenders(scenario)
         states = [
-            _TenantState(index, spec, stream)
+            _TenantState(index, spec, stream, recommenders[index])
             for index, (spec, stream) in enumerate(
                 zip(scenario.tenants, tenant_feature_streams(scenario))
             )
@@ -494,46 +497,44 @@ class ExperimentEngine:
 
         def submit(state: _TenantState, at_time: float) -> None:
             features = state.next_features()
-            ticket = service.submit_workflow(state.spec.workload.name, features)
-            state.outcome.decisions.append(ticket.recommendation.hardware.name)
+            recommendation = state.recommender.recommend(features)
+            state.outcome.decisions.append(recommendation.hardware.name)
             pod = cluster.submit(
                 features,
-                ticket.recommendation.hardware,
+                recommendation.hardware,
                 at_time=at_time,
                 workload=state.spec.workload,
-                priority=ticket.priority,
+                priority=state.spec.priority,
             )
-            in_flight[pod.name] = _InFlight(state=state, ticket=ticket, features=features)
+            in_flight[pod.name] = _InFlight(state, recommendation, features)
 
         def handle_completions(runs: Sequence[CompletedRun]) -> None:
-            if not runs:
-                return
-            # One batch per event-drain: observations reach each recommender
-            # via observe_batch in completion-event order.  The runtime is
-            # the *observed* (interference-inflated) one -- the bandit learns
-            # from what actually happened on the shared cluster, exactly as
-            # the paper's loop learns from measured runtimes.  Queue delays
-            # ride along for the queue-aware reward mode, and the
-            # observed/planned slowdown for the ticket's audit trail.
-            service.complete_workflows(
-                [
-                    (
-                        in_flight[run.pod_name].ticket.ticket_id,
-                        run.record.runtime_seconds,
-                        run.queue_seconds,
-                        run.slowdown,
-                    )
-                    for run in runs
-                ]
-            )
-            for run in runs:
-                entry = in_flight.pop(run.pod_name)
+            # Pop the whole drain first: a pod reported twice raises before
+            # any recommender changes.  Then one observe_batch per tenant,
+            # rows in completion-event order.  The runtime is the *observed*
+            # (interference-inflated) one -- the bandit learns from what
+            # actually happened on the shared cluster, exactly as the paper's
+            # loop learns from measured runtimes.  Queue delays and the
+            # observed/planned slowdown ride along for the shaped reward modes.
+            entries = [in_flight.pop(run.pod_name) for run in runs]
+            by_tenant: Dict[_TenantState, List[int]] = {}
+            for row, entry in enumerate(entries):
+                by_tenant.setdefault(entry.state, []).append(row)
+            for state, rows in by_tenant.items():
+                state.recommender.observe_batch(
+                    [entries[row].features for row in rows],
+                    [entries[row].recommendation.hardware for row in rows],
+                    [runs[row].record.runtime_seconds for row in rows],
+                    queues_seconds=[runs[row].queue_seconds for row in rows],
+                    slowdowns=[runs[row].slowdown for row in rows],
+                )
+            for entry, run in zip(entries, runs):
                 state = entry.state
                 accountant.record(
                     state,
                     entry.features,
                     run,
-                    explored=entry.ticket.recommendation.explored,
+                    explored=entry.recommendation.explored,
                     finish_time=run.finish_time,
                 )
                 process = state.spec.arrivals
@@ -601,21 +602,21 @@ class ExperimentEngine:
             )
         tenant = scenario.tenants[0]
         cluster = self._build_cluster(tenant.workload)
-        service = build_scenario_service(scenario, self.catalog, log=self.log)
+        (recommender,) = build_recommenders(scenario)
         accountant = ScenarioAccountant(self.catalog, self.cost_model)
-        state = _TenantState(0, tenant, tenant_feature_streams(scenario)[0])
+        state = _TenantState(0, tenant, tenant_feature_streams(scenario)[0], recommender)
         clock = 0.0
         for features in state.features:
-            ticket = service.submit_workflow(tenant.workload.name, features)
-            state.outcome.decisions.append(ticket.recommendation.hardware.name)
-            run = cluster.run_workload(features, ticket.recommendation.hardware)
-            service.complete_workflow(ticket.ticket_id, run.record.runtime_seconds)
+            recommendation = recommender.recommend(features)
+            state.outcome.decisions.append(recommendation.hardware.name)
+            run = cluster.run_workload(features, recommendation.hardware)
+            recommender.observe(features, recommendation.hardware, run.record.runtime_seconds)
             clock += run.record.runtime_seconds
             accountant.record(
                 state,
                 features,
                 run,
-                explored=ticket.recommendation.explored,
+                explored=recommendation.explored,
                 finish_time=clock,
             )
         return ContentionResult(
@@ -646,8 +647,6 @@ def run_online_replication(
     coefficient matrices are recorded (only the observed arm's row changes
     per round) and the whole series is scored in one batched pass at the end.
     """
-    from repro.core.banditware import BanditWare
-
     cfg = simulation.config
     rng = np.random.default_rng(seed_seq)
     bandit = BanditWare(

@@ -93,16 +93,17 @@ def build_experiment(
 ) -> ExperimentDefinition:
     """Build a named experiment definition.
 
-    ``n_simulations`` / ``n_rounds`` default to the paper's settings for that
-    experiment but can be reduced for quick runs (the test suite uses small
-    values; the benchmarks use the paper's).  ``n_workers > 1`` runs the
-    replications in a process pool, bit-identical to the serial path.
+    ``n_simulations`` / ``n_rounds`` default (when ``None``) to the paper's
+    settings for that experiment but can be reduced for quick runs (the test
+    suite uses small values; the benchmarks use the paper's); a value below 1
+    raises ``ValueError``.  ``n_workers > 1`` runs the replications in a
+    process pool, bit-identical to the serial path.
     """
     if name == "cycles_synthetic":
         bundle = build_cycles_dataset()
         config = SimulationConfig(
-            n_rounds=n_rounds or 100,
-            n_simulations=n_simulations or 10,
+            n_rounds=100 if n_rounds is None else n_rounds,
+            n_simulations=10 if n_simulations is None else n_simulations,
             tolerance_seconds=20.0,
             evaluation_subsample=evaluation_subsample,
             seed=seed,
@@ -123,8 +124,8 @@ def build_experiment(
         bundle = build_bp3d_dataset()
         features = bundle.feature_names if name == "bp3d_all_features" else ["area"]
         config = SimulationConfig(
-            n_rounds=n_rounds or 50,
-            n_simulations=n_simulations or 100,
+            n_rounds=50 if n_rounds is None else n_rounds,
+            n_simulations=100 if n_simulations is None else n_simulations,
             evaluation_subsample=evaluation_subsample,
             seed=seed,
             n_workers=n_workers,
@@ -157,8 +158,8 @@ def build_experiment(
         if figure is None:
             raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
         config = SimulationConfig(
-            n_rounds=n_rounds or 100,
-            n_simulations=n_simulations or 10,
+            n_rounds=100 if n_rounds is None else n_rounds,
+            n_simulations=10 if n_simulations is None else n_simulations,
             tolerance_seconds=tolerance_seconds,
             tolerance_ratio=tolerance_ratio,
             evaluation_subsample=evaluation_subsample,

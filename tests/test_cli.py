@@ -75,6 +75,12 @@ class TestRunExperiment:
         assert code_serial == code_parallel == 0
         assert output_serial == output_parallel
 
+    @pytest.mark.parametrize("flag", ["--rounds", "--simulations"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_a_budget_below_one(self, flag, value):
+        with pytest.raises(SystemExit, match=f"{flag} must be positive"):
+            run_cli("run-experiment", "cycles_synthetic", flag, value)
+
 
 class TestRunContention:
     def test_light_scenario_reports_queue_accounting(self):
@@ -94,6 +100,12 @@ class TestRunContention:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run-contention", "--scenario", "imaginary"])
+
+    @pytest.mark.parametrize("multi", [["--replications", "2"], ["--sweep-seeds", "2"]])
+    @pytest.mark.parametrize("single", [["--profile"], ["--rows", "3"]])
+    def test_rejects_single_run_flags_on_multi_seed_runs(self, multi, single):
+        with pytest.raises(SystemExit, match="single runs only"):
+            run_cli("run-contention", "--scenario", "priority-tiers", *multi, *single)
 
 
 class TestRunContentionProfile:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Node
+from repro.core import BanditWare
 from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.evaluation import (
     CONTENTION_SCENARIOS,
@@ -15,6 +16,7 @@ from repro.evaluation import (
     run_synchronous,
 )
 from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
+from repro.integration import RecommendationService
 from repro.workloads import BurstyArrivals, ClosedLoopArrivals, PoissonArrivals
 
 from conftest import constant_workload as _constant_workload
@@ -321,6 +323,30 @@ class TestClosedLoopConcurrency:
         assert [row["finish_time"] for row in result.rows] == pytest.approx(
             [10.0, 25.0, 40.0]
         )
+
+
+class TestDirectRecommenders:
+    """The engine drives each tenant's BanditWare itself, with no service."""
+
+    @pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
+    def test_each_completion_is_observed_exactly_once(self, name, monkeypatch):
+        def no_service(self, *args, **kwargs):
+            raise AssertionError("a scenario run must not build a RecommendationService")
+
+        observed_rows = []
+        observe_batch = BanditWare.observe_batch
+
+        def counting_observe_batch(self, features_batch, *args, **kwargs):
+            observed_rows.append(len(features_batch))
+            return observe_batch(self, features_batch, *args, **kwargs)
+
+        monkeypatch.setattr(RecommendationService, "__init__", no_service)
+        monkeypatch.setattr(BanditWare, "observe_batch", counting_observe_batch)
+        scenario = build_scenario(name, seed=0)
+        result = run_scenario(scenario)
+        warm_start_rows = sum(t.warm_start_runs * len(t.catalog) for t in scenario.tenants)
+        assert len(result.rows) == sum(t.n_workflows for t in scenario.tenants)
+        assert sum(observed_rows) == warm_start_rows + len(result.rows)
 
 
 @pytest.mark.slow

@@ -229,6 +229,12 @@ class TestExperimentRegistry:
         with pytest.raises(ValueError):
             build_experiment("not-an-experiment")
 
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    @pytest.mark.parametrize("field", ["n_rounds", "n_simulations"])
+    def test_zero_budget_is_rejected_not_defaulted(self, name, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            build_experiment(name, **{field: 0})
+
     def test_cycles_experiment_uses_tolerance_20s(self):
         definition = build_experiment("cycles_synthetic", n_simulations=1, n_rounds=2)
         assert definition.config.tolerance_seconds == 20.0

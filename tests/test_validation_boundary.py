@@ -307,10 +307,6 @@ PRIORITY_TIERS_EVENTS = {
     ("cluster", "pod_submitted"): 36,
     ("scheduler", "pod_preempted"): 5,
     ("scheduler", "pod_scheduled"): 41,
-    ("service", "application_registered"): 2,
-    ("service", "recommendation"): 36,
-    ("service", "warm_start"): 2,
-    ("service", "workflow_completed_batch"): 36,
 }
 
 
