@@ -19,4 +19,7 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # bisect's key= argument needs 3.10.
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
 )

@@ -85,6 +85,11 @@ class PreemptionDecision:
 class Scheduler(abc.ABC):
     """Base class: a queue discipline composed with a placement policy.
 
+    The queue discipline is :meth:`service_class` plus
+    :attr:`head_of_line_blocking`: the simulator serves its pending queue
+    in ascending service class, first in first out within a class, and
+    keeps it in that order as pods arrive and requeue.
+
     Parameters
     ----------
     placement:
@@ -144,14 +149,15 @@ class Scheduler(abc.ABC):
             node.allocate(pod.name, pod.request)
         return decision
 
-    def sort_pending(self, pods: Sequence[Pod]) -> List[Pod]:
-        """Service order of the pending queue (submission order by default).
+    def service_class(self, pod: Pod) -> int:
+        """The pod's service class (``0`` for every pod by default).
 
-        The simulator keeps the queue in arrival order; schedulers that
-        implement priority classes reorder it here.  The sort must be stable
-        so pods within one class keep first-in-first-out order.
+        The pending queue is served in ascending class, first in first out
+        within a class.  The simulator keeps the queue in that order as pods
+        arrive and requeue instead of re-sorting it, so a queued pod's class
+        must never change (``Pod.priority`` is only set in ``__init__``).
         """
-        return list(pods)
+        return 0
 
     def select_victims(
         self,
@@ -219,11 +225,13 @@ class PriorityScheduler(FIFOScheduler):
     """Priority classes with optional preemption (first-fit placement by default).
 
     The pending queue is served highest priority class first; within one
-    class, strict first-in-first-out order is preserved (the sort is stable
-    on submission order).  The head-of-line discipline is inherited from
-    :class:`FIFOScheduler`: because the queue is priority-sorted, a blocked
-    pod only ever blocks pods of its own or lower classes -- a higher-class
-    pod is always ahead of it -- so no class can starve a class above it.
+    class, strict first-in-first-out order is preserved (the simulator
+    inserts each arrival at the back of its class and each preempted victim
+    at the front).  The head-of-line discipline is inherited from
+    :class:`FIFOScheduler`: because the queue is kept in priority order, a
+    blocked pod only ever blocks pods of its own or lower classes -- a
+    higher-class pod is always ahead of it -- so no class can starve a class
+    above it.
 
     With ``preemption`` enabled (the default), a blocked pod may evict
     strictly-lower-priority *running* pods to make room.  Victims are chosen
@@ -243,10 +251,8 @@ class PriorityScheduler(FIFOScheduler):
         super().__init__(placement=placement)
         self.supports_preemption = bool(preemption)
 
-    def sort_pending(self, pods: Sequence[Pod]) -> List[Pod]:
-        return sorted(
-            pods, key=lambda p: -p.priority
-        )  # stable: arrival order within a class
+    def service_class(self, pod: Pod) -> int:
+        return -pod.priority
 
     def select_victims(
         self,

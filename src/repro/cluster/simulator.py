@@ -21,6 +21,9 @@ Two modes of use are supported:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter
@@ -427,11 +430,18 @@ class ClusterSimulator:
         ground-truth runtime; it defaults to the simulator's own workload.
         Passing it per pod lets multiple tenants (applications) share one
         cluster, which is what the contention-aware evaluation drives.
-        ``priority`` is the pod's priority class (higher = more important);
-        only priority-aware schedulers read it.
+        ``priority`` is the pod's priority class (higher = more important,
+        an integer); only priority-aware schedulers read it.  ``at_time``
+        must be finite and not before :attr:`now`.  Every argument is
+        checked before the pod takes a name or draws its runtime, so a
+        rejected call leaves the simulator untouched.
 
         Raises
         ------
+        ValueError
+            If ``at_time`` is non-finite or in the past.
+        TypeError
+            If ``priority`` is not an integer (a ``bool`` is rejected too).
         InsufficientCapacityError
             If the request exceeds every node's *total* capacity and no
             autoscaler pool node could ever fit it (same rule as
@@ -447,6 +457,15 @@ class ClusterSimulator:
                 "and can never be scheduled; "
                 f"nodes: {[(n.name, n.cpus, n.memory_gb) for n in self.nodes]}"
             )
+        submit_time = self.now if at_time is None else float(at_time)
+        if not math.isfinite(submit_time) or submit_time < self.now:
+            raise ValueError(
+                f"at_time must be finite and not before the current time t={self.now} "
+                f"(got {at_time!r})"
+            )
+        if isinstance(priority, bool):
+            raise TypeError(f"priority must be an integer, not a bool ({priority!r})")
+        priority = operator.index(priority)
         workload = workload if workload is not None else self.workload
         name = f"pod-{next(self._pod_counter):06d}"
         pod = Pod(
@@ -454,14 +473,13 @@ class ClusterSimulator:
             request=config,
             features=dict(features),
             application=workload.name,
-            priority=int(priority),
+            priority=priority,
         )
         # Draw the ground-truth runtime ONCE, at submission.  Drawing at
         # start time (the old engine) made observed runtimes depend on
         # scheduling order -- and a preempted pod re-drew noise from the
         # shared RNG on restart, breaking replication determinism.
         pod.work_seconds = float(workload.observed_runtime(features, config, self._rng))
-        submit_time = self.now if at_time is None else float(at_time)
         self._events.push(submit_time, POD_SUBMITTED, pod_name=name)
         self._pods[name] = pod
         self._pod_workloads[name] = workload
@@ -643,68 +661,74 @@ class ClusterSimulator:
             pass
         self._maybe_scale_up()
 
-    def _schedule_pass(self) -> bool:
-        """One pass over the pending queue; True when a preemption restarted it.
+    def _enqueue(self, pod: Pod, front: bool = False) -> None:
+        """Insert ``pod`` into the pending queue at its place in service order.
 
-        A preemption requeues its victims and aborts the pass: the victims
-        must compete for the eviction's leftover capacity *before* any pod
-        queued behind them (they were admitted -- and running -- earlier
-        than everything still pending in their class), so the pass restarts
-        with the victims merged at the front of the queue.  Chains
-        terminate because every preemption places a strictly
-        higher-priority pod than each pod it evicts.
+        The queue is always in ascending :meth:`Scheduler.service_class`,
+        first in first out within a class, so an arrival goes to the back of
+        its class.  A preemption victim (``front=True``) goes to the front: it
+        was admitted -- and running -- earlier than everything still pending
+        in its class, so it competes for the eviction's leftover capacity
+        before any pod queued behind it.
+        """
+        key = self.scheduler.service_class
+        find = bisect_left if front else bisect_right
+        self._pending.insert(find(self._pending, key(pod), key=key), pod)
+
+    def _schedule_pass(self) -> bool:
+        """One pass over the pending queue; True when a preemption ended it.
+
+        The queue is already in service order (see :meth:`_enqueue`), so the
+        pass walks it in place from the head and removes each pod it places.
+        Under head-of-line blocking the first pod that cannot be placed ends
+        the pass, and the pods behind it are never touched.  A preemption
+        places its pod, requeues the victims at the front of their classes
+        and ends the pass, so the caller restarts it with the victims first
+        in line for what the eviction left over.  Chains terminate because
+        every preemption places a strictly higher-priority pod than each pod
+        it evicts.
         """
         profile = self._profile
         pass_started = KernelProfile.clock() if profile is not None else 0.0
-        still_pending: List[Pod] = []
-        blocked = False
-        queue = self.scheduler.sort_pending(self._pending)
+        scheduler = self.scheduler
+        queue = self._pending
+        preempted = False
         # The cached context wraps the live co-residency map, which every
         # successful placement (and preemption) updates in place -- so one
         # context object serves the whole pass.
         context = self._placement_context()
-        for i, pod in enumerate(queue):
-            if blocked:
-                still_pending.extend(queue[i:])
-                break
+        i = 0
+        while i < len(queue):
+            pod = queue[i]
             decision = self._place(pod, context)
-            if not decision.placed and self.scheduler.supports_preemption:
-                plan = self.scheduler.select_victims(
-                    pod, self.nodes, self._running_pods_by_node()
-                )
+            if not decision.placed and scheduler.supports_preemption:
+                plan = scheduler.select_victims(pod, self.nodes, self._running_pods_by_node())
                 if plan is not None:
                     victims = self._preempt_victims(plan)
                     decision = self._place(pod, self._placement_context())
-                    if decision.placed:
-                        self._start_pod(pod, decision.node_name, decision.reason)
-                        remaining = queue[i + 1 :]
-                    else:  # pragma: no cover - plan guarantees a fit
-                        remaining = queue[i:]
-                    # Victim plans list most-recently-started first; re-sort
-                    # by pod name (pod-NNNNNN, monotonic in submission
-                    # order) to keep FIFO among same-class victims.  The
-                    # restart re-sorts classes, so front placement pins the
-                    # within-class order only.
-                    victims.sort(key=lambda p: p.name)
-                    self._pending = victims + still_pending + remaining
-                    if profile is not None:
-                        profile.schedule_passes += 1
-                        profile.scheduling_seconds += KernelProfile.clock() - pass_started
-                    return True
+                    preempted = True
             if decision.placed:
+                del queue[i]
                 self._start_pod(pod, decision.node_name, decision.reason)
-            else:
-                still_pending.append(pod)
+            if preempted:
+                # Victim plans list most-recently-started first; inserting
+                # them at the front of their class in reverse pod-name order
+                # (pod-NNNNNN, monotonic in submission order) leaves
+                # same-class victims first in, first out.
+                for victim in sorted(victims, key=attrgetter("name"), reverse=True):
+                    self._enqueue(victim, front=True)
+                break
+            if not decision.placed:
                 # Strict FIFO service order: an unplaceable pod at the head of
                 # the queue blocks everything behind it, so a large request
                 # cannot be starved by a stream of small skip-ahead pods.
-                if self.scheduler.head_of_line_blocking:
-                    blocked = True
-        self._pending = still_pending
+                if scheduler.head_of_line_blocking:
+                    break
+                i += 1
         if profile is not None:
             profile.schedule_passes += 1
             profile.scheduling_seconds += KernelProfile.clock() - pass_started
-        return False
+        return preempted
 
     def _place(self, pod: Pod, context: Optional[PlacementContext]):
         """One placement decision, timed when profiling is enabled."""
@@ -932,7 +956,7 @@ class ClusterSimulator:
         elif kind == POD_SUBMITTED:
             pod = self._pods[event.payload["pod_name"]]
             pod.mark_submitted(event.time)
-            self._pending.append(pod)
+            self._enqueue(pod)
             self._try_schedule_pending()
         elif kind == NODE_PROVISIONED:
             self._handle_node_provisioned(event)
@@ -983,10 +1007,14 @@ class ClusterSimulator:
         falls in the window (:meth:`EventQueue.drain` semantics), so callers
         interleaving external arrivals with the event engine can step the
         clock deterministically.  Returns the runs completed during this call
-        in completion order.
+        in completion order.  ``time`` must be finite: no event time compares
+        greater than NaN, and a clock set to infinity admits no later submit.
         """
+        until = float(time)
+        if not math.isfinite(until):
+            raise ValueError(f"run_until needs a finite time (got {time!r})")
         before = len(self._completed)
-        self._events.drain(self._handle_event, until=float(time))
+        self._events.drain(self._handle_event, until=until)
         self._sync_profile_events()
         return self._completed[before:]
 

@@ -18,7 +18,7 @@ scheme.  These tests pin that the change is pure event machinery:
   audited at every event boundary under preemption, autoscale
   provision/drain, same-timestamp arrival batches, a 64-pod node and
   generated clusters (hypothesis), where work is also conserved through
-  each pod's ``progress_log``.
+  each pod's ``progress_log`` and the pending queue stays in service order.
 """
 
 import json
@@ -290,13 +290,15 @@ INTERFERENCE_MODELS = (
 
 
 class AuditedSimulator(ClusterSimulator):
-    """Runs the frontier audit after every handled event."""
+    """Runs the frontier and queue-order audits after every handled event."""
 
     audits = 0
 
     def _handle_event(self, event):
         super()._handle_event(event)
         self.audits += _audit_frontiers(self)
+        classes = [self.scheduler.service_class(pod) for pod in self._pending]
+        assert classes == sorted(classes), f"pending queue out of service order: {classes}"
 
 
 @st.composite

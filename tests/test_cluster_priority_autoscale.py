@@ -1,5 +1,7 @@
 """Priority/preemption scheduling and autoscaling node-pool tests."""
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -14,6 +16,7 @@ from repro.cluster import (
     PriorityScheduler,
 )
 from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel
+from repro.utils.logging import EventLog
 
 from conftest import constant_workload as _constant_workload
 
@@ -25,13 +28,14 @@ _CATALOG = HardwareCatalog(
 )
 
 
-def _cluster(scheduler=None, nodes=None, autoscaler=None, runtimes=None):
+def _cluster(scheduler=None, nodes=None, autoscaler=None, runtimes=None, log=None):
     return ClusterSimulator(
         workload=_constant_workload(runtimes or {"small": 10.0, "big": 10.0}),
         catalog=_CATALOG,
         nodes=nodes or [Node("n", cpus=4, memory_gb=32)],
         scheduler=scheduler,
         seed=0,
+        log=log,
         autoscaler=autoscaler,
     )
 
@@ -199,6 +203,52 @@ class TestPrioritySchedulerInvariants:
             assert low.start_time == pytest.approx(0.0)
             assert high.start_time == pytest.approx(10.0)
             assert low.preemptions == 0
+
+
+class _CountingPriorityScheduler(PriorityScheduler):
+    """Counts every service-class evaluation."""
+
+    calls = 0
+
+    def service_class(self, pod):
+        self.calls += 1
+        return super().service_class(pod)
+
+
+class TestPendingQueue:
+    def test_same_class_victims_restart_in_submission_order(self):
+        # Two same-class pods evicted together restart at the same instant;
+        # the earlier-submitted one must be scheduled first.
+        log = EventLog()
+        sim = _cluster(PriorityScheduler(preemption=True), log=log)
+        first = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
+        second = sim.submit({"x": 0.0}, "small", at_time=1.0, priority=0)
+        sim.submit({"x": 0.0}, "big", at_time=3.0, priority=10)  # evicts both
+        sim.run_until_idle()
+        restarts = [
+            r.detail["pod"] for r in log if r.event == "pod_scheduled" and r.time == 13.0
+        ]
+        assert restarts == [first.name, second.name]
+
+    def test_class_evaluations_are_logarithmic_per_enqueue(self):
+        # A deep three-class backlog on one node: the queue is kept in
+        # service order as pods arrive and requeue, so each enqueue costs
+        # one binary search, never a re-sort of the whole backlog per pass.
+        scheduler = _CountingPriorityScheduler(preemption=True)
+        sim = _cluster(scheduler, nodes=[Node("n", cpus=8, memory_gb=32)])
+        n_pods = 360
+        pods = [
+            sim.submit(
+                {"x": 0.0}, "big" if k % 5 == 0 else "small", at_time=0.25 * k, priority=k % 3
+            )
+            for k in range(n_pods)
+        ]
+        runs = sim.run_until_idle()
+        assert len(runs) == n_pods
+        preemptions = sum(pod.preemptions for pod in pods)
+        assert preemptions > 0
+        per_enqueue = math.ceil(math.log2(n_pods + 1)) + 1
+        assert 0 < scheduler.calls <= (n_pods + preemptions) * per_enqueue
 
 
 class TestAutoscalingNodePool:

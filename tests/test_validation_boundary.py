@@ -1,11 +1,13 @@
 """The validation contract: every input is checked once, where it enters.
 
 ``BanditWare.recommend*`` / ``observe*``, ``RecommendationService``'s
-``submit_workflow(s)`` / ``complete_workflow(s)`` and
-``ServiceShard.observe_batch`` are the public entries.  A
+``submit_workflow(s)`` / ``complete_workflow(s)``,
+``ServiceShard.observe_batch`` and ``ClusterSimulator.submit`` /
+``run_until`` are the public entries.  A
 bad input must be rejected at the entry with the documented exception type
 and message, before any state moves: observation counts, the mutation
-version, the history, tickets, ε, the round counter and the exploration RNG.
+version, the history, tickets, ε, the round counter, the exploration RNG,
+and the simulator's pod names, runtime RNG and clock.
 The layers behind the entries (policies, arm models) trust what they are
 given, and a disabled event log builds nothing.
 """
@@ -15,6 +17,7 @@ import collections
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterSimulator, Node
 from repro.core import BanditWare, RewardConfig
 from repro.core.policies import (
     DecayingEpsilonGreedyPolicy,
@@ -25,10 +28,11 @@ from repro.core.policies import (
 )
 from repro.core.models import RecursiveLeastSquaresModel
 from repro.evaluation import build_scenario, run_scenario
-from repro.hardware import ndp_catalog
+from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
 from repro.integration import RecommendationService
 from repro.utils import logging as event_logging
 from repro.utils.logging import EventLog, NullLog
+from repro.workloads import LinearRuntimeWorkload
 
 NAN, INF = float("nan"), float("inf")
 GOOD = {"x0": 1.0, "x1": 2.0}
@@ -295,6 +299,62 @@ class TestServiceEntries:
         assert _service_state(batched) == _service_state(sequential)
         a, b = batched.recommender_for("alpha"), sequential.recommender_for("alpha")
         assert a.history == b.history
+
+
+# --------------------------------------------------------------------- #
+# The cluster simulator's queued interface
+# --------------------------------------------------------------------- #
+def _simulator() -> ClusterSimulator:
+    """A noisy one-node simulator whose clock has advanced to t=100."""
+    workload = LinearRuntimeWorkload(
+        feature_ranges={"x": (1.0, 9.0)},
+        coefficients={"s": ({"x": 5.0}, 10.0)},
+        noise_sigma=0.25,
+        name="boundary",
+    )
+    catalog = HardwareCatalog([HardwareConfig("s", cpus=2, memory_gb=8)])
+    sim = ClusterSimulator(workload, catalog, nodes=[Node("n", cpus=4, memory_gb=16)], seed=7)
+    sim.run_until(100.0)
+    return sim
+
+
+SIMULATOR_CASES = [
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", at_time=5.0), ValueError, "not before"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", at_time=NAN), ValueError, "finite"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", at_time=INF), ValueError, "finite"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", priority=NAN), TypeError, "float"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", priority=1.5), TypeError, "float"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", priority=True), TypeError, "bool"),
+    ("submit", lambda c: c.submit({"x": 5.0}, "s", priority="1"), TypeError, "str"),
+    ("run_until", lambda c: c.run_until(NAN), ValueError, "finite"),
+    ("run_until", lambda c: c.run_until(INF), ValueError, "finite"),
+]
+
+
+class TestClusterSimulatorEntries:
+    @pytest.mark.parametrize(
+        "entry, call, error, fragment",
+        SIMULATOR_CASES,
+        ids=[f"{case[0]}-{i}" for i, case in enumerate(SIMULATOR_CASES)],
+    )
+    def test_bad_input_rejected_before_any_state_change(self, entry, call, error, fragment):
+        sim = _simulator()
+        with pytest.raises(error, match=fragment):
+            call(sim)
+        assert sim.now == 100.0 and sim.pods == {}
+
+    def test_next_pod_after_rejections_matches_a_fresh_simulator(self):
+        sim = _simulator()
+        for _, call, error, _ in SIMULATOR_CASES:
+            with pytest.raises(error):
+                call(sim)
+        pod = sim.submit({"x": 5.0}, "s", priority=np.int64(2))
+        fresh = _simulator().submit({"x": 5.0}, "s", priority=2)
+        assert (pod.name, pod.work_seconds, pod.priority) == (
+            fresh.name,
+            fresh.work_seconds,
+            fresh.priority,
+        )
 
 
 # --------------------------------------------------------------------- #
