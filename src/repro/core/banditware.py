@@ -434,10 +434,9 @@ class BanditWare:
         :meth:`observe` calls in the same order would leave behind: per-arm
         model data is ingested in arrival order and the policy hook runs once
         per observation.  Only the intermediate per-row model refits are
-        skipped (via :meth:`ArmModel.update_batch` for an arm with several
-        rows; an arm with one row takes :meth:`ArmModel.update_vector`),
-        which is where the batch path earns its speedup.  All rows are
-        checked before any state changes, and only here.
+        skipped (via :meth:`ArmModel.update_rows`, once per arm), which is
+        where the batch path earns its speedup.  All rows are checked before
+        any state changes, and only here: ``update_rows`` trusts them.
 
         ``queues_seconds`` optionally reports each workflow's capacity wait;
         like :meth:`observe`, it only shapes the learning signal in
@@ -481,13 +480,9 @@ class BanditWare:
         for row, arm in enumerate(arms):
             per_arm.setdefault(arm, []).append(row)
         for arm, rows in per_arm.items():
-            if len(rows) == 1:
-                # Bit-identical to update_batch on one row, minus its checks.
-                self._models[arm].update_vector(contexts[rows[0]], targets[rows[0]])
-            else:
-                self._models[arm].update_batch(
-                    np.vstack([contexts[row] for row in rows]), [targets[row] for row in rows]
-                )
+            self._models[arm].update_rows(
+                np.array([contexts[row] for row in rows]), [targets[row] for row in rows]
+            )
         self._version += len(runtimes)
         for features, context, arm, target, runtime, queue, ratio in zip(
             features_batch, contexts, arms, targets, runtimes, queues, ratios

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -53,17 +53,35 @@ class ArmModel(abc.ABC):
             raise ValueError(f"expected a single context vector, got {arr.shape[0]} rows")
         return arr[0]
 
+    def _checked_row(
+        self, x: Sequence[float] | np.ndarray, runtime: float
+    ) -> Tuple[np.ndarray, float]:
+        """``(x, runtime)`` as a context vector and a float, for :meth:`update`.
+
+        Raises ``ValueError`` unless ``x`` is one finite context of length
+        :attr:`n_features` and ``runtime`` is finite and non-negative.
+        """
+        context = self._check_context(x)
+        runtime = float(runtime)
+        if not np.isfinite(runtime) or runtime < 0:
+            raise ValueError(f"runtime must be a finite non-negative number, got {runtime}")
+        return context, runtime
+
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
         """Incorporate one ``(context, observed runtime)`` pair."""
 
     def update_vector(self, context: np.ndarray, runtime: float) -> None:
-        """Hot-path :meth:`update` for an already-validated context/runtime.
+        """:meth:`update` for a context and runtime the caller already checked.
 
-        Callers (the BanditWare façade) guarantee ``context`` is a finite 1-D
-        float array of length :attr:`n_features` and ``runtime`` a finite
-        non-negative float.  The default simply delegates to :meth:`update`.
+        The caller (a built-in :meth:`update`, :meth:`update_rows`, or
+        :meth:`~repro.core.BanditWare.observe_vector`) guarantees ``context``
+        is a finite 1-D float array of length :attr:`n_features` and
+        ``runtime`` a finite non-negative float; nothing is checked here.
+        The built-in models ingest directly; the default delegates to
+        :meth:`update`, so a custom model that implements only :meth:`update`
+        stays correct.
         """
         self.update(context, runtime)
 
@@ -114,9 +132,43 @@ class ArmModel(abc.ABC):
         X = check_feature_matrix(X, name="X", n_features=self.n_features)
         return X @ self.coefficients + self.intercept
 
-    def predict_many(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        """Alias of :meth:`predict_batch` (kept for backwards compatibility)."""
-        return self.predict_batch(X)
+    def _checked_rows(
+        self,
+        X: Sequence[Sequence[float]] | np.ndarray,
+        y: Sequence[float] | np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(X, y)`` as a float ``(n, n_features)`` matrix and a float vector.
+
+        Raises ``ValueError`` unless every feature is finite, ``y`` is 1-D,
+        every runtime is finite and non-negative, and ``X`` and ``y`` have the
+        same number of rows.  It runs before any state changes, so a rejected
+        ``fit`` or :meth:`update_batch` leaves the model as it was.
+        """
+        X = check_feature_matrix(X, name="X", n_features=self.n_features)
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 1:
+            raise ValueError(f"y must be a 1-D vector of runtimes, got shape {y.shape}")
+        if X.shape[0] != y.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
+        if y.size and (not np.all(np.isfinite(y)) or np.any(y < 0)):
+            raise ValueError("y must contain finite non-negative runtimes")
+        return X, y
+
+    def update_rows(self, X: np.ndarray, y: Sequence[float] | np.ndarray) -> None:
+        """:meth:`update_batch` for rows the caller already checked.
+
+        The caller (:meth:`update_batch`, or
+        :meth:`~repro.core.BanditWare.observe_batch`, which checks every row
+        where it enters) guarantees ``X`` is a finite float
+        ``(n, n_features)`` matrix and ``y`` holds ``n`` finite non-negative
+        runtimes; nothing is checked here.  The default feeds the rows to
+        :meth:`update_vector` in order.  Models whose refit cost does not
+        depend on the number of new rows override it to ingest every row and
+        refit once, which is exactly equivalent because only the final
+        coefficients are observable.
+        """
+        for row, value in zip(X, y):
+            self.update_vector(row, float(value))
 
     def update_batch(
         self,
@@ -125,18 +177,12 @@ class ArmModel(abc.ABC):
     ) -> None:
         """Incorporate many ``(context, runtime)`` pairs at once.
 
-        The default implementation loops over :meth:`update`; models whose
-        refit cost does not depend on the number of new rows (e.g. batch
-        least squares) override this to defer the solve until all rows are
-        ingested, which is exactly equivalent to sequential updates because
-        only the final coefficients are observable.
+        Every row is checked (:meth:`_checked_rows`) before any is ingested,
+        so a rejected batch leaves the model unchanged; :meth:`update_rows`
+        then ingests them.  The final state is what a sequence of
+        :meth:`update` calls in row order would leave behind.
         """
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
-        for row, value in zip(X, y):
-            self.update(row, float(value))
+        self.update_rows(*self._checked_rows(X, y))
 
     def coefficient_dict(self, feature_names: Sequence[str]) -> Dict[str, float]:
         """Named coefficients ``{"w_<feature>": ..., "b": ...}``."""

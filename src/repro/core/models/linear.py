@@ -6,10 +6,9 @@ This implementation keeps the same observable behaviour while maintaining the
 normal equations ``XᵀX`` and ``Xᵀy`` incrementally (a rank-1 update per
 observation), so once the system is over-determined each refit is an O(m³)
 solve of an m×m system instead of a decomposition of the full n×m design.
-The under-determined early rounds still use :func:`numpy.linalg.lstsq` on the
-stored design, reproducing the seed implementation's minimum-norm solution
-bit for bit; ``solver="full"`` forces that literal re-solve on every update
-and is kept as the reference baseline for the engine benchmark.
+The under-determined early rounds -- and a singular gram -- still take the
+minimum-norm solution of the stored design (:func:`min_norm_solution`),
+reproducing the seed implementation bit for bit.
 """
 
 from __future__ import annotations
@@ -96,27 +95,23 @@ def solve_least_squares(
 class LeastSquaresModel(ArmModel):
     """Refit ``w, b = argmin Σ (R - (wᵀx + b))²`` over all stored observations.
 
+    The normal equations are kept across updates and solved once the fit is
+    over-determined (:func:`solve_least_squares`); the full data are stored
+    too, for the minimum-norm under-determined fits, :attr:`observations`
+    and :meth:`uncertainty`.  :meth:`update_rows` (and so
+    :meth:`update_batch`) ingests every row and refits once.
+
     Parameters
     ----------
     n_features:
         Context dimensionality.
     fit_intercept:
         When false the intercept is pinned to zero and only slopes are fitted.
-    solver:
-        ``"incremental"`` (default) maintains the normal equations across
-        updates and solves the m×m system once the fit is over-determined;
-        ``"full"`` re-solves :func:`numpy.linalg.lstsq` on the stacked design
-        after every update (the seed implementation's literal behaviour).
-        Both store the full data so :attr:`observations` and
-        :meth:`uncertainty` are identical.
     """
 
-    def __init__(self, n_features: int, fit_intercept: bool = True, solver: str = "incremental"):
+    def __init__(self, n_features: int, fit_intercept: bool = True):
         super().__init__(n_features)
-        if solver not in ("incremental", "full"):
-            raise ValueError(f"solver must be 'incremental' or 'full', got {solver!r}")
         self.fit_intercept = bool(fit_intercept)
-        self.solver = solver
         self._w = np.zeros(self.n_features)
         self._b = 0.0
         p = self._n_params
@@ -184,9 +179,6 @@ class LeastSquaresModel(ArmModel):
         if not n:
             self._w = np.zeros(self.n_features)
             self._b = 0.0
-        elif self.solver == "full":
-            # The seed behaviour: minimum-norm lstsq on the stacked design.
-            self._set_solution(min_norm_solution(*self._stored_rows()))
         else:
             self._set_solution(
                 solve_least_squares(self._gram, self._xty, n, self._stored_rows)
@@ -206,34 +198,19 @@ class LeastSquaresModel(ArmModel):
         self._n_observations = n + 1
 
     def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        context = self._check_context(x)
-        runtime = float(runtime)
-        if not np.isfinite(runtime) or runtime < 0:
-            raise ValueError(f"runtime must be a finite non-negative number, got {runtime}")
-        self._ingest(context, runtime)
-        self._resolve()
+        self.update_vector(*self._checked_row(x, runtime))
 
     def update_vector(self, context: np.ndarray, runtime: float) -> None:
         self._ingest(context, runtime)
         self._resolve()
 
-    def update_batch(
-        self,
-        X: Sequence[Sequence[float]] | np.ndarray,
-        y: Sequence[float] | np.ndarray,
-    ) -> None:
-        """Ingest many rows with a single refit at the end.
+    def update_rows(self, X: np.ndarray, y: Sequence[float] | np.ndarray) -> None:
+        """Ingest the checked rows with a single refit at the end.
 
-        Equivalent to sequential :meth:`update` calls (rank-1 gram updates are
-        applied in row order, so the final state is identical); only the
+        Rank-1 gram updates are applied in row order, so the final state is
+        identical to sequential :meth:`update_vector` calls; only the
         intermediate solves are skipped.
         """
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
-        if y.size and (not np.all(np.isfinite(y)) or np.any(y < 0)):
-            raise ValueError("y must contain finite non-negative runtimes")
         for row, value in zip(X, y):
             self._ingest(row, float(value))
         if len(y):
@@ -241,12 +218,7 @@ class LeastSquaresModel(ArmModel):
 
     def fit(self, X: Sequence[Sequence[float]] | np.ndarray, y: Sequence[float] | np.ndarray) -> "LeastSquaresModel":
         """Replace the stored data with ``(X, y)`` and refit in one shot."""
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
-        if y.size and (not np.all(np.isfinite(y)) or np.any(y < 0)):
-            raise ValueError("y must contain finite non-negative runtimes")
+        X, y = self._checked_rows(X, y)
         n = X.shape[0]
         p = self._n_params
         self._n_observations = 0
@@ -306,6 +278,4 @@ class LeastSquaresModel(ArmModel):
         return float(np.sqrt(max(query @ cov @ query, 0.0)))
 
     def clone_unfitted(self) -> "LeastSquaresModel":
-        return LeastSquaresModel(
-            self.n_features, fit_intercept=self.fit_intercept, solver=self.solver
-        )
+        return LeastSquaresModel(self.n_features, fit_intercept=self.fit_intercept)

@@ -11,7 +11,7 @@ policies.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,10 +67,10 @@ class RecursiveLeastSquaresModel(ArmModel):
 
     # ------------------------------------------------------------------ #
     def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        runtime = float(runtime)
-        if not np.isfinite(runtime) or runtime < 0:
-            raise ValueError(f"runtime must be a finite non-negative number, got {runtime}")
-        z = self._augment(x)
+        self.update_vector(*self._checked_row(x, runtime))
+
+    def update_vector(self, context: np.ndarray, runtime: float) -> None:
+        z = np.concatenate([context, [1.0]])
         # Sherman–Morrison rank-1 update of A⁻¹.
         a_inv_z = self._a_inv @ z
         denom = 1.0 + float(z @ a_inv_z)

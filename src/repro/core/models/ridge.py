@@ -74,34 +74,23 @@ class RidgeModel(ArmModel):
             self._b = 0.0
 
     def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        context = self._check_context(x)
-        runtime = float(runtime)
-        if not np.isfinite(runtime) or runtime < 0:
-            raise ValueError(f"runtime must be a finite non-negative number, got {runtime}")
+        self.update_vector(*self._checked_row(x, runtime))
+
+    def update_vector(self, context: np.ndarray, runtime: float) -> None:
         self._X.append(context)
         self._y.append(runtime)
         self._n_observations += 1
         self._refit()
 
-    def update_batch(
-        self,
-        X: Sequence[Sequence[float]] | np.ndarray,
-        y: Sequence[float] | np.ndarray,
-    ) -> None:
-        """Ingest many rows with a single refit at the end.
+    def update_rows(self, X: np.ndarray, y: Sequence[float] | np.ndarray) -> None:
+        """Ingest the checked rows with a single refit at the end.
 
         The ridge refit recomputes the penalised gram from the stored data, so
         deferring it until the last row yields exactly the coefficients that a
-        sequence of :meth:`update` calls would leave behind.
+        sequence of :meth:`update_vector` calls would leave behind.
         """
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
-        if y.size and (not np.all(np.isfinite(y)) or np.any(y < 0)):
-            raise ValueError("y must contain finite non-negative runtimes")
         for row, value in zip(X, y):
-            self._X.append(np.asarray(row, dtype=float))
+            self._X.append(row)
             self._y.append(float(value))
             self._n_observations += 1
         if len(y):
@@ -109,10 +98,7 @@ class RidgeModel(ArmModel):
 
     def fit(self, X, y) -> "RidgeModel":
         """Replace stored data with ``(X, y)`` and refit."""
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} values")
+        X, y = self._checked_rows(X, y)
         self._X = [row for row in X]
         self._y = list(map(float, y))
         self._n_observations = len(self._y)

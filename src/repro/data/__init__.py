@@ -1,4 +1,4 @@
-"""Deterministic builders for the paper's three datasets and their splits.
+"""Deterministic builders for the paper's three datasets and their subsets.
 
 The original run-history CSVs (80 Cycles runs, 1316 BP3D runs, 2520 matrix
 multiplication runs) are not public; these builders generate synthetic
@@ -15,7 +15,7 @@ from repro.data.datasets import (
     BP3D_N_RUNS,
     MATMUL_N_RUNS,
 )
-from repro.data.splits import train_test_split, truncate_by_threshold, per_hardware_counts
+from repro.data.splits import truncate_by_threshold
 from repro.data.io import LoadedRunHistory, load_run_history, save_dataset
 
 __all__ = [
@@ -29,7 +29,5 @@ __all__ = [
     "CYCLES_N_RUNS",
     "BP3D_N_RUNS",
     "MATMUL_N_RUNS",
-    "train_test_split",
     "truncate_by_threshold",
-    "per_hardware_counts",
 ]

@@ -1,44 +1,10 @@
-"""Dataset splitting helpers."""
+"""Dataset subsetting helpers."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import numpy as np
-
 from repro.dataframe import DataFrame
-from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["train_test_split", "truncate_by_threshold", "per_hardware_counts"]
-
-
-def train_test_split(
-    frame: DataFrame,
-    test_fraction: float = 0.25,
-    seed: SeedLike = None,
-) -> Tuple[DataFrame, DataFrame]:
-    """Randomly split a run-history table into train and test frames.
-
-    Parameters
-    ----------
-    frame:
-        The table to split.
-    test_fraction:
-        Fraction of rows assigned to the test frame (0 < fraction < 1).
-    seed:
-        Seed for the shuffle.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction}")
-    if len(frame) < 2:
-        raise ValueError("cannot split a frame with fewer than 2 rows")
-    rng = as_generator(seed)
-    indices = rng.permutation(len(frame))
-    n_test = max(1, int(round(test_fraction * len(frame))))
-    n_test = min(n_test, len(frame) - 1)
-    test_idx = np.sort(indices[:n_test])
-    train_idx = np.sort(indices[n_test:])
-    return frame.take(train_idx), frame.take(test_idx)
+__all__ = ["truncate_by_threshold"]
 
 
 def truncate_by_threshold(
@@ -65,13 +31,3 @@ def truncate_by_threshold(
     values = frame[column].to_numpy(float)
     mask = values >= threshold if keep == "above" else values < threshold
     return frame.filter(mask)
-
-
-def per_hardware_counts(frame: DataFrame, hardware_column: str = "hardware") -> Dict[str, int]:
-    """Run counts per hardware configuration name."""
-    if hardware_column not in frame:
-        raise KeyError(f"no column named {hardware_column!r}; available: {frame.columns}")
-    counts: Dict[str, int] = {}
-    for value in frame[hardware_column].values:
-        counts[str(value)] = counts.get(str(value), 0) + 1
-    return counts

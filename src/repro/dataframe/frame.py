@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class DataFrame:
     def __contains__(self, name: str) -> bool:
         return name in self._columns
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._columns)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataFrame(shape={self.shape}, columns={self.columns})"
 
@@ -144,13 +141,6 @@ class DataFrame:
             data[name] = self._columns[name].values
         return DataFrame(data)
 
-    def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
-        """Return a new frame with columns renamed via ``mapping``."""
-        data = {}
-        for name in self.columns:
-            data[mapping.get(name, name)] = self._columns[name].values
-        return DataFrame(data)
-
     # ------------------------------------------------------------------ #
     # Row access
     # ------------------------------------------------------------------ #
@@ -168,10 +158,6 @@ class DataFrame:
 
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(np.arange(min(n, len(self))))
-
-    def tail(self, n: int = 5) -> "DataFrame":
-        k = min(n, len(self))
-        return self.take(np.arange(len(self) - k, len(self)))
 
     def take(self, indices: Sequence[int]) -> "DataFrame":
         """Return a new frame with the rows at ``indices`` (in that order)."""
@@ -194,25 +180,9 @@ class DataFrame:
         idx = rng.choice(len(self), size=n, replace=replace)
         return self.take(idx)
 
-    def sort_values(self, by: str, ascending: bool = True) -> "DataFrame":
-        """Return a new frame sorted by column ``by`` (stable sort)."""
-        col = self[by].values
-        order = np.argsort(col, kind="stable")
-        if not ascending:
-            order = order[::-1]
-        return self.take(order)
-
     # ------------------------------------------------------------------ #
     # Conversion
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, list]:
-        """Return ``{column: list_of_values}``."""
-        return {name: col.to_list() for name, col in self._columns.items()}
-
-    def to_records(self) -> List[Dict[str, Any]]:
-        """Return a list of row dictionaries."""
-        return list(self.iterrows())
-
     def to_numpy(self, columns: Optional[Sequence[str]] = None, dtype=float) -> np.ndarray:
         """Return selected columns stacked into a 2-D array of ``dtype``."""
         names = list(columns) if columns is not None else self.columns
@@ -221,60 +191,25 @@ class DataFrame:
         arrays = [self[name].to_numpy(dtype) for name in names]
         return np.column_stack(arrays)
 
-    def copy(self) -> "DataFrame":
-        return DataFrame({name: col.values.copy() for name, col in self._columns.items()})
-
     # ------------------------------------------------------------------ #
-    # Combination
+    # Grouping
     # ------------------------------------------------------------------ #
-    def assign(self, **new_columns) -> "DataFrame":
-        """Return a copy with additional/overwritten columns."""
-        out = self.copy()
-        for name, values in new_columns.items():
-            out[name] = values
-        return out
+    def groupby(self, by: Union[str, Sequence[str]]) -> List[Tuple[Tuple[Any, ...], "DataFrame"]]:
+        """Split rows by one or more key columns (Figure 1's per-hardware sub-frames).
 
-    def append_rows(self, other: "DataFrame") -> "DataFrame":
-        """Concatenate rows of ``other`` below this frame (same columns required)."""
-        if set(other.columns) != set(self.columns):
-            raise ValueError(
-                f"column mismatch: {sorted(self.columns)} vs {sorted(other.columns)}"
-            )
-        data = {
-            name: np.concatenate([self[name].values, other[name].values])
-            for name in self.columns
-        }
-        return DataFrame(data)
-
-    def groupby(self, by: Union[str, Sequence[str]]):
-        """Group rows by one or more key columns; see :class:`repro.dataframe.groupby.GroupBy`."""
-        from repro.dataframe.groupby import GroupBy
-
+        Returns ``(key_tuple, sub_frame)`` pairs in first-appearance order of
+        each key combination.  The keys are checked here, at the call.
+        """
         keys = [by] if isinstance(by, str) else list(by)
-        return GroupBy(self, keys)
-
-    def apply_rows(self, func: Callable[[Dict[str, Any]], Any], name: str = "result") -> Series:
-        """Apply ``func`` to each row dict, returning a Series of results."""
-        return Series(np.asarray([func(row) for row in self.iterrows()]), name=name)
-
-    def describe(self, columns: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, float]]:
-        """Summary statistics (count/mean/std/min/median/max) for numeric columns."""
-        names = list(columns) if columns is not None else self.columns
-        out: Dict[str, Dict[str, float]] = {}
-        for name in names:
-            col = self[name]
-            if col.dtype.kind not in "if":
-                continue
-            values = col.to_numpy(float)
-            out[name] = {
-                "count": float(len(values)),
-                "mean": float(np.mean(values)) if len(values) else float("nan"),
-                "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-                "min": float(np.min(values)) if len(values) else float("nan"),
-                "median": float(np.median(values)) if len(values) else float("nan"),
-                "max": float(np.max(values)) if len(values) else float("nan"),
-            }
-        return out
+        if not keys:
+            raise ValueError("groupby requires at least one key column")
+        for key in keys:
+            if key not in self._columns:
+                raise KeyError(f"groupby key {key!r} is not a column; available: {self.columns}")
+        groups: Dict[Tuple[Any, ...], List[int]] = {}
+        for i, key in enumerate(zip(*(self._columns[k].values for k in keys))):
+            groups.setdefault(key, []).append(i)
+        return [(key, self.take(rows)) for key, rows in groups.items()]
 
     @classmethod
     def from_records(cls, rows: Sequence[Mapping[str, Any]], columns: Optional[Sequence[str]] = None) -> "DataFrame":

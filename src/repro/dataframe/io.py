@@ -24,9 +24,10 @@ _MISSING_TOKENS = {"", "nan", "NaN", "NA", "null", "None"}
 def _infer_column(values: List[str]) -> np.ndarray:
     """Infer the best dtype for a column of raw strings.
 
-    Tries int, then float, then falls back to object (string).  Missing
-    tokens force a float column (so they can be NaN) unless everything is
-    missing, in which case the column is float NaN.
+    Tries int, then float, then falls back to object (string); integers
+    beyond the int64 range make the column float.  Missing tokens force a
+    float column (so they can be NaN) unless everything is missing, in which
+    case the column is float NaN.
     """
     has_missing = any(v in _MISSING_TOKENS for v in values)
     non_missing = [v for v in values if v not in _MISSING_TOKENS]
@@ -37,7 +38,7 @@ def _infer_column(values: List[str]) -> np.ndarray:
     if not has_missing:
         try:
             return np.asarray([int(v) for v in values], dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):  # not ints, or beyond int64
             pass
     try:
         return np.asarray(

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
 __all__ = ["Series"]
-
-_BINARY_NUMPY_OPS = {
-    "__add__": np.add,
-    "__sub__": np.subtract,
-    "__mul__": np.multiply,
-    "__truediv__": np.true_divide,
-    "__floordiv__": np.floor_divide,
-    "__mod__": np.mod,
-    "__pow__": np.power,
-}
 
 _COMPARISON_OPS = {
     "__eq__": np.equal,
@@ -42,12 +32,13 @@ class Series:
 
     Notes
     -----
-    Unlike pandas there is no index: positional integer indexing only.  All
-    element-wise operators return new :class:`Series` (or plain NumPy arrays
-    of bools for comparisons used as masks).
+    Unlike pandas there is no index: positional integer indexing only.  The
+    comparison operators return plain NumPy arrays of bools, used as row
+    masks (``frame.filter(frame["size"] >= 5000)``); a column's values are
+    reached through :attr:`values`, :meth:`to_numpy` or :meth:`to_list`.
     """
 
-    __array_priority__ = 100  # make numpy defer to our reflected operators
+    __array_priority__ = 100  # make numpy defer to our reflected comparisons
 
     def __init__(self, data: Union[Sequence[Any], np.ndarray], name: str = ""):
         arr = np.asarray(data)
@@ -69,15 +60,8 @@ class Series:
         """The underlying NumPy array (a view, not a copy)."""
         return self._values
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self._values.dtype
-
     def __len__(self) -> int:
         return len(self._values)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._values)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
@@ -92,15 +76,6 @@ class Series:
         suffix = ", ..." if len(self) > 8 else ""
         return f"Series(name={self.name!r}, n={len(self)}, [{head}{suffix}])"
 
-    def copy(self) -> "Series":
-        return Series(self._values.copy(), name=self.name)
-
-    def rename(self, name: str) -> "Series":
-        return Series(self._values, name=name)
-
-    def astype(self, dtype) -> "Series":
-        return Series(self._values.astype(dtype), name=self.name)
-
     def to_list(self) -> list:
         return self._values.tolist()
 
@@ -110,7 +85,7 @@ class Series:
         return self._values.astype(dtype)
 
     # ------------------------------------------------------------------ #
-    # Element-wise arithmetic and comparisons
+    # Element-wise comparisons
     # ------------------------------------------------------------------ #
     def _coerce_other(self, other):
         if isinstance(other, Series):
@@ -121,83 +96,8 @@ class Series:
             return other._values
         return other
 
-    def map(self, func: Callable[[Any], Any]) -> "Series":
-        """Apply ``func`` element-wise (Python-level loop, object-safe)."""
-        return Series(np.asarray([func(v) for v in self._values]), name=self.name)
-
-    def isin(self, values: Iterable[Any]) -> np.ndarray:
-        """Boolean mask of membership in ``values``."""
-        values = set(values)
-        return np.asarray([v in values for v in self._values], dtype=bool)
-
-    def unique(self) -> np.ndarray:
-        """Unique values in first-appearance order."""
-        seen: dict = {}
-        for v in self._values:
-            if v not in seen:
-                seen[v] = None
-        return np.asarray(list(seen.keys()))
-
-    def value_counts(self) -> dict:
-        """Return ``{value: count}`` sorted by descending count."""
-        counts: dict = {}
-        for v in self._values:
-            counts[v] = counts.get(v, 0) + 1
-        return dict(sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0]))))
-
-    # Reductions ---------------------------------------------------------
-    def sum(self) -> float:
-        return float(np.sum(self._values.astype(float)))
-
-    def mean(self) -> float:
-        return float(np.mean(self._values.astype(float)))
-
-    def std(self, ddof: int = 1) -> float:
-        return float(np.std(self._values.astype(float), ddof=ddof))
-
-    def var(self, ddof: int = 1) -> float:
-        return float(np.var(self._values.astype(float), ddof=ddof))
-
-    def min(self):
-        return self._values.min()
-
-    def max(self):
-        return self._values.max()
-
-    def median(self) -> float:
-        return float(np.median(self._values.astype(float)))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self._values.astype(float), q))
-
-    def argmin(self) -> int:
-        return int(np.argmin(self._values))
-
-    def argmax(self) -> int:
-        return int(np.argmax(self._values))
-
-    # ------------------------------------------------------------------ #
     # Hashing must be disabled because __eq__ is element-wise.
-    # ------------------------------------------------------------------ #
     __hash__ = None  # type: ignore[assignment]
-
-
-def _make_binary(name: str, ufunc: np.ufunc) -> Callable:
-    def method(self: Series, other):
-        result = ufunc(self._values, self._coerce_other(other))
-        return Series(result, name=self.name)
-
-    method.__name__ = name
-    return method
-
-
-def _make_reflected(name: str, ufunc: np.ufunc) -> Callable:
-    def method(self: Series, other):
-        result = ufunc(self._coerce_other(other), self._values)
-        return Series(result, name=self.name)
-
-    method.__name__ = name
-    return method
 
 
 def _make_comparison(name: str, ufunc: np.ufunc) -> Callable:
@@ -208,22 +108,5 @@ def _make_comparison(name: str, ufunc: np.ufunc) -> Callable:
     return method
 
 
-for _name, _ufunc in _BINARY_NUMPY_OPS.items():
-    setattr(Series, _name, _make_binary(_name, _ufunc))
-    _rname = "__r" + _name[2:]
-    setattr(Series, _rname, _make_reflected(_rname, _ufunc))
-
 for _name, _ufunc in _COMPARISON_OPS.items():
     setattr(Series, _name, _make_comparison(_name, _ufunc))
-
-
-def _neg(self: Series) -> Series:
-    return Series(-self._values, name=self.name)
-
-
-def _abs(self: Series) -> Series:
-    return Series(np.abs(self._values), name=self.name)
-
-
-Series.__neg__ = _neg  # type: ignore[attr-defined]
-Series.__abs__ = _abs  # type: ignore[attr-defined]

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.banditware import BanditWare
 from repro.core.models import (
+    ArmModel,
     LeastSquaresModel,
     RecursiveLeastSquaresModel,
     RidgeModel,
+    base,
+    linear,
+    online_linear,
+    ridge,
 )
 
 
@@ -46,12 +52,6 @@ class TestLeastSquaresModel:
         x = np.array([3.0, 4.0])
         assert model.predict(x) == pytest.approx(model.coefficients @ x + model.intercept)
 
-    def test_predict_many(self, rng):
-        X, y = _generate_linear_data(rng)
-        model = LeastSquaresModel(2).fit(X, y)
-        preds = model.predict_many(X[:5])
-        assert preds.shape == (5,)
-
     def test_predict_batch_matches_per_row_predict(self, rng):
         X, y = _generate_linear_data(rng)
         for model in (
@@ -70,12 +70,6 @@ class TestLeastSquaresModel:
         batch = model.predict_batch(X[:10])
         scalar = np.asarray([model.predict(row) for row in X[:10]])
         assert np.allclose(batch, scalar, rtol=1e-12)
-
-    def test_solver_validation(self):
-        with pytest.raises(ValueError):
-            LeastSquaresModel(2, solver="bogus")
-        clone = LeastSquaresModel(2, solver="full").clone_unfitted()
-        assert clone.solver == "full"
 
     def test_no_intercept_mode(self, rng):
         X, y = _generate_linear_data(rng, b=0.0)
@@ -258,3 +252,131 @@ class TestRecursiveLeastSquaresModel:
         assert clone.regularization == 2.0
         assert clone.noise_std == 3.0
         assert not clone.is_fitted
+
+
+_GOOD_X = [[1.0, 1.0], [2.0, 0.5], [0.5, 3.0]]
+
+#: Bad batches: the defect sits in the middle row, after a good one.
+_BAD_BATCHES = {
+    "nan-runtime": (_GOOD_X, [4.0, float("nan"), 6.0]),
+    "inf-runtime": (_GOOD_X, [4.0, float("inf"), 6.0]),
+    "negative-runtime": (_GOOD_X, [4.0, -1.0, 6.0]),
+    "nan-feature": ([[1.0, 1.0], [2.0, float("nan")], [0.5, 3.0]], [4.0, 5.0, 6.0]),
+    "length-mismatch": (_GOOD_X, [4.0, 5.0]),
+    "scalar-runtime": (_GOOD_X, 5.0),
+    "column-runtime": (_GOOD_X, [[4.0], [5.0], [6.0]]),
+}
+
+#: Every checked batch entry: update_batch on all three models, fit on the two that have one.
+_BATCH_ENTRIES = [
+    (LeastSquaresModel, "update_batch"),
+    (RidgeModel, "update_batch"),
+    (RecursiveLeastSquaresModel, "update_batch"),
+    (LeastSquaresModel, "fit"),
+    (RidgeModel, "fit"),
+]
+
+
+class TestCheckedOnce:
+    """Each input is checked once, where it enters, and a rejected batch changes nothing."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_BATCHES))
+    @pytest.mark.parametrize(
+        "cls, entry", _BATCH_ENTRIES, ids=[f"{c.__name__}.{e}" for c, e in _BATCH_ENTRIES]
+    )
+    def test_rejected_batch_leaves_model_unchanged(self, cls, entry, bad):
+        model = cls(2)
+        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+        coefficients, intercept = model.coefficients, model.intercept
+        X, y = _BAD_BATCHES[bad]
+        with pytest.raises(ValueError):
+            getattr(model, entry)(X, y)
+        assert np.array_equal(model.coefficients, coefficients)
+        assert model.intercept == intercept
+        assert model.n_observations == 3
+
+    @pytest.mark.parametrize(
+        "factory", [LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel]
+    )
+    def test_banditware_observations_skip_model_checks(self, monkeypatch, ndp, factory):
+        calls = []
+        for module in (base, linear, ridge, online_linear):
+
+            def counted(*args, _check=module.check_feature_matrix, **kwargs):
+                calls.append(args)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_feature_matrix", counted)
+        bandit = BanditWare(ndp, ["x0", "x1"], arm_model_factory=factory, seed=0)
+        features = [{"x0": float(i), "x1": float(i % 3)} for i in range(6)]
+        bandit.observe_batch(
+            features, ["H0"] * 4 + ["H1"] * 2, [10.0, 12.0, 14.0, 16.0, 20.0, 22.0]
+        )
+        bandit.observe_vector(np.asarray([1.0, 2.0]), "H2", 5.0)
+        bandit.observe({"x0": 3.0, "x1": 1.0}, "H0", 7.0)
+        assert [model.n_observations for model in bandit.models] == [5, 2, 1]
+        assert len(calls) == 0
+        # The counter is live: the model's own public entry still checks.
+        bandit.models[0].update([1.0, 2.0], 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "factory", [LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel]
+    )
+    def test_trusted_update_vector_matches_update(self, rng, factory):
+        X, y = _generate_linear_data(rng, n=12)
+        checked, trusted = factory(2), factory(2)
+        for row, value in zip(X, y):
+            checked.update(list(row), value)
+            trusted.update_vector(row, float(value))
+        assert np.array_equal(trusted.coefficients, checked.coefficients)
+        assert trusted.intercept == checked.intercept
+        assert trusted.n_observations == checked.n_observations == 12
+
+    @pytest.mark.parametrize(
+        "factory", [LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel]
+    )
+    def test_empty_batch_changes_nothing(self, factory):
+        model = factory(2)
+        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+        coefficients, intercept = model.coefficients, model.intercept
+        model.update_batch(np.empty((0, 2)), [])
+        model.update_rows(np.empty((0, 2)), np.empty(0))
+        assert np.array_equal(model.coefficients, coefficients)
+        assert model.intercept == intercept
+        assert model.n_observations == 3
+
+    @pytest.mark.parametrize("factory", [LeastSquaresModel, RidgeModel])
+    def test_empty_fit_resets_to_unfitted(self, factory):
+        model = factory(2).fit(_GOOD_X, [4.0, 5.0, 6.0])
+        model.fit(np.empty((0, 2)), np.empty(0))
+        assert not model.is_fitted
+        assert np.array_equal(model.coefficients, np.zeros(2))
+        assert model.intercept == 0.0
+        assert model.predict([1.0, 1.0]) == 0.0
+
+    def test_custom_model_batch_goes_through_update(self):
+        class Recorder(ArmModel):
+            """Implements only ``update`` and ``predict``, like a user model."""
+
+            def __init__(self, n_features):
+                super().__init__(n_features)
+                self.seen = []
+
+            def update(self, x, runtime):
+                self.seen.append((list(np.asarray(x, dtype=float)), float(runtime)))
+                self._n_observations += 1
+
+            def predict(self, x):
+                return 0.0
+
+            coefficients = property(lambda self: np.zeros(self.n_features))
+            intercept = property(lambda self: 0.0)
+
+        model = Recorder(2)
+        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+        assert model.seen == [(row, value) for row, value in zip(_GOOD_X, [4.0, 5.0, 6.0])]
+        # Rows are checked before the first one reaches update().
+        with pytest.raises(ValueError):
+            model.update_batch(_GOOD_X, [4.0, 5.0, -6.0])
+        assert model.n_observations == 3

@@ -1,4 +1,4 @@
-"""Tests for the dataset builders and splitting helpers."""
+"""Tests for the dataset builders and the Experiment 3 subset."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from repro.data import (
     build_bp3d_dataset,
     build_cycles_dataset,
     build_matmul_dataset,
-    per_hardware_counts,
-    train_test_split,
     truncate_by_threshold,
 )
-from repro.dataframe import DataFrame
 
 
 class TestCyclesDataset:
@@ -80,23 +77,6 @@ class TestMatmulDataset:
 
 
 class TestSplits:
-    def test_train_test_split_partitions(self, cycles_bundle):
-        train, test = train_test_split(cycles_bundle.frame, test_fraction=0.25, seed=0)
-        assert len(train) + len(test) == len(cycles_bundle.frame)
-        train_ids = set(train["run_id"].to_list())
-        test_ids = set(test["run_id"].to_list())
-        assert not train_ids & test_ids
-
-    def test_train_test_split_fraction_bounds(self, cycles_bundle):
-        with pytest.raises(ValueError):
-            train_test_split(cycles_bundle.frame, test_fraction=0.0)
-        with pytest.raises(ValueError):
-            train_test_split(cycles_bundle.frame, test_fraction=1.0)
-
-    def test_train_test_split_tiny_frame(self):
-        with pytest.raises(ValueError):
-            train_test_split(DataFrame({"a": [1]}), test_fraction=0.5)
-
     def test_truncate_above(self, matmul_bundle):
         subset = truncate_by_threshold(matmul_bundle.frame, "size", 5000, keep="above")
         assert subset["size"].to_numpy(float).min() >= 5000
@@ -116,11 +96,3 @@ class TestSplits:
             truncate_by_threshold(matmul_bundle.frame, "nope", 5000)
         with pytest.raises(ValueError):
             truncate_by_threshold(matmul_bundle.frame, "size", 5000, keep="sideways")
-
-    def test_per_hardware_counts(self, cycles_bundle):
-        counts = per_hardware_counts(cycles_bundle.frame)
-        assert sum(counts.values()) == len(cycles_bundle.frame)
-
-    def test_per_hardware_counts_missing_column(self):
-        with pytest.raises(KeyError):
-            per_hardware_counts(DataFrame({"a": [1]}))

@@ -1,11 +1,11 @@
-"""Tests for repro.dataframe group-by, concat/merge and CSV I/O."""
+"""Tests for repro.dataframe group-by and CSV I/O."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.dataframe import DataFrame, concat, merge, read_csv, write_csv
+from repro.dataframe import DataFrame, read_csv, write_csv
 
 
 @pytest.fixture
@@ -21,54 +21,19 @@ def runs():
 
 class TestGroupBy:
     def test_group_count(self, runs):
-        gb = runs.groupby("hardware")
-        assert gb.size() == {("H0",): 2, ("H1",): 2, ("H2",): 1}
+        sizes = {key: len(sub) for key, sub in runs.groupby("hardware")}
+        assert sizes == {("H0",): 2, ("H1",): 2, ("H2",): 1}
+        assert list(sizes) == [("H0",), ("H1",), ("H2",)]  # first-appearance order
 
     def test_iteration_yields_subframes(self, runs):
         for key, sub in runs.groupby("hardware"):
             assert set(sub["hardware"].to_list()) == {key[0]}
 
-    def test_get_group_scalar_key(self, runs):
-        sub = runs.groupby("hardware").get_group("H0")
-        assert len(sub) == 2
-
-    def test_get_group_missing(self, runs):
-        with pytest.raises(KeyError):
-            runs.groupby("hardware").get_group("H9")
-
-    def test_agg_named(self, runs):
-        out = runs.groupby("hardware").agg({"runtime": "mean"})
-        row = {r["hardware"]: r["runtime_mean"] for r in out.iterrows()}
-        assert row["H0"] == pytest.approx(12.0)
-        assert row["H2"] == pytest.approx(9.0)
-
-    def test_agg_callable(self, runs):
-        out = runs.groupby("hardware").agg({"runtime": lambda a: float(np.max(a) - np.min(a))})
-        row = {r["hardware"]: r["runtime"] for r in out.iterrows()}
-        assert row["H0"] == pytest.approx(4.0)
-
-    def test_agg_unknown_name(self, runs):
-        with pytest.raises(ValueError):
-            runs.groupby("hardware").agg({"runtime": "nope"})
-
-    def test_mean_shortcut(self, runs):
-        out = runs.groupby("hardware").mean(["runtime"])
-        assert "runtime_mean" in out
-
-    def test_count_shortcut(self, runs):
-        out = runs.groupby("hardware").count()
-        counts = {r["hardware"]: r["count"] for r in out.iterrows()}
-        assert counts == {"H0": 2, "H1": 2, "H2": 1}
-
-    def test_apply(self, runs):
-        out = runs.groupby("hardware").apply(lambda sub: {"total": sub["runtime"].sum()})
-        totals = {r["hardware"]: r["total"] for r in out.iterrows()}
-        assert totals["H1"] == pytest.approx(23.0)
-
     def test_multi_key(self, runs):
         runs["site"] = ["a", "a", "b", "b", "a"]
-        gb = runs.groupby(["hardware", "site"])
-        assert ("H0", "a") in gb.groups()
+        groups = dict(runs.groupby(["hardware", "site"]))
+        assert list(groups) == [("H0", "a"), ("H1", "a"), ("H0", "b"), ("H2", "b")]
+        assert groups[("H1", "a")]["run_id"].to_list() == ["r2", "r5"]
 
     def test_missing_key_column(self, runs):
         with pytest.raises(KeyError):
@@ -77,80 +42,6 @@ class TestGroupBy:
     def test_empty_keys_rejected(self, runs):
         with pytest.raises(ValueError):
             runs.groupby([])
-
-
-class TestConcat:
-    def test_row_stack(self, runs):
-        out = concat([runs, runs])
-        assert len(out) == 10
-
-    def test_union_of_columns_filled(self):
-        a = DataFrame({"x": [1]})
-        b = DataFrame({"y": [2]})
-        out = concat([a, b])
-        assert set(out.columns) == {"x", "y"}
-        assert np.isnan(out["y"][0])
-
-    def test_empty_input(self):
-        assert concat([]).shape == (0, 0)
-
-
-class TestMerge:
-    def test_inner_join(self):
-        left = DataFrame({"id": [1, 2, 3], "a": [10, 20, 30]})
-        right = DataFrame({"id": [2, 3, 4], "b": [200, 300, 400]})
-        out = merge(left, right, on="id")
-        assert len(out) == 2
-        assert out["id"].to_list() == [2, 3]
-        assert out["b"].to_list() == [200, 300]
-
-    def test_left_join_fills_nan(self):
-        left = DataFrame({"id": [1, 2], "a": [10, 20]})
-        right = DataFrame({"id": [2], "b": [200]})
-        out = merge(left, right, on="id", how="left")
-        assert len(out) == 2
-        assert np.isnan(out["b"][0])
-
-    def test_outer_join_includes_unmatched_right(self):
-        left = DataFrame({"id": [1], "a": [10]})
-        right = DataFrame({"id": [2], "b": [20]})
-        out = merge(left, right, on="id", how="outer")
-        assert len(out) == 2
-
-    def test_overlapping_columns_get_suffixes(self):
-        left = DataFrame({"id": [1], "v": [10]})
-        right = DataFrame({"id": [1], "v": [99]})
-        out = merge(left, right, on="id")
-        assert "v_x" in out and "v_y" in out
-
-    def test_one_to_many(self):
-        left = DataFrame({"id": [1], "a": [10]})
-        right = DataFrame({"id": [1, 1], "b": [1, 2]})
-        out = merge(left, right, on="id")
-        assert len(out) == 2
-
-    def test_multi_key_join(self):
-        left = DataFrame({"id": [1, 1], "hw": ["H0", "H1"], "a": [5, 6]})
-        right = DataFrame({"id": [1, 1], "hw": ["H1", "H0"], "b": [60, 50]})
-        out = merge(left, right, on=["id", "hw"])
-        rows = {r["hw"]: (r["a"], r["b"]) for r in out.iterrows()}
-        assert rows == {"H0": (5, 50), "H1": (6, 60)}
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            merge(DataFrame({"a": [1]}), DataFrame({"b": [1]}), on="id")
-
-    def test_bad_how(self):
-        frame = DataFrame({"id": [1]})
-        with pytest.raises(ValueError):
-            merge(frame, frame, on="id", how="cross")
-
-    def test_no_matches_inner(self):
-        left = DataFrame({"id": [1], "a": [1]})
-        right = DataFrame({"id": [2], "b": [2]})
-        out = merge(left, right, on="id")
-        assert len(out) == 0
-        assert set(out.columns) == {"id", "a", "b"}
 
 
 class TestCsvIO:
@@ -168,13 +59,20 @@ class TestCsvIO:
         write_csv(runs, path)
         back = read_csv(path)
         assert back.shape == runs.shape
+        write_csv(runs, str(path))
+        assert read_csv(str(path))["run_id"].to_list() == runs["run_id"].to_list()
 
     def test_type_inference_int_float_str(self):
         buffer = io.StringIO("a,b,c\n1,1.5,x\n2,2.5,y\n")
         frame = read_csv(buffer)
-        assert frame["a"].dtype.kind == "i"
-        assert frame["b"].dtype.kind == "f"
-        assert frame["c"].dtype == object
+        assert frame["a"].values.dtype.kind == "i"
+        assert frame["b"].values.dtype.kind == "f"
+        assert frame["c"].values.dtype == object
+
+    def test_integer_beyond_int64_becomes_float(self):
+        frame = read_csv(io.StringIO("a\n100000000000000000000\n"))
+        assert frame["a"].values.dtype == np.float64
+        assert frame["a"][0] == 1e20
 
     def test_missing_values_become_nan(self):
         buffer = io.StringIO("a,b\n1,x\n,y\n3,z\n")
@@ -182,12 +80,57 @@ class TestCsvIO:
         assert np.isnan(frame["a"][1])
         assert frame["a"][0] == 1.0
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "NA", "null", "None"])
+    def test_missing_tokens_become_nan(self, token):
+        frame = read_csv(io.StringIO(f"a\n2\n{token}\n"))
+        assert frame["a"].values.dtype == np.float64
+        assert frame["a"][0] == 2.0 and np.isnan(frame["a"][1])
+
+    def test_all_missing_column_is_float_nan(self):
+        frame = read_csv(io.StringIO("a,b\nNA,1\n,2\n"))
+        assert frame["a"].values.dtype == np.float64
+        assert np.isnan(frame["a"].values).all()
+
+    def test_missing_text_becomes_empty_string(self):
+        frame = read_csv(io.StringIO("a,b\nx,1\nNA,2\n"))
+        assert frame["a"].to_list() == ["x", ""]
+
+    def test_blank_lines_skipped(self):
+        frame = read_csv(io.StringIO("a,b\n1,x\n\n2,y\n"))
+        assert frame["a"].to_list() == [1, 2]
+
+    def test_header_only(self):
+        frame = read_csv(io.StringIO("a,b\n"))
+        assert frame.shape == (0, 2)
+        assert frame.columns == ["a", "b"]
+
     def test_empty_file(self):
         assert read_csv(io.StringIO("")).shape == (0, 0)
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("a,b\n1\n"))
+
+    def test_custom_delimiter_roundtrip(self, runs):
+        buffer = io.StringIO()
+        write_csv(runs, buffer, delimiter=";")
+        assert buffer.getvalue().splitlines()[0] == "run_id;hardware;runtime"
+        buffer.seek(0)
+        back = read_csv(buffer, delimiter=";")
+        assert back["run_id"].to_list() == runs["run_id"].to_list()
+
+    def test_floats_roundtrip_bit_for_bit(self):
+        values = [0.1 + 0.2, 1.0 / 3.0, 1e-300, 12345.678901234567]
+        buffer = io.StringIO()
+        write_csv(DataFrame({"x": values}), buffer)
+        buffer.seek(0)
+        assert read_csv(buffer)["x"].to_list() == values
+
+    def test_missing_values_written_as_empty_fields(self):
+        frame = DataFrame({"x": [1.5, float("nan")], "y": ["a", None]})
+        buffer = io.StringIO()
+        write_csv(frame, buffer)
+        assert buffer.getvalue().splitlines() == ["x,y", "1.5,a", ","]
 
     def test_write_selected_columns(self, runs, tmp_path):
         path = tmp_path / "partial.csv"

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.banditware import BanditWare
-from repro.core.models import LeastSquaresModel, RidgeModel
+from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
+from repro.core.models.linear import min_norm_solution
 from repro.core.policies import DecayingEpsilonGreedyPolicy
 from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.evaluation import EXPERIMENT_NAMES, OnlineSimulation, SimulationConfig, build_experiment
@@ -296,18 +297,21 @@ class TestSelectorFastPath:
 class TestIncrementalSolverParity:
     def test_matches_full_refit_on_stream(self, rng):
         incremental = LeastSquaresModel(3)
-        full = LeastSquaresModel(3, solver="full")
+        rows, targets = [], []
         for i in range(30):
             x = rng.uniform(0, 10, size=3)
             y = float(2.0 * x[0] - x[1] + 0.5 * x[2] + 7.0 + rng.normal(0, 0.1))
             incremental.update(x, y)
-            full.update(x, y)
+            # The seed behaviour: minimum-norm lstsq on the stacked [x | 1] design.
+            rows.append(np.append(x, 1.0))
+            targets.append(y)
+            full = min_norm_solution(np.vstack(rows), np.asarray(targets))
             if i < 3:
                 # Under-determined rounds share the exact lstsq path.
-                assert np.array_equal(incremental.coefficients, full.coefficients)
+                assert np.array_equal(incremental.coefficients, full[:-1])
             else:
-                assert np.allclose(incremental.coefficients, full.coefficients, rtol=1e-6)
-                assert incremental.intercept == pytest.approx(full.intercept, rel=1e-6)
+                assert np.allclose(incremental.coefficients, full[:-1], rtol=1e-6)
+                assert incremental.intercept == pytest.approx(full[-1], rel=1e-6)
 
     def test_repeated_contexts_fall_back_gracefully(self):
         model = LeastSquaresModel(2)
@@ -319,7 +323,7 @@ class TestIncrementalSolverParity:
     def test_update_batch_matches_sequential(self, rng):
         X = rng.uniform(0, 10, size=(15, 2))
         y = rng.uniform(1, 50, size=15)
-        for cls in (LeastSquaresModel, RidgeModel):
+        for cls in (LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel):
             one = cls(2)
             two = cls(2)
             for row, value in zip(X, y):

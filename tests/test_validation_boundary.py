@@ -173,8 +173,8 @@ class TestBanditWareEntries:
         assert _bandit_state(bandit) == before
 
     def test_single_row_arms_match_update_batch(self):
-        # observe_batch feeds an arm with one row through update_vector; the
-        # result is the sequential observe's, bit for bit.
+        # observe_batch feeds an arm with one row through a one-row
+        # update_rows; the result is the sequential observe's, bit for bit.
         batched, sequential = _warm_bandit(), _warm_bandit()
         rows = [({"x0": 2.0, "x1": 3.0}, "H0", 20.0), ({"x0": 4.0, "x1": 1.0}, "H2", 35.0)]
         batched.observe_batch(*map(list, zip(*rows)))
