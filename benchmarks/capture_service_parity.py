@@ -4,16 +4,16 @@ This file is one of the repo's two golden fingerprint files (the other is
 ``frontier_parity_reference.json``, written by
 ``capture_frontier_parity.py``).  This script drives a deterministic
 multi-application request stream through the *public*
-``RecommendationService`` facade API only -- registrations with every
+``RecommendationService`` API only -- registrations with every
 reward mode, warm starting, single and batched submissions, single and
 batched completions with queue delays and slowdowns, and tickets
 intentionally left pending -- and records everything observable: every
 ticket's id / hardware / explored flag, each recommender's final
 coefficients, observation counts and ε, the run-history ledger, and the
 pending set.  ``tests/test_integration_sharding.py`` replays the same
-stream through the sharded facade (N = 1..4 shards) and requires the
-summary to match the file **exactly**; the checkpoint and serving tests
-reuse ``build_reference_service``.
+stream through the service at 1..4 shards and requires the summary to
+match the file **exactly**; the checkpoint tests reuse
+``build_reference_service``.
 
 The rule for regenerating it: run this script only with the parent
 commit's engine, only to add a surface, never to absorb drift.  A change
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import subprocess
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -49,13 +49,9 @@ _APPS = (
 
 
 def build_reference_service(
-    seed: int = 0, n_shards: Optional[int] = None
+    seed: int = 0, n_shards: int = 1
 ) -> Tuple[RecommendationService, Dict[str, LinearRuntimeWorkload]]:
-    """The reference service: three applications, one warm-started.
-
-    ``n_shards`` is only forwarded when given, so the same builder runs
-    against the pre-refactor (shard-less) facade and the sharded one.
-    """
+    """The reference service: three applications, one warm-started."""
     catalog = ndp_catalog()
     workloads = {
         name: LinearRuntimeWorkload.random(
@@ -65,8 +61,9 @@ def build_reference_service(
     }
     history = RunHistoryStore()
     history.extend(TraceGenerator(workloads["beta"], catalog, seed=1).generate_runs(15))
-    kwargs = {} if n_shards is None else {"n_shards": n_shards}
-    service = RecommendationService(catalog=catalog, history=history, seed=seed, **kwargs)
+    service = RecommendationService(
+        catalog=catalog, history=history, seed=seed, n_shards=n_shards
+    )
     service.register_application(
         "alpha", "ada", workloads["alpha"].feature_names, priority=1
     )
@@ -95,7 +92,7 @@ def drive_reference_stream(
 
     Per-application RNG streams make the stream independent of how requests
     interleave internally: feature draws and runtime noise depend only on the
-    per-application call order, which the facade contract preserves.
+    per-application call order, which the service contract preserves.
     """
     apps = [name for name, *_ in _APPS]
     feature_rng = {name: np.random.default_rng(100 + i) for i, name in enumerate(apps)}
@@ -145,7 +142,7 @@ def drive_reference_stream(
 
 
 def summarise_service(service: RecommendationService, tickets_log) -> Dict:
-    """Everything observable through the facade, JSON-ready."""
+    """Everything observable through the service API, JSON-ready."""
     apps = [name for name, *_ in _APPS]
     per_app = {}
     for app in apps:
@@ -167,7 +164,7 @@ def summarise_service(service: RecommendationService, tickets_log) -> Dict:
     }
 
 
-def run_reference_stream(n_shards: Optional[int] = None, n_rounds: int = 60) -> Dict:
+def run_reference_stream(n_shards: int = 1, n_rounds: int = 60) -> Dict:
     """Build the reference service and drive the stream in one call."""
     service, workloads = build_reference_service(n_shards=n_shards)
     return drive_reference_stream(service, workloads, n_rounds=n_rounds)

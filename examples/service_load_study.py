@@ -1,14 +1,14 @@
-"""Serving-layer study: skewed traffic through the sharded recommendation service.
+"""Serving-layer study: skewed traffic through the recommendation service.
 
-The :class:`~repro.integration.RecommendationService` facade now fronts a
-sharded serving core: applications are consistent-hashed onto independent
-:class:`~repro.integration.ServiceShard`\\ s, requests queue behind a bounded
+The :class:`~repro.integration.RecommendationService` consistent-hashes each
+application onto one of ``n_shards`` shards at registration.  The load
+harness queues every request behind its application's shard in a bounded
 admission controller (overload is an explicit reject-with-retry-after, never
-a silent drop), and a :class:`~repro.integration.RequestBatcher` coalesces
-traffic into the batched entry points.  This study walks the full stack:
+a silent drop) and hands each drained batch to the service's batched entry
+points.  This study walks the full stack:
 
 1. **Traffic mixes** -- Zipfian application skew, a flash crowd ("hotspot")
-   and campaign-style bursts are driven through the shard layer at one and
+   and campaign-style bursts are driven through per-shard queues at one and
    four shards via the event-driven load harness, reporting throughput and
    tail latency.  The harness runs real recommendations and real learning on
    a *simulated clock* anchored to this machine's calibrated per-request

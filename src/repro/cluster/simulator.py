@@ -298,11 +298,6 @@ class ClusterSimulator:
         return self._profile
 
     @property
-    def completed_runs(self) -> List[CompletedRun]:
-        """All completed runs in completion order."""
-        return list(self._completed)
-
-    @property
     def pods(self) -> Dict[str, Pod]:
         """All pods ever submitted, keyed by name."""
         return dict(self._pods)

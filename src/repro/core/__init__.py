@@ -15,7 +15,7 @@ Sub-packages:
   together.
 """
 
-from repro.core.banditware import BanditWare, ModelSnapshot, ObservationRecord, Recommendation
+from repro.core.banditware import BanditWare, ObservationRecord, Recommendation
 from repro.core.models import (
     ArmModel,
     LeastSquaresModel,
@@ -38,7 +38,6 @@ __all__ = [
     "BanditWare",
     "Recommendation",
     "ObservationRecord",
-    "ModelSnapshot",
     "ArmModel",
     "LeastSquaresModel",
     "RidgeModel",

@@ -39,7 +39,7 @@ from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import all_finite
 
-__all__ = ["Recommendation", "ObservationRecord", "ModelSnapshot", "BanditWare"]
+__all__ = ["Recommendation", "ObservationRecord", "BanditWare"]
 
 
 @dataclass(frozen=True)
@@ -82,59 +82,6 @@ class ObservationRecord:
     runtime_seconds: float
     queue_seconds: float = 0.0
     slowdown: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ModelSnapshot:
-    """An immutable copy of a recommender's per-arm linear models.
-
-    The serving layer publishes one snapshot per application so read-only
-    queries (runtime predictions, dashboards) never touch the live models
-    while an ``observe`` batch is refitting them: writers build a *new*
-    snapshot after mutating and swap the reference (copy-on-write); a reader
-    holding an old snapshot keeps a consistent view forever.
-
-    Attributes
-    ----------
-    feature_names:
-        Context feature order, as in :attr:`BanditWare.feature_names`.
-    arm_names:
-        Hardware names in catalog (arm) order.
-    coefficients:
-        ``(n_arms, n_features)`` slope matrix (read-only array).
-    intercepts:
-        Per-arm intercepts (read-only array).
-    observation_counts:
-        Per-arm observation counts at snapshot time.
-    version:
-        The recommender's mutation counter when the snapshot was taken;
-        two snapshots of one recommender with equal versions are identical.
-    """
-
-    feature_names: tuple
-    arm_names: tuple
-    coefficients: np.ndarray
-    intercepts: np.ndarray
-    observation_counts: tuple
-    version: int
-
-    def context_vector(self, features: Dict[str, float]) -> np.ndarray:
-        missing = [name for name in self.feature_names if name not in features]
-        if missing:
-            raise KeyError(
-                f"features missing {missing}; snapshot expects {list(self.feature_names)}"
-            )
-        return np.asarray([float(features[name]) for name in self.feature_names])
-
-    def predict_runtimes(self, features: Dict[str, float]) -> Dict[str, float]:
-        """Estimated runtime on every arm, from the frozen coefficients."""
-        values = self.coefficients @ self.context_vector(features) + self.intercepts
-        return {name: float(v) for name, v in zip(self.arm_names, values)}
-
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """``(n_rows, n_arms)`` estimates for an already-ordered design matrix."""
-        X = np.asarray(X, dtype=float)
-        return X @ self.coefficients.T + self.intercepts
 
 
 def _checked_runtime(runtime_seconds: float) -> float:
@@ -227,33 +174,11 @@ class BanditWare:
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by every observation batch and reset.
+        """Mutation counter: bumped by every observation and by :meth:`reset`.
 
-        Snapshot caches key on this -- equal versions guarantee the per-arm
-        coefficients are unchanged.
+        Two reads with the same version saw the same per-arm models.
         """
         return self._version
-
-    def snapshot(self) -> ModelSnapshot:
-        """An immutable copy-on-write view of the current per-arm models.
-
-        The returned arrays are frozen copies: subsequent observations build
-        new model state without touching any published snapshot, so readers
-        never block on (or observe half of) an in-flight update.
-        """
-        W = np.vstack([model.coefficients for model in self._models]) \
-            if self._models else np.empty((0, self.n_features))
-        b = np.asarray([model.intercept for model in self._models], dtype=float)
-        W.setflags(write=False)
-        b.setflags(write=False)
-        return ModelSnapshot(
-            feature_names=tuple(self.feature_names),
-            arm_names=tuple(hw.name for hw in self.catalog),
-            coefficients=W,
-            intercepts=b,
-            observation_counts=tuple(m.n_observations for m in self._models),
-            version=self._version,
-        )
 
     def model_for(self, hardware: Union[str, HardwareConfig]) -> ArmModel:
         """The runtime model of one hardware configuration."""
@@ -499,20 +424,6 @@ class BanditWare:
                     )
                 )
 
-    def step(
-        self,
-        features: Dict[str, float],
-        runtime_callback: Callable[[HardwareConfig], float],
-    ) -> tuple:
-        """Run one full round: recommend, execute via ``runtime_callback``, observe.
-
-        Returns ``(recommendation, observed_runtime)``.
-        """
-        rec = self.recommend(features)
-        runtime = float(runtime_callback(rec.hardware))
-        self.observe(features, rec.hardware, runtime)
-        return rec, runtime
-
     # ------------------------------------------------------------------ #
     # Prediction / offline use
     # ------------------------------------------------------------------ #
@@ -523,21 +434,6 @@ class BanditWare:
             hw.name: float(model.predict(context))
             for hw, model in zip(self.catalog, self._models)
         }
-
-    def predict_runtimes_batch(
-        self, features_batch: Sequence[Dict[str, float]]
-    ) -> np.ndarray:
-        """Estimated runtimes for a batch of workflows on every configuration.
-
-        Returns an ``(n_workflows, n_arms)`` array in catalog arm order,
-        evaluated with each arm's :meth:`~repro.core.models.ArmModel.predict_batch`.
-        """
-        X = np.vstack([self.context_vector(features) for features in features_batch]) \
-            if features_batch else np.empty((0, self.n_features))
-        out = np.empty((X.shape[0], len(self.catalog)))
-        for j, model in enumerate(self._models):
-            out[:, j] = model.predict_batch(X)
-        return out
 
     def best_hardware(
         self, features: Dict[str, float], tolerance: Optional[ToleranceConfig] = None

@@ -14,13 +14,11 @@ simulator so the end-to-end deployment story is executable:
   registry, the history store and a cluster backend, exposing
   ``submit_workflow`` / ``complete_workflow`` calls shaped like the platform's
   API.
-* :class:`~repro.integration.sharding.ShardMap` /
-  :class:`~repro.integration.sharding.ServiceShard` -- the sharded serving
-  core behind the facade: consistent-hash assignment of applications to
-  independent shards.
-* :class:`~repro.integration.serving.RequestBatcher` /
-  :class:`~repro.integration.serving.AdmissionController` -- request
-  coalescing into the batched entry points and bounded-queue backpressure
+* :class:`~repro.integration.sharding.ShardMap` -- consistent-hash
+  assignment of applications to shards, which the service records at
+  registration and the load harness routes requests by.
+* :class:`~repro.integration.serving.AdmissionController` -- bounded
+  per-shard admission queues with explicit backpressure
   (:class:`~repro.integration.serving.BackpressureError`).
 * :class:`~repro.integration.checkpoint.ServiceCheckpoint` -- versioned
   whole-service durability with bit-identical restore.
@@ -34,13 +32,8 @@ from repro.integration.checkpoint import (
 )
 from repro.integration.ndp import ApplicationInfo, ApplicationRegistry, RunHistoryStore
 from repro.integration.recommender_service import RecommendationService, WorkflowTicket
-from repro.integration.serving import (
-    AdmissionController,
-    BackpressureError,
-    RequestBatcher,
-    ShardQueue,
-)
-from repro.integration.sharding import ServiceShard, ShardMap
+from repro.integration.serving import AdmissionController, BackpressureError, ShardQueue
+from repro.integration.sharding import ShardMap
 
 __all__ = [
     "ApplicationInfo",
@@ -49,8 +42,6 @@ __all__ = [
     "RecommendationService",
     "WorkflowTicket",
     "ShardMap",
-    "ServiceShard",
-    "RequestBatcher",
     "AdmissionController",
     "BackpressureError",
     "ShardQueue",

@@ -10,26 +10,26 @@ continues **bit-identically** -- the restored service produces the same
 recommendations, observations and ticket ids as the original would have
 (pinned by ``tests/test_service_checkpoint.py``).
 
-Format (version 1)
+Format (version 2)
 ------------------
 A checkpoint is a pickled :class:`ServiceCheckpoint` with explicit fields:
 
-* ``version`` -- format version; :func:`restore_service` refuses unknown
-  versions instead of guessing.
-* ``n_shards`` / ``n_replicas`` -- shard-map geometry (the consistent-hash
-  ring is rebuilt deterministically from these).
-* ``shard_payloads`` -- one pickle per :class:`ServiceShard`: the shard's
-  recommenders (model matrices, policy/exploration state, reward configs),
-  priorities, ticket table and published snapshots.
-* ``facade_payload`` -- pickle of the cross-shard state: hardware catalog,
-  application registry, run-history records, default tolerance, service
-  seed, the application->shard and ticket->shard maps (the latter in global
-  submission order).
-* ``history_cursor`` -- ledger length at capture time; restore replays the
-  ledger up to the cursor so a checkpoint taken mid-stream is exact.
+* ``version`` -- format version; :meth:`ServiceCheckpoint.verify` refuses
+  any other version (version-1 files included) before the payload is
+  unpickled.
+* ``n_shards`` -- shard-map geometry (the consistent-hash ring is rebuilt
+  deterministically from it).
 * ``next_ticket`` -- the deterministic ticket counter.
-* ``digest`` -- SHA-256 over the payloads; :meth:`ServiceCheckpoint.verify`
-  rejects corrupted or truncated files.
+* ``payload`` -- one pickle of the whole service state: hardware catalog,
+  application registry, run-history ledger, default tolerance, service
+  seed, the per-application records (recommender with its model matrices,
+  policy/exploration state and reward config; priority; shard id) and the
+  ticket table in global submission order.  One pickle keeps an object the
+  service shares between applications -- a ``numpy.random.Generator`` seed
+  -- shared after the restore.
+* ``digest`` -- SHA-256 over the version, ``n_shards``, ``next_ticket`` and
+  the payload; :meth:`ServiceCheckpoint.verify` rejects corrupted or
+  truncated files.
 
 Event logs are deliberately **not** checkpointed -- they are transient
 observability state; pass a fresh ``log`` to :func:`restore_service`.
@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.utils.logging import EventLog, NullLog
+from repro.utils.logging import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.integration.recommender_service import RecommendationService
@@ -56,17 +56,15 @@ __all__ = [
 ]
 
 #: Current checkpoint format version.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _PICKLE_PROTOCOL = 4
 
 
-def _digest(version: int, facade_payload: bytes, shard_payloads: List[bytes]) -> str:
+def _digest(version: int, n_shards: int, next_ticket: int, payload: bytes) -> str:
     hasher = hashlib.sha256()
-    hasher.update(f"service-checkpoint-v{version}".encode("utf-8"))
-    hasher.update(facade_payload)
-    for payload in shard_payloads:
-        hasher.update(payload)
+    hasher.update(f"service-checkpoint-v{version}:{n_shards}:{next_ticket}".encode("utf-8"))
+    hasher.update(payload)
     return hasher.hexdigest()
 
 
@@ -76,11 +74,8 @@ class ServiceCheckpoint:
 
     version: int
     n_shards: int
-    n_replicas: int
-    shard_payloads: List[bytes]
-    facade_payload: bytes
-    history_cursor: int
     next_ticket: int
+    payload: bytes
     digest: str = ""
 
     def verify(self) -> None:
@@ -90,7 +85,7 @@ class ServiceCheckpoint:
                 f"unsupported checkpoint version {self.version}; this build "
                 f"reads version {CHECKPOINT_VERSION}"
             )
-        expected = _digest(self.version, self.facade_payload, self.shard_payloads)
+        expected = _digest(self.version, self.n_shards, self.next_ticket, self.payload)
         if self.digest != expected:
             raise ValueError(
                 "checkpoint integrity check failed: payload digest "
@@ -120,35 +115,26 @@ class ServiceCheckpoint:
 
 def checkpoint_service(service: "RecommendationService") -> ServiceCheckpoint:
     """Capture ``service`` into a verified :class:`ServiceCheckpoint`."""
-    shard_payloads = [
-        pickle.dumps(shard, protocol=_PICKLE_PROTOCOL) for shard in service.shards
-    ]
-    facade_payload = pickle.dumps(
+    payload = pickle.dumps(
         {
             "catalog": service.catalog,
             "registry": service.registry,
-            "history_records": list(service.history._records),
+            "history": service.history,
             "tolerance": service.tolerance,
             "seed": service._seed,
-            "app_shard": dict(service._app_shard),
-            "ticket_order": list(service._ticket_shard.items()),
+            "applications": service._applications,
+            "tickets": service._tickets,
         },
         protocol=_PICKLE_PROTOCOL,
     )
-    checkpoint = ServiceCheckpoint(
+    n_shards, next_ticket = service.n_shards, service._next_ticket
+    return ServiceCheckpoint(
         version=CHECKPOINT_VERSION,
-        n_shards=service.shard_map.n_shards,
-        n_replicas=service.shard_map.n_replicas,
-        shard_payloads=shard_payloads,
-        facade_payload=facade_payload,
-        history_cursor=len(service.history),
-        next_ticket=service._next_ticket,
-        digest="",
+        n_shards=n_shards,
+        next_ticket=next_ticket,
+        payload=payload,
+        digest=_digest(CHECKPOINT_VERSION, n_shards, next_ticket, payload),
     )
-    checkpoint.digest = _digest(
-        checkpoint.version, checkpoint.facade_payload, checkpoint.shard_payloads
-    )
-    return checkpoint
 
 
 def restore_service(
@@ -159,24 +145,20 @@ def restore_service(
     ``log`` attaches a fresh event log to the restored service (logs are not
     part of the checkpointed state).
     """
-    from repro.integration.ndp import RunHistoryStore
     from repro.integration.recommender_service import RecommendationService
-    from repro.integration.sharding import ShardMap
 
     checkpoint.verify()
-    facade = pickle.loads(checkpoint.facade_payload)
-    service = RecommendationService.__new__(RecommendationService)
-    service.catalog = facade["catalog"]
-    service.registry = facade["registry"]
-    history = RunHistoryStore()
-    history.extend(facade["history_records"][: checkpoint.history_cursor])
-    service.history = history
-    service.tolerance = facade["tolerance"]
-    service._seed = facade["seed"]
-    service.log = log if log is not None else NullLog()
-    service.shard_map = ShardMap(checkpoint.n_shards, n_replicas=checkpoint.n_replicas)
-    service._shards = [pickle.loads(payload) for payload in checkpoint.shard_payloads]
-    service._app_shard = dict(facade["app_shard"])
-    service._ticket_shard = dict(facade["ticket_order"])
+    state = pickle.loads(checkpoint.payload)
+    service = RecommendationService(
+        catalog=state["catalog"],
+        history=state["history"],
+        tolerance=state["tolerance"],
+        seed=state["seed"],
+        log=log,
+        n_shards=checkpoint.n_shards,
+    )
+    service.registry = state["registry"]
+    service._applications = state["applications"]
+    service._tickets = state["tickets"]
     service._next_ticket = int(checkpoint.next_ticket)
     return service

@@ -1,17 +1,13 @@
 """The recommendation service wiring BanditWare to the platform and the cluster.
 
-Since the sharded serving refactor the service is a **facade** over
-per-application :class:`~repro.integration.sharding.ServiceShard`\\ s: a
-:class:`~repro.integration.sharding.ShardMap` consistently hashes each
-application onto one of ``n_shards`` independent shards, each owning its
-applications' recommenders, ticket table and published model snapshots.
-Cross-shard concerns stay here: the application registry, the run-history
-ledger, deterministic ticket-id issue, and batch-completion pre-flight
-validation that spans all shards before any shard mutates.
-
-The facade API -- and its observable behaviour, decision for decision -- is
-identical to the pre-refactor single-process service for every shard count
-(pinned against ``benchmarks/service_parity_reference.json``).
+:class:`RecommendationService` keeps one record per registered application
+-- its :class:`~repro.core.BanditWare` recommender, its priority class and
+the shard id :class:`~repro.integration.sharding.ShardMap` gave it at
+registration -- and one ticket table in global submission order, next to
+the application registry, the run-history ledger and the deterministic
+ticket counter.  The shard id only routes: the load harness queues each
+request behind its application's shard.  It changes no decision, which
+``benchmarks/service_parity_reference.json`` pins at 1-4 shards.
 """
 
 from __future__ import annotations
@@ -21,12 +17,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.simulator import ClusterSimulator
-from repro.core.banditware import BanditWare, ModelSnapshot, Recommendation
+from repro.core.banditware import BanditWare, Recommendation
 from repro.core.rewards import RewardConfig
 from repro.core.selection import ToleranceConfig
-from repro.hardware import HardwareCatalog, HardwareConfig
+from repro.hardware import HardwareCatalog
 from repro.integration.ndp import ApplicationRegistry, RunHistoryStore
-from repro.integration.sharding import ServiceShard, ShardMap
+from repro.integration.sharding import ShardMap
 from repro.utils.logging import EventLog, NullLog
 from repro.utils.rng import SeedLike
 from repro.workloads.base import RunRecord
@@ -74,24 +70,28 @@ class WorkflowTicket:
     observed_slowdown: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class _Application:
+    """What the service keeps per registered application."""
+
+    recommender: BanditWare
+    priority: int
+    shard_id: int
+
+
 class RecommendationService:
     """Per-application BanditWare recommenders behind a platform-style API.
 
     The service owns one :class:`~repro.core.BanditWare` instance per
     registered application (each application has its own feature space and its
-    own runtime behaviour), a shared hardware catalog, the run-history store,
-    and optionally a cluster backend used by :meth:`run_workflow` to execute
-    the recommendation end to end.  Application state lives in ``n_shards``
-    independent :class:`~repro.integration.sharding.ServiceShard`\\ s behind
-    this facade; requests for different applications on different shards
-    share no mutable state.
+    own runtime behaviour), a shared hardware catalog, the application
+    registry, the run-history store, and optionally a cluster backend used by
+    :meth:`run_workflow` to execute the recommendation end to end.
 
     Parameters
     ----------
     catalog:
         Hardware configurations the platform can allocate.
-    registry:
-        Application registry (created empty when omitted).
     history:
         Run-history store (created empty when omitted).
     tolerance:
@@ -102,15 +102,15 @@ class RecommendationService:
     log:
         Optional event log of service decisions.
     n_shards:
-        Number of service shards applications are consistently hashed onto.
-        The shard count never changes observable behaviour -- only which
-        state can be served/updated concurrently.
+        Number of shards applications are consistently hashed onto
+        (:meth:`shard_for`).  The shard count never changes a decision; it
+        only tells a caller such as the load harness which requests may be
+        served side by side.
     """
 
     def __init__(
         self,
         catalog: HardwareCatalog,
-        registry: Optional[ApplicationRegistry] = None,
         history: Optional[RunHistoryStore] = None,
         tolerance: Optional[ToleranceConfig] = None,
         seed: SeedLike = None,
@@ -118,17 +118,16 @@ class RecommendationService:
         n_shards: int = 1,
     ):
         self.catalog = catalog
-        self.registry = registry or ApplicationRegistry()
-        self.history = history or RunHistoryStore()
+        self.registry = ApplicationRegistry()
+        self.history = history if history is not None else RunHistoryStore()
         self.tolerance = tolerance or ToleranceConfig()
         self._seed = seed
         self.log = log if log is not None else NullLog()
         self.shard_map = ShardMap(n_shards)
-        self._shards = [ServiceShard(i) for i in range(self.shard_map.n_shards)]
-        self._app_shard: Dict[str, int] = {}
-        # Insertion-ordered ticket -> shard index; doubles as the global
-        # submission order (pending_tickets preserves it).
-        self._ticket_shard: Dict[str, int] = {}
+        self._applications: Dict[str, _Application] = {}
+        # Insertion-ordered, so it is also the global submission order
+        # pending_tickets reports.
+        self._tickets: Dict[str, WorkflowTicket] = {}
         # Deterministic per-instance ticket counter.  (The seed repository
         # used a module-level itertools counter, which coupled independent
         # service instances' ticket sequences and broke checkpoint/restore;
@@ -136,37 +135,22 @@ class RecommendationService:
         self._next_ticket = 1
 
     # ------------------------------------------------------------------ #
-    # Shard topology
-    # ------------------------------------------------------------------ #
     @property
     def n_shards(self) -> int:
-        """Number of service shards."""
+        """Number of shards applications are hashed onto."""
         return self.shard_map.n_shards
 
-    @property
-    def shards(self) -> List[ServiceShard]:
-        """The shards themselves, in shard-id order (live references)."""
-        return list(self._shards)
-
     def shard_for(self, application: str) -> int:
-        """The shard id serving one registered application."""
-        return self._shard_of_application(application).shard_id
+        """The shard id of one registered application."""
+        return self._application(application).shard_id
 
-    def shard_assignments(self) -> Dict[int, List[str]]:
-        """``{shard_id: [applications...]}`` over all registered applications."""
-        return {shard.shard_id: shard.applications for shard in self._shards}
-
-    def _shard_of_application(self, application: str) -> ServiceShard:
-        if application not in self._app_shard:
+    def _application(self, name: str) -> _Application:
+        try:
+            return self._applications[name]
+        except KeyError:
             raise KeyError(
-                f"application {application!r} has no recommender; register it first"
-            )
-        return self._shards[self._app_shard[application]]
-
-    def _shard_of_ticket(self, ticket_id: str) -> ServiceShard:
-        if ticket_id not in self._ticket_shard:
-            raise KeyError(f"unknown ticket {ticket_id!r}")
-        return self._shards[self._ticket_shard[ticket_id]]
+                f"application {name!r} has no recommender; register it first"
+            ) from None
 
     def _issue_ticket_id(self) -> str:
         ticket_id = f"wf-{self._next_ticket:06d}"
@@ -201,57 +185,38 @@ class RecommendationService:
         ``priority`` is the priority class stamped on the application's
         workflow tickets for priority/preemption scheduling.
 
-        The application is consistently hashed onto one of the service's
-        shards, which owns its recommender and tickets from then on.
+        Registration is atomic: the recommender is built and warm-started
+        before the application is recorded, so a call that raises -- a
+        duplicate feature name, a history lacking a declared feature column,
+        a name already taken -- leaves the service as it was.
         """
-        info = self.registry.register(name, owner, feature_names, description)
         recommender = BanditWare(
             catalog=catalog if catalog is not None else self.catalog,
-            feature_names=list(info.feature_names),
+            feature_names=feature_names,
             tolerance=tolerance if tolerance is not None else self.tolerance,
             seed=self._seed,
             reward=reward,
         )
-        shard_id = self.shard_map.shard_for(name)
-        self._app_shard[name] = shard_id
-        self._shards[shard_id].adopt_application(name, recommender, priority=priority)
+        ingested = None
         if warm_start_history and self.history.records_for(name):
-            frame = self.history.frame_for(name)
-            ingested = recommender.warm_start(frame)
-            if self.log.enabled:
-                self.log.record("service", "warm_start", application=name, rows=ingested)
+            ingested = recommender.warm_start(self.history.frame_for(name))
+        self.registry.register(name, owner, recommender.feature_names, description)
+        self._applications[name] = _Application(
+            recommender, int(priority), self.shard_map.shard_for(name)
+        )
         if self.log.enabled:
+            if ingested is not None:
+                self.log.record("service", "warm_start", application=name, rows=ingested)
             self.log.record("service", "application_registered", application=name, owner=owner)
         return recommender
 
     def recommender_for(self, application: str) -> BanditWare:
         """The BanditWare instance serving one application."""
-        return self._shard_of_application(application).recommender_for(application)
+        return self._application(application).recommender
 
     def priority_for(self, application: str) -> int:
         """The priority class of one registered application."""
-        return self._shard_of_application(application).priority_for(application)
-
-    # ------------------------------------------------------------------ #
-    # Read path: copy-on-write snapshots
-    # ------------------------------------------------------------------ #
-    def model_snapshot(self, application: str) -> ModelSnapshot:
-        """The application's current published model snapshot.
-
-        Snapshots are immutable copies republished only after a mutation, so
-        readers never observe a half-applied ``observe`` batch and never
-        block on one (copy-on-write).
-        """
-        return self._shard_of_application(application).snapshot_for(application)
-
-    def predict_runtimes(self, application: str, features: Dict[str, float]) -> Dict[str, float]:
-        """Estimated runtime of ``features`` on every arm, from the snapshot.
-
-        This is the lock-free read path: predictions come from the
-        application's published :class:`~repro.core.ModelSnapshot`, not from
-        the live models.
-        """
-        return self.model_snapshot(application).predict_runtimes(features)
+        return self._application(application).priority
 
     # ------------------------------------------------------------------ #
     def submit_workflow(self, application: str, features: Dict[str, float]) -> WorkflowTicket:
@@ -262,18 +227,17 @@ class RecommendationService:
         non-numeric value, a missing or non-finite feature -- changes no
         state: no ticket is issued and the exploration schedule does not move.
         """
-        shard = self._shard_of_application(application)
+        app = self._application(application)
         features = {k: float(v) for k, v in features.items()}
-        recommendation = shard.recommend(application, features)
+        recommendation = app.recommender.recommend(features)
         ticket = WorkflowTicket(
             ticket_id=self._issue_ticket_id(),
             application=application,
             features=features,
             recommendation=recommendation,
-            priority=shard.priority_for(application),
+            priority=app.priority,
         )
-        shard.add_ticket(ticket)
-        self._ticket_shard[ticket.ticket_id] = shard.shard_id
+        self._tickets[ticket.ticket_id] = ticket
         if self.log.enabled:
             self.log.record(
                 "service",
@@ -296,12 +260,11 @@ class RecommendationService:
         batch is converted and checked before the first recommendation, so a
         rejected batch changes no state.
         """
-        shard = self._shard_of_application(application)
+        app = self._application(application)
         features_batch = [
             {k: float(v) for k, v in features.items()} for features in features_batch
         ]
-        recommendations = shard.recommend_batch(application, features_batch)
-        priority = shard.priority_for(application)
+        recommendations = app.recommender.recommend_batch(features_batch)
         tickets: List[WorkflowTicket] = []
         for features, recommendation in zip(features_batch, recommendations):
             ticket = WorkflowTicket(
@@ -309,10 +272,9 @@ class RecommendationService:
                 application=application,
                 features=features,
                 recommendation=recommendation,
-                priority=priority,
+                priority=app.priority,
             )
-            shard.add_ticket(ticket)
-            self._ticket_shard[ticket.ticket_id] = shard.shard_id
+            self._tickets[ticket.ticket_id] = ticket
             tickets.append(ticket)
         if self.log.enabled:
             self.log.record(
@@ -344,24 +306,28 @@ class RecommendationService:
         bookkeeping are exactly those of sequential
         :meth:`complete_workflow` calls in the same order.
 
-        The whole batch is validated -- tickets known, uncompleted and unique,
-        runtimes and queue delays finite and non-negative, slowdowns finite
-        and positive -- before *any* shard mutates.  A batch may span every
-        shard of the service; the pre-flight runs across all of them, so a
-        rejected batch leaves every shard's recommenders and tickets
-        untouched and can safely be retried after fixing the bad entry.
+        A pre-flight checks the whole batch -- entries of 2-4 elements,
+        tickets known, uncompleted and unique, runtimes and queue delays
+        finite and non-negative, slowdowns finite and positive -- before any
+        application's recommender changes.  This is the cross-application
+        atomicity check: a rejected batch leaves every recommender and ticket
+        untouched and can be retried once the bad entry is fixed.
         """
         resolved = []
         seen = set()
         for entry in completions:
+            if not 2 <= len(entry) <= 4:
+                raise ValueError(
+                    f"completion entry {entry!r} has {len(entry)} elements; expected "
+                    "(ticket_id, runtime_seconds[, queue_seconds[, slowdown]])"
+                )
             ticket_id, runtime_seconds = entry[0], entry[1]
             queue_seconds = entry[2] if len(entry) > 2 else 0.0
             slowdown = entry[3] if len(entry) > 3 else None
-            shard = self._shard_of_ticket(ticket_id)  # raises on unknown ids
+            ticket = self.ticket(ticket_id)  # raises on unknown ids
             if ticket_id in seen:
                 raise ValueError(f"ticket {ticket_id!r} appears twice in the batch")
             seen.add(ticket_id)
-            ticket = shard.ticket(ticket_id)
             if ticket.completed:
                 raise ValueError(
                     f"ticket {ticket_id!r} was already completed "
@@ -392,9 +358,7 @@ class RecommendationService:
         for entry in resolved:
             by_application.setdefault(entry[0].application, []).append(entry)
         for application, batch in by_application.items():
-            shard = self._shards[self._app_shard[application]]
-            shard.observe_batch(
-                application,
+            self._applications[application].recommender.observe_batch(
                 [ticket.features for ticket, _, _, _ in batch],
                 [ticket.recommendation.hardware for ticket, _, _, _ in batch],
                 [runtime for _, runtime, _, _ in batch],
@@ -439,16 +403,14 @@ class RecommendationService:
         application's models.  The runtime, queue delay and slowdown are
         checked once, by :meth:`BanditWare.observe`, before anything changes.
         """
-        shard = self._shard_of_ticket(ticket_id)
-        ticket = shard.ticket(ticket_id)
+        ticket = self.ticket(ticket_id)
         if ticket.completed:
             raise ValueError(
                 f"ticket {ticket_id!r} was already completed "
                 f"(observed runtime {ticket.observed_runtime}s); completions "
                 "are observed exactly once and double reports are rejected"
             )
-        shard.observe(
-            ticket.application,
+        self._applications[ticket.application].recommender.observe(
             ticket.features,
             ticket.recommendation.hardware,
             runtime_seconds,
@@ -491,15 +453,13 @@ class RecommendationService:
     # ------------------------------------------------------------------ #
     def pending_tickets(self) -> List[WorkflowTicket]:
         """Tickets that have been submitted but not completed (submission order)."""
-        out: List[WorkflowTicket] = []
-        for ticket_id, shard_id in self._ticket_shard.items():
-            ticket = self._shards[shard_id].ticket(ticket_id)
-            if not ticket.completed:
-                out.append(ticket)
-        return out
+        return [ticket for ticket in self._tickets.values() if not ticket.completed]
 
     def ticket(self, ticket_id: str) -> WorkflowTicket:
-        return self._shard_of_ticket(ticket_id).ticket(ticket_id)
+        try:
+            return self._tickets[ticket_id]
+        except KeyError:
+            raise KeyError(f"unknown ticket {ticket_id!r}") from None
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -508,9 +468,9 @@ class RecommendationService:
         """Snapshot the whole service into a versioned, restorable checkpoint.
 
         See :mod:`repro.integration.checkpoint` for the format.  The
-        checkpoint captures every shard's state (recommender matrices and
-        policy/exploration state, ticket table), the registry, the
-        run-history ledger with its cursor, and the ticket counter;
+        checkpoint captures every application's recommender (matrices and
+        policy/exploration state), priority and shard id, the ticket table,
+        the registry, the run-history ledger and the ticket counter;
         :func:`~repro.integration.checkpoint.restore_service` rebuilds a
         service that continues **bit-identically** to this one.
         """
@@ -527,6 +487,6 @@ class RecommendationService:
         """Rebuild a service from a :class:`ServiceCheckpoint` (or a path)."""
         from repro.integration.checkpoint import ServiceCheckpoint, restore_service
 
-        if not hasattr(checkpoint, "shard_payloads"):
+        if not isinstance(checkpoint, ServiceCheckpoint):
             checkpoint = ServiceCheckpoint.load(checkpoint)
         return restore_service(checkpoint, log=log)

@@ -1,34 +1,24 @@
-"""Request coalescing and admission control for the sharded serving layer.
+"""Admission control in front of the recommendation service.
 
-Two serving-side mechanisms sit between raw traffic and the
-:class:`~repro.integration.recommender_service.RecommendationService` facade:
+:class:`AdmissionController` keeps one bounded FIFO queue per shard (the
+shard an application was hashed onto, see
+:meth:`~repro.integration.recommender_service.RecommendationService.shard_for`).
+A full queue rejects the request with :class:`BackpressureError` carrying an
+explicit ``retry_after_seconds`` estimate -- requests are *never* silently
+dropped, and an admitted request is never evicted.
 
-* :class:`RequestBatcher` buffers incoming ``recommend`` and ``observe``
-  requests and flushes them through the batched entry points
-  (``submit_workflows`` / ``complete_workflows``) the core gained in PR 1.
-  Per application the batched decision stream is **identical** to issuing
-  the same calls one by one (``recommend_batch`` advances the policy one
-  step per workflow; ``observe_batch`` refits once per arm with the same
-  final state), so coalescing trades nothing but per-call overhead.
-* :class:`AdmissionController` enforces bounded per-shard queues.  A full
-  queue rejects the request with :class:`BackpressureError` carrying an
-  explicit ``retry_after_seconds`` estimate -- requests are *never* silently
-  dropped, and an admitted request is never evicted.
-
-Both are synchronous building blocks: the event-driven load harness
-(:mod:`repro.evaluation.service_load`) composes them into a full
-arrival/queue/drain loop, and they behave identically under a real thread
-per shard because shards share no mutable state.
+It is a synchronous building block: the event-driven load harness
+(:mod:`repro.evaluation.service_load`) composes it into a full
+arrival/queue/drain loop that hands each drained batch to the service's
+``submit_workflows`` / ``complete_workflows`` entry points.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional
 
-from repro.integration.recommender_service import RecommendationService, WorkflowTicket
-
-__all__ = ["BackpressureError", "ShardQueue", "AdmissionController", "RequestBatcher"]
+__all__ = ["BackpressureError", "ShardQueue", "AdmissionController"]
 
 
 class BackpressureError(RuntimeError):
@@ -164,89 +154,3 @@ class AdmissionController:
             }
             for q in self._queues
         }
-
-
-class RequestBatcher:
-    """Coalesce recommend/observe traffic into the batched service entry points.
-
-    Requests accumulate in submission order and flush through
-    ``submit_workflows`` / ``complete_workflows`` grouped by application
-    (first-occurrence order).  Per application the decisions are bit-identical
-    to unbatched calls in the same relative order; what coalescing changes is
-    only *when* the service sees the requests -- at :meth:`flush` -- and hence
-    the interleaving of ticket ids across applications, which the facade
-    contract deliberately leaves unspecified between applications.
-
-    ``max_batch`` bounds memory: reaching it triggers an automatic flush.
-    """
-
-    def __init__(self, service: RecommendationService, max_batch: int = 64):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.service = service
-        self.max_batch = int(max_batch)
-        self._recommend_buffer: List[Tuple[str, Dict[str, float]]] = []
-        self._completion_buffer: List[tuple] = []
-        self.flushes = 0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def pending_recommends(self) -> int:
-        return len(self._recommend_buffer)
-
-    @property
-    def pending_completions(self) -> int:
-        return len(self._completion_buffer)
-
-    def enqueue_recommend(
-        self, application: str, features: Dict[str, float]
-    ) -> Optional[List[WorkflowTicket]]:
-        """Buffer one recommendation request; auto-flush at ``max_batch``.
-
-        Returns the flushed tickets when this enqueue triggered a flush,
-        else ``None``.
-        """
-        self.service.recommender_for(application)  # fail fast on unknown apps
-        self._recommend_buffer.append((application, dict(features)))
-        if len(self._recommend_buffer) >= self.max_batch:
-            return self.flush()
-        return None
-
-    def enqueue_completion(
-        self,
-        ticket_id: str,
-        runtime_seconds: float,
-        queue_seconds: float = 0.0,
-        slowdown: Optional[float] = None,
-    ) -> None:
-        """Buffer one completion report for the next :meth:`flush`."""
-        self._completion_buffer.append((ticket_id, runtime_seconds, queue_seconds, slowdown))
-
-    # ------------------------------------------------------------------ #
-    def flush(self) -> List[WorkflowTicket]:
-        """Flush completions then recommendations; return new tickets in enqueue order.
-
-        Completions flush first so a recommendation enqueued after a
-        completion observes the updated models, matching the unbatched
-        ordering of the two calls.  The whole completion batch is validated
-        across shards before any mutation (the ``complete_workflows``
-        contract), so a bad completion leaves the buffered batch intact and
-        re-raisable after repair.
-        """
-        if self._completion_buffer:
-            # Leave the buffer untouched until the batch is accepted: on a
-            # validation error nothing has mutated and the caller may fix
-            # the offending entry and flush again.
-            self.service.complete_workflows(self._completion_buffer)
-            self._completion_buffer = []
-        tickets: List[Optional[WorkflowTicket]] = [None] * len(self._recommend_buffer)
-        by_application: Dict[str, List[int]] = {}
-        for index, (application, _) in enumerate(self._recommend_buffer):
-            by_application.setdefault(application, []).append(index)
-        for application, indices in by_application.items():
-            batch = [self._recommend_buffer[i][1] for i in indices]
-            for index, ticket in zip(indices, self.service.submit_workflows(application, batch)):
-                tickets[index] = ticket
-        self._recommend_buffer = []
-        self.flushes += 1
-        return [t for t in tickets if t is not None]

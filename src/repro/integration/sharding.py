@@ -1,71 +1,55 @@
-"""Sharded serving core behind the :class:`RecommendationService` facade.
+"""Consistent-hash assignment of registered applications to shards.
 
-A platform serving recommendations to many applications cannot keep every
-application's recommender behind one lock: a heavy tenant's model refit would
-stall everyone else's requests.  The serving refactor therefore splits the
-service state into per-application **shards**:
+:class:`ShardMap` assigns applications to ``n_shards`` shards by *consistent
+hashing* (a ring of virtual nodes per shard), so the mapping is
+deterministic across processes and runs, roughly balanced, and stable --
+growing the shard count relocates only the applications that land on the
+new shard's ring points instead of reshuffling everything.
 
-* :class:`ShardMap` assigns applications to ``n_shards`` shards by
-  *consistent hashing* (a ring of virtual nodes per shard), so the mapping is
-  deterministic across processes and runs, roughly balanced, and stable --
-  growing the shard count relocates only the applications that land on the
-  new shard's ring points instead of reshuffling everything.
-* :class:`ServiceShard` owns the recommenders, priorities, workflow-ticket
-  table and published model snapshots of its applications.  Shards share
-  nothing; any two shards can serve requests concurrently (the load harness
-  exploits exactly this).
-
-The facade (:class:`~repro.integration.recommender_service.RecommendationService`)
-keeps the cross-shard concerns -- the application registry, the run-history
-ledger, deterministic ticket-id issue -- and routes every per-application
-call to the owning shard, so the sharded service is *bit-identical* to the
-single-process implementation it replaced (pinned against
-``benchmarks/service_parity_reference.json`` for every shard count).
+:class:`~repro.integration.recommender_service.RecommendationService`
+records each application's shard id at registration and reports it through
+``shard_for``; the load harness (:mod:`repro.evaluation.service_load`)
+queues every request behind its application's shard.  The shard count
+changes no decision (pinned against
+``benchmarks/service_parity_reference.json`` at 1-4 shards).
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.core.banditware import BanditWare, ModelSnapshot, Recommendation
+__all__ = ["ShardMap"]
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.integration.recommender_service import WorkflowTicket
-
-__all__ = ["ShardMap", "ServiceShard"]
+#: Virtual ring points per shard; more points mean better balance at a
+#: small construction cost.
+_REPLICAS_PER_SHARD = 64
 
 
 class ShardMap:
     """Consistent-hash assignment of application names to shards.
 
-    Each shard contributes ``n_replicas`` virtual points to a hash ring; an
-    application belongs to the shard owning the first ring point at or after
-    the application's own hash.  MD5 (stable across processes and Python
-    versions, unlike the salted builtin ``hash``) keeps the mapping
-    deterministic, which the checkpoint format and the process-parallel load
-    harness both rely on.
+    Each shard contributes ``_REPLICAS_PER_SHARD`` virtual points to a hash
+    ring; an application belongs to the shard owning the first ring point at
+    or after the application's own hash.  MD5 (stable across processes and
+    Python versions, unlike the salted builtin ``hash``) keeps the mapping
+    deterministic, so a service restored from a checkpoint places a newly
+    registered application where the original would have.
 
     Parameters
     ----------
     n_shards:
         Number of shards (>= 1).
-    n_replicas:
-        Virtual ring points per shard; more points mean better balance at a
-        small construction cost.
     """
 
-    def __init__(self, n_shards: int, n_replicas: int = 64):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         self.n_shards = int(n_shards)
-        self.n_replicas = int(n_replicas)
         points: List[Tuple[int, int]] = []
         for shard in range(self.n_shards):
-            for replica in range(self.n_replicas):
+            for replica in range(_REPLICAS_PER_SHARD):
                 points.append((self._hash(f"shard-{shard}:vnode-{replica}"), shard))
         points.sort()
         self._ring_hashes = [point for point, _ in points]
@@ -96,127 +80,4 @@ class ShardMap:
         return self.n_shards
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"ShardMap(n_shards={self.n_shards}, n_replicas={self.n_replicas})"
-
-
-class ServiceShard:
-    """One shard's worth of service state: recommenders, tickets, snapshots.
-
-    A shard is a self-contained unit -- it can be pickled into a worker
-    process, serve its applications there, and be pickled back for a
-    checkpoint -- and deliberately knows nothing about the registry, the
-    run-history ledger or ticket-id issue, which stay cross-shard concerns
-    of the facade.
-    """
-
-    def __init__(self, shard_id: int):
-        self.shard_id = int(shard_id)
-        self._recommenders: Dict[str, BanditWare] = {}
-        self._priorities: Dict[str, int] = {}
-        self._tickets: Dict[str, "WorkflowTicket"] = {}
-        # Published copy-on-write read snapshots, keyed by application.
-        self._snapshots: Dict[str, ModelSnapshot] = {}
-
-    # ------------------------------------------------------------------ #
-    # Applications
-    # ------------------------------------------------------------------ #
-    @property
-    def applications(self) -> List[str]:
-        """Applications owned by this shard, in registration order."""
-        return list(self._recommenders)
-
-    def adopt_application(self, name: str, recommender: BanditWare, priority: int = 0) -> None:
-        """Take ownership of one application's recommender."""
-        self._recommenders[name] = recommender
-        self._priorities[name] = int(priority)
-
-    def owns_application(self, name: str) -> bool:
-        return name in self._recommenders
-
-    def recommender_for(self, name: str) -> BanditWare:
-        return self._recommenders[name]
-
-    def priority_for(self, name: str) -> int:
-        return self._priorities[name]
-
-    # ------------------------------------------------------------------ #
-    # Serving paths
-    # ------------------------------------------------------------------ #
-    def recommend(self, application: str, features: Dict[str, float]) -> Recommendation:
-        return self._recommenders[application].recommend(features)
-
-    def recommend_batch(
-        self, application: str, features_batch: Sequence[Dict[str, float]]
-    ) -> List[Recommendation]:
-        return self._recommenders[application].recommend_batch(list(features_batch))
-
-    def observe(
-        self,
-        application: str,
-        features: Dict[str, float],
-        hardware,
-        runtime_seconds: float,
-        queue_seconds: float = 0.0,
-        slowdown: Optional[float] = None,
-    ) -> None:
-        self._recommenders[application].observe(
-            features,
-            hardware,
-            runtime_seconds,
-            queue_seconds=queue_seconds,
-            slowdown=slowdown,
-        )
-
-    def observe_batch(
-        self,
-        application: str,
-        features_batch: Sequence[Dict[str, float]],
-        hardware: Sequence,
-        runtimes_seconds: Sequence[float],
-        queues_seconds: Optional[Sequence[float]] = None,
-        slowdowns: Optional[Sequence[Optional[float]]] = None,
-    ) -> None:
-        self._recommenders[application].observe_batch(
-            features_batch,
-            hardware,
-            runtimes_seconds,
-            queues_seconds=queues_seconds,
-            slowdowns=slowdowns,
-        )
-
-    def snapshot_for(self, application: str) -> ModelSnapshot:
-        """The application's current read snapshot (copy-on-write).
-
-        The cached snapshot is republished only when the recommender's
-        mutation counter moved; readers holding a previously returned
-        snapshot keep their consistent (immutable) view.
-        """
-        recommender = self._recommenders[application]
-        cached = self._snapshots.get(application)
-        if cached is None or cached.version != recommender.version:
-            cached = recommender.snapshot()
-            self._snapshots[application] = cached
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # Ticket table
-    # ------------------------------------------------------------------ #
-    def add_ticket(self, ticket: "WorkflowTicket") -> None:
-        self._tickets[ticket.ticket_id] = ticket
-
-    def has_ticket(self, ticket_id: str) -> bool:
-        return ticket_id in self._tickets
-
-    def ticket(self, ticket_id: str) -> "WorkflowTicket":
-        return self._tickets[ticket_id]
-
-    @property
-    def tickets(self) -> Dict[str, "WorkflowTicket"]:
-        """The shard's ticket table (live reference, keyed by ticket id)."""
-        return self._tickets
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"ServiceShard(id={self.shard_id}, applications={self.applications}, "
-            f"tickets={len(self._tickets)})"
-        )
+        return f"ShardMap(n_shards={self.n_shards})"

@@ -88,11 +88,6 @@ class TestOnlineLoop:
         assert len(bandit.history) == 1
         assert bandit.history[0].hardware == "H0"
 
-    def test_step_runs_full_round(self, bandit):
-        rec, runtime = bandit.step({"x0": 1.0, "x1": 1.0}, lambda hw: 42.0)
-        assert runtime == 42.0
-        assert bandit.observation_counts()[rec.hardware.name] == 1
-
     def test_predict_runtimes_after_learning(self, bandit):
         for x in np.linspace(1, 10, 20):
             bandit.observe({"x0": x, "x1": 0.0}, "H0", 3.0 * x + 1.0)

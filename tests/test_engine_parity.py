@@ -148,19 +148,6 @@ class TestBatchSequentialParity:
             assert np.allclose(model_a.coefficients, model_b.coefficients, rtol=1e-10)
             assert model_a.intercept == pytest.approx(model_b.intercept, rel=1e-10)
 
-    def test_predict_runtimes_batch_matches_scalar(self, ndp, linear_workload):
-        bandit = self._bandit(ndp)
-        frame = TraceGenerator(linear_workload, ndp, seed=5).generate_frame(12)
-        bandit.warm_start(frame)
-        rng = np.random.default_rng(2)
-        batch = _random_features(rng, 7)
-        matrix = bandit.predict_runtimes_batch(batch)
-        assert matrix.shape == (7, len(ndp))
-        for i, features in enumerate(batch):
-            scalar = bandit.predict_runtimes(features)
-            for j, hw in enumerate(ndp):
-                assert matrix[i, j] == pytest.approx(scalar[hw.name], rel=1e-12)
-
 
 class TestWorkerParity:
     def _series(self, linear_setup, ndp, n_workers, **overrides):

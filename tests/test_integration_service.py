@@ -114,6 +114,11 @@ class TestRecommendationService:
         service.complete_workflow(ticket.ticket_id, 10.0)
         assert service.pending_tickets() == []
 
+    def test_uses_the_history_store_it_is_given_even_when_empty(self):
+        history = RunHistoryStore()
+        service = RecommendationService(catalog=ndp_catalog(), history=history)
+        assert service.history is history
+
     def test_warm_start_from_existing_history(self, ndp):
         workload = LinearRuntimeWorkload.random(ndp, n_features=1, seed=3)
         history = RunHistoryStore()
@@ -214,6 +219,66 @@ class TestRecommendationService:
             picks.append(ticket.recommendation.hardware.name)
         late_picks = picks[-30:]
         assert late_picks.count("H1") / len(late_picks) > 0.7
+
+
+class TestAtomicRegistration:
+    """A registration that raises leaves no trace; a corrected retry succeeds."""
+
+    def _assert_unregistered(self, service, log, name, features):
+        assert name not in service.registry
+        assert len(service.registry) == 0
+        with pytest.raises(KeyError, match="no recommender"):
+            service.recommender_for(name)
+        with pytest.raises(KeyError, match="no recommender"):
+            service.submit_workflow(name, features)
+        assert service.pending_tickets() == []
+        assert len(log) == 0
+
+    @pytest.mark.parametrize(
+        "name, feature_names, match",
+        [
+            ("cycles", ["num_tasks", "num_tasks"], "duplicates"),
+            ("cycles", [], "at least one feature"),
+            ("", ["num_tasks"], "non-empty"),
+        ],
+        ids=["duplicate-features", "no-features", "empty-name"],
+    )
+    def test_rejected_registration(self, name, feature_names, match):
+        log = EventLog()
+        service = RecommendationService(catalog=ndp_catalog(), seed=0, log=log)
+        with pytest.raises(ValueError, match=match):
+            service.register_application(name, "alice", feature_names)
+        self._assert_unregistered(service, log, name, {"num_tasks": 1.0})
+        recommender = service.register_application("cycles", "alice", ["num_tasks"])
+        assert service.recommender_for("cycles") is recommender
+        assert service.submit_workflow("cycles", {"num_tasks": 1.0}).ticket_id == "wf-000001"
+
+    def test_taken_name_keeps_the_registered_application(self):
+        log = EventLog()
+        service = RecommendationService(catalog=ndp_catalog(), seed=0, log=log)
+        recommender = service.register_application("cycles", "alice", ["num_tasks"])
+        with pytest.raises(ValueError, match="already registered"):
+            service.register_application("cycles", "bob", ["size"], priority=3)
+        assert service.recommender_for("cycles") is recommender
+        assert service.priority_for("cycles") == 0
+        assert service.registry.get("cycles").owner == "alice"
+        assert len(log) == 1
+
+    def test_failed_warm_start(self, ndp):
+        workload = LinearRuntimeWorkload.random(ndp, n_features=1, seed=3)
+        history = RunHistoryStore()
+        history.extend(TraceGenerator(workload, ndp, seed=1).generate_runs(20))
+        log = EventLog()
+        service = RecommendationService(catalog=ndp, history=history, seed=0, log=log)
+        with pytest.raises(KeyError, match="missing column 'size'"):
+            service.register_application(workload.name, "alice", ["x0", "size"])
+        self._assert_unregistered(service, log, workload.name, {"x0": 1.0, "size": 1.0})
+        assert len(service.history) == 20
+        recommender = service.register_application(
+            workload.name, "alice", workload.feature_names
+        )
+        assert sum(recommender.observation_counts().values()) == 20
+        assert [r.event for r in log] == ["warm_start", "application_registered"]
 
 
 class TestQueueAwareServiceCompletions:

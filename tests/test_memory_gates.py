@@ -117,9 +117,9 @@ def test_sustained_service_traffic_memory_budget(request):
     """A sustained 600-request mixed-traffic run stays within its budget.
 
     The serving layer retains a ticket per request by design (history is
-    the product), so the gate pins the *constant factor*: it catches model
-    snapshots piling up per request instead of per model version, retry
-    events duplicating request payloads, or the admission queues keeping
+    the product), so the gate pins the *constant factor*: it catches
+    per-request state beyond the ticket and its history row, retry events
+    duplicating request payloads, or the admission queues keeping
     references to drained work.
     """
     from repro.evaluation.service_load import ServiceLoadConfig, run_service_load

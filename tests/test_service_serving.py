@@ -1,120 +1,15 @@
-"""Tests for request batching and admission control (the serving mechanisms).
+"""Tests for admission control in front of the recommendation service.
 
-Two contracts are pinned here:
-
-* the :class:`RequestBatcher` coalesces traffic into the batched entry
-  points without changing any per-application decision;
-* the :class:`AdmissionController` never drops silently -- every request is
-  either admitted (and eventually drained) or rejected with an explicit
-  retry-after estimate.
+The contract pinned here: the :class:`AdmissionController` never drops
+silently -- every request is either admitted (and eventually drained) or
+rejected with an explicit retry-after estimate.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from benchmarks.capture_service_parity import build_reference_service
-from repro.integration import (
-    AdmissionController,
-    BackpressureError,
-    RequestBatcher,
-    ShardQueue,
-)
-
-
-def _request_stream(workloads, n, seed=9):
-    rng = np.random.default_rng(seed)
-    apps = ["alpha", "beta", "gamma"]
-    return [
-        (app := apps[i % 3], workloads[app].sample_features(rng)) for i in range(n)
-    ]
-
-
-class TestRequestBatcher:
-    def test_per_application_decisions_match_sequential_calls(self):
-        sequential, workloads_a = build_reference_service(n_shards=2)
-        batched, workloads_b = build_reference_service(n_shards=2)
-        requests = _request_stream(workloads_a, 12)
-        # identical RNG draws for the batched side
-        _ = _request_stream(workloads_b, 12)
-
-        sequential_tickets = [sequential.submit_workflow(a, f) for a, f in requests]
-        batcher = RequestBatcher(batched, max_batch=100)
-        for app, features in requests:
-            assert batcher.enqueue_recommend(app, features) is None
-        batched_tickets = batcher.flush()
-
-        assert len(batched_tickets) == len(sequential_tickets)
-        for seq, bat in zip(sequential_tickets, batched_tickets):
-            assert seq.application == bat.application
-            assert seq.recommendation.hardware.name == bat.recommendation.hardware.name
-            assert seq.recommendation.explored == bat.recommendation.explored
-            assert seq.features == bat.features
-
-    def test_flush_returns_tickets_in_enqueue_order(self):
-        service, workloads = build_reference_service(n_shards=2)
-        batcher = RequestBatcher(service, max_batch=100)
-        requests = _request_stream(workloads, 9)
-        for app, features in requests:
-            batcher.enqueue_recommend(app, features)
-        tickets = batcher.flush()
-        assert [t.application for t in tickets] == [a for a, _ in requests]
-
-    def test_auto_flush_at_max_batch(self):
-        service, workloads = build_reference_service(n_shards=2)
-        batcher = RequestBatcher(service, max_batch=3)
-        requests = _request_stream(workloads, 3)
-        assert batcher.enqueue_recommend(*requests[0]) is None
-        assert batcher.enqueue_recommend(*requests[1]) is None
-        tickets = batcher.enqueue_recommend(*requests[2])
-        assert tickets is not None and len(tickets) == 3
-        assert batcher.pending_recommends == 0
-        assert batcher.flushes == 1
-
-    def test_unknown_application_fails_fast_at_enqueue(self):
-        service, _ = build_reference_service(n_shards=2)
-        batcher = RequestBatcher(service, max_batch=10)
-        with pytest.raises(KeyError, match="no recommender"):
-            batcher.enqueue_recommend("nope", {"x": 1.0})
-        assert batcher.pending_recommends == 0
-
-    def test_completions_flush_through_the_batch_entry_point(self):
-        service, workloads = build_reference_service(n_shards=2)
-        batcher = RequestBatcher(service, max_batch=100)
-        for app, features in _request_stream(workloads, 6):
-            batcher.enqueue_recommend(app, features)
-        tickets = batcher.flush()
-        for ticket in tickets:
-            batcher.enqueue_completion(ticket.ticket_id, 10.0, queue_seconds=0.5)
-        assert batcher.pending_completions == 6
-        batcher.flush()
-        assert batcher.pending_completions == 0
-        assert all(service.ticket(t.ticket_id).completed for t in tickets)
-        assert service.ticket(tickets[0].ticket_id).observed_queue_seconds == 0.5
-
-    def test_rejected_completion_batch_stays_buffered_and_retryable(self):
-        service, workloads = build_reference_service(n_shards=2)
-        batcher = RequestBatcher(service, max_batch=100)
-        for app, features in _request_stream(workloads, 3):
-            batcher.enqueue_recommend(app, features)
-        tickets = batcher.flush()
-        batcher.enqueue_completion(tickets[0].ticket_id, 10.0)
-        batcher.enqueue_completion(tickets[1].ticket_id, float("nan"))
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            batcher.flush()
-        # Nothing mutated, buffer intact; repair and flush again.
-        assert batcher.pending_completions == 2
-        assert not service.ticket(tickets[0].ticket_id).completed
-        batcher._completion_buffer[1] = (tickets[1].ticket_id, 12.0, 0.0, None)
-        batcher.flush()
-        assert service.ticket(tickets[0].ticket_id).completed
-        assert service.ticket(tickets[1].ticket_id).completed
-
-    def test_validates_max_batch(self):
-        service, _ = build_reference_service()
-        with pytest.raises(ValueError, match="max_batch"):
-            RequestBatcher(service, max_batch=0)
+from repro.integration import AdmissionController, BackpressureError, ShardQueue
 
 
 class TestAdmissionController:

@@ -1,9 +1,8 @@
 """The validation contract: every input is checked once, where it enters.
 
 ``BanditWare.recommend*`` / ``observe*``, ``RecommendationService``'s
-``submit_workflow(s)`` / ``complete_workflow(s)``,
-``ServiceShard.observe_batch`` and ``ClusterSimulator.submit`` /
-``run_until`` are the public entries.  A
+``submit_workflow(s)`` / ``complete_workflow(s)`` and
+``ClusterSimulator.submit`` / ``run_until`` are the public entries.  A
 bad input must be rejected at the entry with the documented exception type
 and message, before any state moves: observation counts, the mutation
 version, the history, tickets, ε, the round counter, the exploration RNG,
@@ -187,7 +186,7 @@ class TestBanditWareEntries:
 
 
 # --------------------------------------------------------------------- #
-# The service facade
+# The recommendation service
 # --------------------------------------------------------------------- #
 def _service(log=None, reward=None):
     service = RecommendationService(catalog=ndp_catalog(), seed=5, n_shards=2, log=log)
@@ -204,9 +203,7 @@ def _service(log=None, reward=None):
 
 def _service_state(service: RecommendationService):
     tickets = [
-        (t.ticket_id, t.completed, t.observed_runtime)
-        for shard in service.shards
-        for t in shard.tickets.values()
+        (t.ticket_id, t.completed, t.observed_runtime) for t in service._tickets.values()
     ]
     return (
         [_bandit_state(service.recommender_for(app)) for app in ("alpha", "beta")],
@@ -237,10 +234,16 @@ SERVICE_CASES = [
     ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, -1.0)]), ValueError, "queue delay"),
     ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, 0.0, NAN)]), ValueError, "slowdown"),
     ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), ("wf-999999", 5.0)]), KeyError, "unknown ticket"),
-    # The shard's public batch entry checks its rows through BanditWare.observe_batch.
-    ("ServiceShard.observe_batch", lambda s, t: s.shards[s.shard_for("alpha")].observe_batch("alpha", [GOOD, GOOD], ["H0", "H1"], [5.0, NAN]), ValueError, "finite and non-negative"),
-    ("ServiceShard.observe_batch", lambda s, t: s.shards[s.shard_for("alpha")].observe_batch("alpha", [GOOD, GOOD], ["H0", "H1"], [5.0, 6.0], queues_seconds=[0.0, -1.0]), ValueError, "queue"),
-    ("ServiceShard.observe_batch", lambda s, t: s.shards[s.shard_for("alpha")].observe_batch("alpha", [GOOD, GOOD], ["H0", "H1"], [5.0, 6.0], slowdowns=[1.0, 0.0]), ValueError, "slowdown"),
+    # Entries of the wrong shape: the 0- and 1-element ones used to raise
+    # IndexError, and the 5-element one completed with its extra element
+    # dropped.
+    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), ()]), ValueError, "has 0 elements"),
+    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id,)]), ValueError, "has 1 elements"),
+    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, 0.0, 1.0, "extra")]), ValueError, "has 5 elements"),
+    # An unknown application on the batch entry, and non-numeric runtimes.
+    ("submit_workflows", lambda s, t: s.submit_workflows("gamma", [GOOD]), KeyError, "no recommender"),
+    ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, "fast"), ValueError, "could not convert"),
+    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, "fast")]), ValueError, "could not convert"),
 ]
 
 
