@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
+from repro.utils.numeric import ordered_sum
 
 __all__ = [
     "InterferenceModel",
@@ -84,7 +85,7 @@ def _co_resident_utilisation(node: Node, co_residents: Sequence[Pod]) -> float:
     if not co_residents:
         return 0.0
     cpus = sum(p.request.cpus for p in co_residents) / node.cpus
-    memory = sum(p.request.memory_gb for p in co_residents) / node.memory_gb
+    memory = ordered_sum(p.request.memory_gb for p in co_residents) / node.memory_gb
     fractions = [cpus, memory]
     if node.gpus:
         fractions.append(sum(p.request.gpus for p in co_residents) / node.gpus)
@@ -283,7 +284,7 @@ class CapacityContention(InterferenceModel):
             (
                 node.memory_gb,
                 self.memory_fraction,
-                sum(p.request.memory_gb for p in residents),
+                ordered_sum(p.request.memory_gb for p in residents),
             ),
             (node.gpus, self.gpu_fraction, sum(p.request.gpus for p in residents)),
         ):

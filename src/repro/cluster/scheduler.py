@@ -25,6 +25,7 @@ from repro.cluster.placement import (
     PlacementPolicy,
 )
 from repro.cluster.pod import Pod
+from repro.utils.numeric import ordered_sum
 
 __all__ = [
     "SchedulingDecision",
@@ -297,7 +298,7 @@ class PriorityScheduler(FIFOScheduler):
                 continue  # even evicting every eligible victim is not enough
             if not victims:
                 continue  # the pod fits without evictions; not a preemption case
-            started = -sum(v.start_time or 0.0 for v in victims)
+            started = -ordered_sum(v.start_time or 0.0 for v in victims)
             plan = (len(victims), started, node.name, tuple(v.name for v in victims))
             if best_plan is None or plan < best_plan:
                 best_plan = plan

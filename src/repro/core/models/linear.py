@@ -13,19 +13,44 @@ reproducing the seed implementation bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.models.base import ArmModel
 from repro.utils.validation import check_feature_matrix
 
-try:  # Raw LAPACK fast paths; the numpy wrappers remain as fallbacks.
-    from scipy.linalg.lapack import dgelsd as _dgelsd
-    from scipy.linalg.lapack import dgelsd_lwork as _dgelsd_lwork
-    from scipy.linalg.lapack import dposv as _dposv
-except ImportError:  # pragma: no cover - scipy is present in the dev image
-    _dgelsd = _dgelsd_lwork = _dposv = None
+
+def _load_lapack(linalg_dir: Optional[str] = None) -> Tuple[Callable, Callable, Callable]:
+    """scipy's compiled ``(dposv, dgelsd, dgelsd_lwork)`` LAPACK wrappers.
+
+    ``import scipy.linalg`` would about double this package's cold start: its
+    ``__init__`` imports much of numpy, ``numpy.f2py`` included.  Unless it
+    is already loaded, only the compiled ``_flapack`` extension in
+    ``linalg_dir`` (default: scipy's ``linalg`` directory) is loaded, under
+    its real name, so a later ``import scipy.linalg.lapack`` gets the same
+    wrappers.  ``_flapack`` is private to scipy: without that file the
+    public module is imported.
+    """
+    scipy_spec = None if "scipy.linalg" in sys.modules else importlib.util.find_spec("scipy")
+    if scipy_spec is not None:
+        linalg_dir = linalg_dir or os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+        if found is not None:
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dposv, flapack.dgelsd, flapack.dgelsd_lwork
+    from scipy.linalg import lapack
+
+    return lapack.dposv, lapack.dgelsd, lapack.dgelsd_lwork
+
+
+_dposv, _dgelsd, _dgelsd_lwork = _load_lapack()
 
 #: Workspace sizes for dgelsd, keyed by (n_rows, n_params).
 _GELSD_WORKSPACE: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -36,27 +61,26 @@ __all__ = ["LeastSquaresModel", "min_norm_solution", "solve_least_squares"]
 def min_norm_solution(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares solution of ``design @ θ ≈ targets``.
 
-    Uses the dgelsd LAPACK driver directly when scipy is available -- dgelsd
-    with numpy's default cutoff is bit-identical to
-    ``numpy.linalg.lstsq(..., rcond=None)`` (same routine, same inputs)
-    without the wrapper overhead.
+    Uses the dgelsd LAPACK driver directly -- dgelsd with numpy's default
+    cutoff is bit-identical to ``numpy.linalg.lstsq(..., rcond=None)`` (same
+    routine, same inputs) without the wrapper overhead.  ``lstsq`` is only
+    the retry when dgelsd reports a failure.
     """
     n, p = design.shape
-    if _dgelsd is not None:
-        key = (n, p)
-        workspace = _GELSD_WORKSPACE.get(key)
-        if workspace is None:
-            lwork, iwork, _ = _dgelsd_lwork(n, p, 1)
-            workspace = (int(lwork), int(iwork))
-            _GELSD_WORKSPACE[key] = workspace
-        rhs = np.zeros(max(n, p))
-        rhs[:n] = targets
-        rcond = np.finfo(np.float64).eps * max(n, p)
-        solution, _, _, info = _dgelsd(
-            design, rhs, workspace[0], workspace[1], rcond, False, True
-        )
-        if info == 0:
-            return solution[:p]
+    key = (n, p)
+    workspace = _GELSD_WORKSPACE.get(key)
+    if workspace is None:
+        lwork, iwork, _ = _dgelsd_lwork(n, p, 1)
+        workspace = (int(lwork), int(iwork))
+        _GELSD_WORKSPACE[key] = workspace
+    rhs = np.zeros(max(n, p))
+    rhs[:n] = targets
+    rcond = np.finfo(np.float64).eps * max(n, p)
+    solution, _, _, info = _dgelsd(
+        design, rhs, workspace[0], workspace[1], rcond, False, True
+    )
+    if info == 0:
+        return solution[:p]
     solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return solution
 
@@ -70,25 +94,16 @@ def solve_least_squares(
     """The least-squares solution of ``n_rows`` observations with normal equations ``(gram, xty)``.
 
     Over-determined fits solve the m×m normal equations (Cholesky via LAPACK
-    dposv when scipy is present).  Under-determined fits keep the
-    minimum-norm solution the normal equations cannot express, and a
-    (semi-)singular gram -- e.g. repeated contexts -- falls back to it too;
-    only then is ``rows()`` called, returning the stored ``(design, targets)``
-    in arrival order.
+    dposv).  Under-determined fits keep the minimum-norm solution the
+    normal equations cannot express, and a (semi-)singular gram -- e.g.
+    repeated contexts -- falls back to it too; only then is ``rows()``
+    called, returning the stored ``(design, targets)`` in arrival order.
     """
     if n_rows >= gram.shape[0]:
-        if _dposv is not None:
-            # info > 0 flags a (semi-)singular gram.
-            _, solution, info = _dposv(gram, xty, lower=0)
-            if info == 0 and np.isfinite(solution).all():
-                return solution
-        else:
-            try:
-                solution = np.linalg.solve(gram, xty)
-            except np.linalg.LinAlgError:
-                solution = None
-            if solution is not None and np.isfinite(solution).all():
-                return solution
+        # info > 0 flags a (semi-)singular gram.
+        _, solution, info = _dposv(gram, xty, lower=0)
+        if info == 0 and np.isfinite(solution).all():
+            return solution
     return min_norm_solution(*rows())
 
 

@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.utils.numeric import ordered_sum
+
 __all__ = ["RewardConfig", "RoundOutcome", "RegretLedger", "runtime_to_reward"]
 
 
@@ -283,11 +285,11 @@ class RegretLedger:
 
     def total_queue_seconds(self) -> float:
         """Sum of queueing delay across all rounds (seconds)."""
-        return float(sum(r.queue_seconds for r in self._rounds))
+        return float(ordered_sum(r.queue_seconds for r in self._rounds))
 
     def total_interference_seconds(self) -> float:
         """Sum of co-residency-inflicted runtime inflation across rounds."""
-        return float(sum(r.interference_seconds for r in self._rounds))
+        return float(ordered_sum(r.interference_seconds for r in self._rounds))
 
     def mean_slowdown(self) -> float:
         """Mean observed/planned runtime ratio across rounds (1.0 when empty)."""
@@ -318,7 +320,7 @@ class RegretLedger:
 
     def total_observed_runtime(self) -> float:
         """Sum of observed runtimes across all rounds (seconds)."""
-        return float(sum(r.observed_runtime for r in self._rounds))
+        return float(ordered_sum(r.observed_runtime for r in self._rounds))
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers for reports and tests."""

@@ -63,6 +63,7 @@ from repro.core.selection import TolerantSelector
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog, ResourceCostModel
 from repro.utils.logging import EventLog
+from repro.utils.numeric import ordered_sum
 from repro.utils.rng import SeedSequencePool
 from repro.workloads import ClosedLoopArrivals, TraceGenerator
 from repro.workloads.base import WorkloadModel
@@ -182,20 +183,20 @@ class ContentionResult:
         correct = sum(
             sum(1 for r in ledger.rounds if r.correct) for ledger in ledgers
         )
-        regret = sum(
+        regret = ordered_sum(
             float(ledger.cumulative_runtime_regret()[-1]) for ledger in ledgers if len(ledger)
         )
-        queue_regret = sum(
+        queue_regret = ordered_sum(
             float(ledger.cumulative_queue_inclusive_regret()[-1])
             for ledger in ledgers
             if len(ledger)
         )
-        interference_regret = sum(
+        interference_regret = ordered_sum(
             float(ledger.cumulative_interference_inclusive_regret()[-1])
             for ledger in ledgers
             if len(ledger)
         )
-        interference_seconds = sum(
+        interference_seconds = ordered_sum(
             ledger.total_interference_seconds() for ledger in ledgers
         )
         slowdowns = [float(row.get("slowdown", 1.0)) for row in self.rows]
@@ -453,7 +454,7 @@ class ExperimentEngine:
         pool = self.scenario.autoscaler
         if pool is None:
             return 0.0
-        return sum(
+        return ordered_sum(
             self.cost_model.node_occupancy_cost(
                 pool.node_cpus, pool.node_memory_gb, end - start, pool.node_gpus
             )

@@ -339,6 +339,11 @@ class OnlineSimulation:
         self._hw_idx = np.asarray(
             [self.catalog.index_of(str(name)) for name in hardware_names], dtype=int
         )
+        # Workflow replay pool: the features of every evaluation row, in the
+        # workload's own feature space (used when sample_from_frame is true).
+        names = [name for name in self.workload.feature_names if name in frame]
+        columns = [(name, frame[name].values) for name in names]
+        pool = [{name: float(values[i]) for name, values in columns} for i in range(len(frame))]
         # Ground-truth expected runtimes (and noise scales) of every
         # evaluation workflow on every arm.  The noise matrix feeds the
         # engine's replay fast path: when a round replays pool row ``i`` on
@@ -347,8 +352,7 @@ class OnlineSimulation:
         n_eval, n_arms = len(frame), len(self.catalog)
         truth = np.empty((n_eval, n_arms))
         sigma = np.empty((n_eval, n_arms))
-        for i, row in enumerate(frame.iterrows()):
-            features = {name: float(row[name]) for name in self.workload.feature_names if name in row}
+        for i, features in enumerate(pool):
             for j, hw in enumerate(self.catalog):
                 truth[i, j] = self.workload.expected_runtime(features, hw)
                 sigma[i, j] = self.workload.noise_scale(features, hw)
@@ -379,16 +383,7 @@ class OnlineSimulation:
         # Layouts used by the batched scorer: features x rows, arms x rows.
         self._XT_eval = np.ascontiguousarray(self._X_eval.T)
         self._acceptable_T = np.ascontiguousarray(self._acceptable.T)
-        # Workflow replay pool: the features of every evaluation row, in the
-        # workload's own feature space (used when sample_from_frame is true).
-        self._workflow_pool = [
-            {
-                name: float(row[name])
-                for name in self.workload.feature_names
-                if name in row
-            }
-            for row in frame.iterrows()
-        ]
+        self._workflow_pool = pool
         # Scaled context vector of every pool row: pool row i is evaluation
         # row i, so its context is row i of the standardised matrix.
         self._pool_contexts = self._X_eval

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog
+from repro.utils.numeric import ordered_sum
 from repro.workloads.base import RunRecord, records_to_frame
 
 __all__ = ["ApplicationInfo", "ApplicationRegistry", "RunHistoryStore"]
@@ -113,7 +114,7 @@ class RunHistoryStore:
     def total_runtime(self, application: Optional[str] = None) -> float:
         """Total observed runtime (seconds), optionally restricted to one application."""
         records = self._records if application is None else self.records_for(application)
-        return float(sum(r.runtime_seconds for r in records))
+        return float(ordered_sum(r.runtime_seconds for r in records))
 
     def hardware_usage(self, application: Optional[str] = None) -> Dict[str, int]:
         """Run counts per hardware configuration."""

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.hardware import HardwareConfig
+from repro.utils.numeric import ordered_sum
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["BurnPro3DWorkload", "BP3D_FEATURES", "BP3D_FEATURE_DESCRIPTIONS"]
@@ -161,7 +162,7 @@ class BurnPro3DWorkload(WorkloadModel):
         # [+spread/4, -spread/4].
         reference = 7.5
         scale = (capacity - reference) / reference
-        systematic = -self.hardware_spread * 0.25 * np.clip(scale, -1.0, 1.0)
+        systematic = -self.hardware_spread * 0.25 * min(max(scale, -1.0), 1.0)
         # Workflow-dependent part: which configuration wins depends on the
         # run's inputs (cache/IO alignment effects in the real platform).
         phase = (
@@ -173,7 +174,7 @@ class BurnPro3DWorkload(WorkloadModel):
         return 1.0 + systematic + wobble
 
     def expected_runtime(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        base = self._intercept + sum(
+        base = self._intercept + ordered_sum(
             self._coefficients[name] * float(features[name]) for name in self.feature_names
         )
         base = max(base, 300.0)

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hardware import HardwareCatalog, HardwareConfig
+from repro.utils.numeric import ordered_sum
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.base import WorkloadModel
 
@@ -131,7 +132,7 @@ class LinearRuntimeWorkload(WorkloadModel):
                 f"known: {self.hardware_names}"
             )
         w, b = self._coefficients[hardware.name]
-        value = b + sum(w[name] * float(features[name]) for name in self.feature_names)
+        value = b + ordered_sum(w[name] * float(features[name]) for name in self.feature_names)
         if self.nonlinearity is not None:
             value = self.nonlinearity(value)
         return max(float(value), 0.0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,27 @@ def integrated_work(pod):
     t_last, s_last = log[-1]
     total += (pod.finish_time - t_last) * s_last
     return total
+
+
+def fig7_input_digest():
+    """SHA-256 of the BurnPro3D evaluation inputs behind Figure 7 (seed 0).
+
+    Covers the ground truth, noise scales, standardised contexts, acceptable
+    arms and replay pool that ``OnlineSimulation`` builds before any round;
+    none of them depends on the BLAS thread count.
+    """
+    from repro.evaluation.experiment import build_experiment
+
+    sim = build_experiment("bp3d_all_features", seed=0).simulation()
+    digest = hashlib.sha256()
+    for array in (sim._truth, sim._pool_sigma, sim._X_eval, sim._acceptable):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(json.dumps(sim._workflow_pool, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: The pinned value of :func:`fig7_input_digest`; never re-captured to absorb drift.
+FIG7_INPUT_DIGEST = "e9bd0cdca7307f355b22229b8c1db1ff7d3155ccfefe61e45f1456eb6d6d67a4"
 
 
 @pytest.fixture

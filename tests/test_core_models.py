@@ -1,5 +1,11 @@
 """Tests for the per-arm runtime models."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,6 +136,81 @@ class TestLeastSquaresModel:
     def test_invalid_n_features(self):
         with pytest.raises(ValueError):
             LeastSquaresModel(0)
+
+
+#: Run in a fresh interpreter: import the package, fit once under- and once
+#: over-determined, and note whether either heavy module got loaded; then
+#: check the directory fallback and compare the loaded LAPACK routines with
+#: scipy's public ones.
+_COLD_START_SCRIPT = r"""
+import json, sys, tempfile
+import numpy as np
+import repro
+from repro.core.models import LeastSquaresModel, linear
+
+rng = np.random.default_rng(0)
+LeastSquaresModel(4).fit(rng.random((3, 4)), rng.random(3))
+LeastSquaresModel(4).fit(rng.random((12, 4)), rng.random(12))
+cold = sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules)
+
+with tempfile.TemporaryDirectory() as empty:
+    fallback = linear._load_lapack(empty)
+imported = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack
+public = (lapack.dposv, lapack.dgelsd, lapack.dgelsd_lwork)
+
+def same(a, b):
+    return len(a) == len(b) and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b)
+    )
+
+mismatches = systems = 0
+for _ in range(240):
+    p = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 2 * p + 2))
+    design = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, size=p)
+    targets = rng.normal(size=n)
+    gram, xty = design.T @ design, design.T @ targets
+    rhs = np.zeros(max(n, p))
+    rhs[:n] = targets
+    lwork = linear._dgelsd_lwork(n, p, 1)
+    mismatches += not same(lwork, lapack.dgelsd_lwork(n, p, 1))
+    args = (int(lwork[0]), int(lwork[1]), np.finfo(np.float64).eps * max(n, p), False, True)
+    # dgelsd overwrites its right-hand side, so each call gets a copy.
+    mismatches += not same(
+        linear._dgelsd(design, rhs.copy(), *args), lapack.dgelsd(design, rhs.copy(), *args)
+    )
+    mismatches += not same(
+        linear._dposv(gram, xty, lower=0), lapack.dposv(gram, xty, lower=0)
+    )
+    systems += 1
+print(json.dumps({
+    "cold": cold,
+    "fallback_imported_public": imported,
+    "fallback_is_public": all(a is b for a, b in zip(fallback, public)),
+    "systems": systems,
+    "mismatches": mismatches,
+}))
+"""
+
+
+class TestLapackLoader:
+    """Fitting loads scipy's compiled LAPACK wrappers without the ``scipy.linalg`` package."""
+
+    def test_cold_start_skips_scipy_linalg_and_keeps_the_bits(self):
+        src = Path(linear.__file__).resolve().parents[3]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START_SCRIPT],
+            env=env, capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["cold"] == []
+        assert report["fallback_imported_public"] and report["fallback_is_public"]
+        assert report["systems"] >= 200
+        assert report["mismatches"] == 0
 
 
 class TestRidgeModel:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import FIG7_INPUT_DIGEST, fig7_input_digest
 from repro.data import build_cycles_dataset
 from repro.evaluation import (
     EXPERIMENT_NAMES,
@@ -258,3 +259,10 @@ class TestExperimentRegistry:
         summary = outcome.summary()
         assert summary["final_accuracy_mean"] >= 0
         assert "rmse_gap_round_25" in summary
+
+
+class TestFig7EvaluationInputs:
+    """Figure 7's evaluation inputs are pinned, not only compared within one run."""
+
+    def test_matches_the_pinned_digest(self):
+        assert fig7_input_digest() == FIG7_INPUT_DIGEST
