@@ -20,10 +20,9 @@ paper's artefacts (and their own variations) without writing Python:
 * ``repro recommend --dataset DIR --features k=v ...`` -- warm-start a
   recommender from a saved dataset directory and print the recommendation for
   one workflow.
-* ``repro run-service-load --mix <zipfian|hotspot|bursty>`` -- drive a
-  skewed multi-application traffic mix through the sharded serving layer at
-  one or more shard counts and report recommendations/sec, tail latency and
-  backpressure counters.
+
+Serving rates of the recommendation service are measured by the benchmark's
+``service-zipf`` workload (``perfbench/``), not by a CLI command.
 
 Invoke either as ``python -m repro ...`` or via the installed ``repro``
 console script.
@@ -199,37 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--tolerance-ratio", type=float, default=0.0)
     rec.add_argument("--tolerance-seconds", type=float, default=0.0)
     rec.add_argument("--seed", type=int, default=0)
-
-    load = subparsers.add_parser(
-        "run-service-load",
-        help="drive a traffic mix through the sharded serving layer",
-    )
-    load.add_argument(
-        "--mix",
-        default="zipfian",
-        choices=["zipfian", "hotspot", "bursty"],
-        help="traffic shape: Zipfian app skew, flash crowd, or periodic bursts",
-    )
-    load.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=[1, 4],
-        metavar="N",
-        help="shard counts to run (one row per count)",
-    )
-    load.add_argument("--requests", type=int, default=1000, help="requests per run")
-    load.add_argument("--apps", type=int, default=32, help="registered applications")
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument(
-        "--cost-per-request",
-        type=float,
-        default=None,
-        help=(
-            "simulated per-request service cost in seconds; the default "
-            "calibrates from this machine's real measured serving cost"
-        ),
-    )
     return parser
 
 
@@ -472,47 +440,6 @@ def _cmd_recommend(args, out) -> int:
     return 0
 
 
-def _cmd_run_service_load(args, out) -> int:
-    from repro.evaluation import (
-        ServiceLoadConfig,
-        calibrate_cost_per_request,
-        format_service_load_report,
-        run_service_load,
-    )
-
-    shard_counts = sorted(set(args.shards))
-    if any(n < 1 for n in shard_counts):
-        raise SystemExit(f"--shards must be positive, got {args.shards}")
-    cost = args.cost_per_request
-    if cost is None:
-        cost = calibrate_cost_per_request(seed=args.seed)
-        print(
-            f"calibrated real serving cost: {cost * 1e3:.3f} ms/request "
-            f"({1.0 / cost:.0f} recommendations/sec single-shard)",
-            file=out,
-        )
-    results = []
-    for n_shards in shard_counts:
-        config = ServiceLoadConfig(
-            n_apps=args.apps,
-            n_shards=n_shards,
-            n_requests=args.requests,
-            seed=args.seed,
-            cost_per_request=cost,
-            saturation_shards=max(shard_counts),
-        )
-        results.append(run_service_load(args.mix, config))
-    print(format_service_load_report(results), file=out)
-    if len(results) > 1:
-        ratio = results[-1].throughput_rps / results[0].throughput_rps
-        print(
-            f"speedup: {results[-1].n_shards} shards serve "
-            f"{ratio:.2f}x the throughput of {results[0].n_shards}",
-            file=out,
-        )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -533,8 +460,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_show_catalog(args, out)
         if args.command == "recommend":
             return _cmd_recommend(args, out)
-        if args.command == "run-service-load":
-            return _cmd_run_service_load(args, out)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe; not an error.
         return 0

@@ -22,6 +22,9 @@ protocol once so every benchmark and example reuses it.
   evaluation: multi-tenant workflow streams (with priority/preemption
   scheduling, autoscaling node pools and queue-aware bandit feedback) driven
   through the engine with queue-aware regret accounting.
+* :mod:`~repro.evaluation.service_load` -- the multi-application
+  recommendation service that the benchmark's ``service-zipf`` workload
+  drives, and its Zipfian application popularity.
 """
 
 from repro.evaluation.metrics import (
@@ -66,18 +69,12 @@ from repro.evaluation.reporting import (
     format_metric_table,
     format_replication_bands,
     format_series,
-    format_service_load_report,
     format_summary,
 )
 from repro.evaluation.service_load import (
-    HotspotAppMix,
     ServiceLoadConfig,
-    ServiceLoadResult,
     ZipfianAppMix,
     build_load_service,
-    calibrate_cost_per_request,
-    run_service_load,
-    standard_mixes,
 )
 
 __all__ = [
@@ -113,13 +110,7 @@ __all__ = [
     "format_series",
     "format_metric_table",
     "format_summary",
-    "format_service_load_report",
     "ZipfianAppMix",
-    "HotspotAppMix",
     "ServiceLoadConfig",
-    "ServiceLoadResult",
     "build_load_service",
-    "calibrate_cost_per_request",
-    "run_service_load",
-    "standard_mixes",
 ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from functools import partial
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import (
@@ -913,6 +913,8 @@ def run_replications(
     n_workers = min(n_workers, len(sequences))
     if n_workers <= 1:
         return _play_replications(simulation, sequences)
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     bounds = [len(sequences) * i // n_workers for i in range(n_workers + 1)]
     blocks = [sequences[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     try:
@@ -964,6 +966,8 @@ def run_scenario_sweep(
     n_workers = min(n_workers, len(scenarios)) if scenarios else 1
     if n_workers <= 1:
         return [worker(scenario) for scenario in scenarios]
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as executor:
             return list(executor.map(worker, scenarios))

@@ -27,7 +27,6 @@ __all__ = [
     "format_contention_report",
     "format_kernel_profile",
     "format_replication_bands",
-    "format_service_load_report",
 ]
 
 
@@ -211,52 +210,6 @@ def format_contention_report(
     if replications is not None:
         report += "\n\n" + format_replication_bands(replications)
     return report
-
-
-def format_service_load_report(results: Sequence) -> str:
-    """Render serving-layer load results as a table plus a backpressure line.
-
-    ``results`` is a sequence of
-    :class:`~repro.evaluation.service_load.ServiceLoadResult` (or their
-    ``to_dict`` forms), typically the same mix at several shard counts.
-    Latencies are reported in milliseconds of the harness's simulated clock
-    (anchored to the calibrated real per-request cost -- the ``clock`` field
-    says which model produced the numbers).
-    """
-    rows = []
-    dicts = [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in results]
-    for r in dicts:
-        rows.append(
-            {
-                "mix": r["mix"],
-                "shards": int(r["n_shards"]),
-                "rps": float(r["throughput_rps"]),
-                "p50_ms": float(r["latency_p50"]) * 1e3,
-                "p95_ms": float(r["latency_p95"]) * 1e3,
-                "p99_ms": float(r["latency_p99"]) * 1e3,
-                "completed": int(r["completed"]),
-                "rejected": int(r["rejected_admissions"]),
-                "retries": int(r["retries"]),
-                "abandoned": int(r["abandoned"]),
-            }
-        )
-    table = format_metric_table(rows, title="serving-layer load (simulated clock)")
-    total_rejected = sum(r["rejected_admissions"] for r in dicts)
-    total_abandoned = sum(r["abandoned"] for r in dicts)
-    cost = dicts[0]["cost_per_request"] if dicts else float("nan")
-    lines = [
-        table,
-        (
-            "backpressure: every overload is an explicit reject-with-retry-after "
-            f"({total_rejected} rejections, {total_abandoned} abandoned after max "
-            "retries; nothing dropped silently)"
-        ),
-        (
-            f"clock: simulated, anchored to a calibrated {cost * 1e3:.3f} ms/request "
-            "real serving cost (same constant for every shard count)"
-        ),
-    ]
-    return "\n".join(lines)
 
 
 def format_replication_bands(

@@ -16,10 +16,7 @@ simulator so the end-to-end deployment story is executable:
   API.
 * :class:`~repro.integration.sharding.ShardMap` -- consistent-hash
   assignment of applications to shards, which the service records at
-  registration and the load harness routes requests by.
-* :class:`~repro.integration.serving.AdmissionController` -- bounded
-  per-shard admission queues with explicit backpressure
-  (:class:`~repro.integration.serving.BackpressureError`).
+  registration; no decision reads it.
 * :class:`~repro.integration.checkpoint.ServiceCheckpoint` -- versioned
   whole-service durability with bit-identical restore.
 """
@@ -32,7 +29,6 @@ from repro.integration.checkpoint import (
 )
 from repro.integration.ndp import ApplicationInfo, ApplicationRegistry, RunHistoryStore
 from repro.integration.recommender_service import RecommendationService, WorkflowTicket
-from repro.integration.serving import AdmissionController, BackpressureError, ShardQueue
 from repro.integration.sharding import ShardMap
 
 __all__ = [
@@ -42,9 +38,6 @@ __all__ = [
     "RecommendationService",
     "WorkflowTicket",
     "ShardMap",
-    "AdmissionController",
-    "BackpressureError",
-    "ShardQueue",
     "CHECKPOINT_VERSION",
     "ServiceCheckpoint",
     "checkpoint_service",

@@ -5,9 +5,9 @@
 the shard id :class:`~repro.integration.sharding.ShardMap` gave it at
 registration -- and one ticket table in global submission order, next to
 the application registry, the run-history ledger and the deterministic
-ticket counter.  The shard id only routes: the load harness queues each
-request behind its application's shard.  It changes no decision, which
-``benchmarks/service_parity_reference.json`` pins at 1-4 shards.
+ticket counter.  The shard id is recorded and reported, not acted on: it
+changes no decision, which ``benchmarks/service_parity_reference.json``
+pins at 1-4 shards.
 """
 
 from __future__ import annotations
@@ -103,9 +103,7 @@ class RecommendationService:
         Optional event log of service decisions.
     n_shards:
         Number of shards applications are consistently hashed onto
-        (:meth:`shard_for`).  The shard count never changes a decision; it
-        only tells a caller such as the load harness which requests may be
-        served side by side.
+        (:meth:`shard_for`).  The shard count never changes a decision.
     """
 
     def __init__(

@@ -8,10 +8,10 @@ new shard's ring points instead of reshuffling everything.
 
 :class:`~repro.integration.recommender_service.RecommendationService`
 records each application's shard id at registration and reports it through
-``shard_for``; the load harness (:mod:`repro.evaluation.service_load`)
-queues every request behind its application's shard.  The shard count
-changes no decision (pinned against
-``benchmarks/service_parity_reference.json`` at 1-4 shards).
+``shard_for``.  Nothing in the library decides anything from a shard id:
+the shard count changes no decision (pinned against
+``benchmarks/service_parity_reference.json`` at 1-4 shards).  The map stays
+because checkpoints (format v2) record ``n_shards`` in their digest.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from repro.workloads.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
     ClosedLoopArrivals,
-    HotspotArrivals,
     PoissonArrivals,
 )
 from repro.workloads.base import (
@@ -48,7 +47,6 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "ClosedLoopArrivals",
-    "HotspotArrivals",
     "LLMInferenceWorkload",
     "gpu_catalog",
     "RunRecord",

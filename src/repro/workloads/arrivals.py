@@ -14,9 +14,6 @@ evaluation (:mod:`repro.evaluation.contention`):
   workflows in flight, submitting the next one when a previous one finishes
   (with an optional think time).  With ``concurrency=1`` and zero think time
   this reproduces the paper's one-workflow-per-round loop exactly.
-* :class:`HotspotArrivals` -- Poisson traffic whose rate multiplies by
-  ``hotspot_factor`` inside a window (a flash crowd on one tenant); the
-  serving-layer load harness uses it to stress a single shard.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "ClosedLoopArrivals",
-    "HotspotArrivals",
 ]
 
 
@@ -114,61 +110,6 @@ class BurstyArrivals(ArrivalProcess):
                 times.append(base + jitter)
             burst_index += 1
         return sorted(times)
-
-
-@dataclass(frozen=True)
-class HotspotArrivals(ArrivalProcess):
-    """Poisson traffic with a flash-crowd window at an elevated rate.
-
-    Outside ``[hotspot_start, hotspot_start + hotspot_duration)`` arrivals
-    follow a Poisson process at ``base_rate_per_second``; inside the window
-    the rate multiplies by ``hotspot_factor``.  This is the "one tenant goes
-    viral" pattern that concentrates load on a single shard of the serving
-    layer (the Zipfian mix skews *which* application is hot; the hotspot
-    skews *when*).
-
-    Implemented by thinning-free piecewise simulation: exponential gaps are
-    drawn at the rate in force at the current time, so the process is exact
-    on each piece and only the boundary gap is approximated (negligible for
-    window lengths many gaps long).
-    """
-
-    base_rate_per_second: float
-    hotspot_factor: float = 5.0
-    hotspot_start: float = 0.0
-    hotspot_duration: float = 10.0
-    start_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base_rate_per_second <= 0:
-            raise ValueError(
-                f"base_rate_per_second must be positive, got {self.base_rate_per_second}"
-            )
-        if self.hotspot_factor < 1:
-            raise ValueError(f"hotspot_factor must be >= 1, got {self.hotspot_factor}")
-        if self.hotspot_start < 0:
-            raise ValueError(f"hotspot_start must be non-negative, got {self.hotspot_start}")
-        if self.hotspot_duration <= 0:
-            raise ValueError(
-                f"hotspot_duration must be positive, got {self.hotspot_duration}"
-            )
-        if self.start_time < 0:
-            raise ValueError(f"start_time must be non-negative, got {self.start_time}")
-
-    def _rate_at(self, t: float) -> float:
-        if self.hotspot_start <= t < self.hotspot_start + self.hotspot_duration:
-            return self.base_rate_per_second * self.hotspot_factor
-        return self.base_rate_per_second
-
-    def arrival_times(self, n: int, rng: np.random.Generator) -> List[float]:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        times: List[float] = []
-        t = self.start_time
-        for _ in range(n):
-            t += float(rng.exponential(1.0 / self._rate_at(t)))
-            times.append(t)
-        return times
 
 
 @dataclass(frozen=True)

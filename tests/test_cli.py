@@ -217,42 +217,3 @@ class TestGenerateAndRecommend:
         run_cli("generate-dataset", "cycles", "--output", str(target), "--runs", "20")
         with pytest.raises(SystemExit):
             run_cli("recommend", "--dataset", str(target), "--features", "num_tasks")
-
-
-class TestRunServiceLoad:
-    def test_runs_one_mix_at_two_shard_counts(self):
-        code, output = run_cli(
-            "run-service-load",
-            "--mix", "zipfian",
-            "--shards", "1", "4",
-            "--requests", "200",
-            "--apps", "16",
-            "--cost-per-request", "0.002",
-        )
-        assert code == 0
-        assert "serving-layer load" in output
-        assert "p99_ms" in output
-        assert "speedup:" in output
-        assert "nothing dropped silently" in output
-
-    def test_single_shard_count_omits_speedup_line(self):
-        code, output = run_cli(
-            "run-service-load",
-            "--mix", "bursty",
-            "--shards", "2",
-            "--requests", "150",
-            "--cost-per-request", "0.002",
-        )
-        assert code == 0
-        assert "speedup:" not in output
-
-    def test_rejects_invalid_shard_count(self):
-        with pytest.raises(SystemExit):
-            run_cli(
-                "run-service-load", "--shards", "0",
-                "--requests", "50", "--cost-per-request", "0.002",
-            )
-
-    def test_rejects_unknown_mix(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-service-load", "--mix", "diurnal"])

@@ -1,6 +1,11 @@
 """Tests for the unified experiment engine, its new scenarios and sweeps."""
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from repro.evaluation import (
     run_scenario_sweep,
     run_synchronous,
 )
+from repro.evaluation import engine
 from repro.evaluation.engine import (
     replication_sequences,
     stream_rng,
@@ -93,6 +99,27 @@ class TestScenarioSweep:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             run_scenario_sweep([], n_workers=0)
+
+
+class TestLazyPoolImport:
+    """Only a run with more than one worker loads the process-pool machinery."""
+
+    def test_importing_evaluation_leaves_multiprocessing_unloaded(self):
+        src = Path(engine.__file__).resolve().parents[2]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, sys\n"
+            "import repro.evaluation\n"
+            "names = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(json.dumps([name for name in names if name in sys.modules]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 class TestPriorityTiersScenario:

@@ -14,6 +14,7 @@ from repro.evaluation import (
     format_series,
     run_experiment,
 )
+from repro.core.selection import TolerantSelector
 from repro.evaluation.experiment import ExperimentDefinition
 from repro.hardware import ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
@@ -180,6 +181,79 @@ class TestOnlineSimulation:
         )
         result = sim.run()
         assert np.all(np.isfinite(result.rmse))
+
+
+def _assert_accuracy_matches_row_by_row(bundle, config):
+    """Score ``bundle`` under ``config`` and re-score every history by hand.
+
+    Each coefficient history the run hands to ``_score_series`` (the
+    full-data reference plus one per replication) is re-scored through
+    :meth:`TolerantSelector.select_index`, one evaluation row at a time.
+    """
+    sim = OnlineSimulation(
+        bundle.workload,
+        bundle.catalog,
+        bundle.frame,
+        config=config,
+        feature_names=bundle.feature_names,
+    )
+    scored = []
+    score_series = sim._score_series
+
+    def recording(W_hist, b_hist):
+        rmse, accuracy = score_series(W_hist, b_hist)
+        scored.append((W_hist.copy(), b_hist.copy(), accuracy))
+        return rmse, accuracy
+
+    sim._score_series = recording
+    sim.run()
+    assert len(scored) == 1 + config.n_simulations
+
+    selector = TolerantSelector(config.tolerance, cost_model=sim.cost_model)
+    acceptable = sim._acceptable
+    n_eval = len(sim._y_eval)
+    for W_hist, b_hist, accuracy in scored:
+        expected = []
+        for W, b in zip(W_hist, b_hist):
+            preds = sim._X_eval @ W.T + b
+            correct = sum(
+                bool(acceptable[row, selector.select_index(sim.catalog, preds[row])[0]])
+                for row in range(n_eval)
+            )
+            expected.append(correct / n_eval)
+        assert accuracy.tolist() == expected
+
+
+class TestSeriesScoringMatchesSelection:
+    """Per-round accuracy equals tolerant selection applied row by row.
+
+    ``_score_series`` resolves strict three-arm configs (the paper's NDP
+    triple) with two pairwise comparisons and every other config with the
+    general limit planes; a tolerant config scored as strict, or a wrong
+    shortcut, shows up as a different accuracy.
+    """
+
+    @pytest.mark.parametrize(
+        "tolerance",
+        [
+            {},
+            {"tolerance_seconds": 50.0},
+            {"tolerance_ratio": 0.01},
+            {"tolerance_ratio": 0.01, "tolerance_seconds": 50.0},
+        ],
+        ids=["strict", "seconds-50", "ratio-0.01", "ratio-and-seconds"],
+    )
+    def test_bp3d_three_arms(self, bp3d_bundle, tolerance):
+        assert len(bp3d_bundle.catalog) == 3
+        config = SimulationConfig(n_rounds=20, n_simulations=2, seed=0, **tolerance)
+        _assert_accuracy_matches_row_by_row(bp3d_bundle, config)
+
+    def test_matmul_five_arms_strict(self, matmul_bundle):
+        assert len(matmul_bundle.catalog) == 5
+        config = SimulationConfig(
+            n_rounds=15, n_simulations=1, seed=0, evaluation_subsample=500
+        )
+        _assert_accuracy_matches_row_by_row(matmul_bundle, config)
 
 
 class TestSimulationResult:

@@ -116,22 +116,52 @@ def test_paper_scale_online_simulation_memory_budget(request):
 def test_sustained_service_traffic_memory_budget(request):
     """A sustained 600-request mixed-traffic run stays within its budget.
 
-    The serving layer retains a ticket per request by design (history is
-    the product), so the gate pins the *constant factor*: it catches
-    per-request state beyond the ticket and its history row, retry events
-    duplicating request payloads, or the admission queues keeping
-    references to drained work.
+    One caller drives the ``service-zipf`` load service (32 applications,
+    2 shards) with Zipf-skewed submissions, keeps at most 32 tickets
+    pending, and completes the oldest half of the window each time it
+    fills -- one ticket alone, the rest in one batch.  The service retains
+    a ticket per request by design (history is the product), so the gate
+    pins the *constant factor*: it catches per-request state beyond the
+    ticket and its history row, or completed work kept alive elsewhere.
     """
-    from repro.evaluation.service_load import ServiceLoadConfig, run_service_load
+    import collections
+
+    import numpy as np
+
+    from repro.evaluation.service_load import (
+        ServiceLoadConfig,
+        ZipfianAppMix,
+        build_load_service,
+    )
+
+    n_requests, window = 600, 32
 
     def sustained():
-        config = ServiceLoadConfig(
-            n_shards=2,
-            n_requests=600,
-            queue_capacity=32,
-            cost_per_request=0.002,
-        )
-        run_service_load("hotspot", config)
+        config = ServiceLoadConfig(n_shards=2)
+        service, workloads = build_load_service(config)
+        apps = list(workloads)
+        rng = np.random.default_rng(0)
+        weights = ZipfianAppMix(config.n_apps, config.zipf_exponent).weights()
+        pending = collections.deque()
+
+        def completion(ticket):
+            runtime = workloads[ticket.application].observed_runtime(
+                ticket.features, ticket.recommendation.hardware, rng
+            )
+            return ticket.ticket_id, runtime
+
+        for index in rng.choice(config.n_apps, size=n_requests, p=weights):
+            app = apps[index]
+            pending.append(
+                service.submit_workflow(app, workloads[app].sample_features(rng))
+            )
+            if len(pending) == window:
+                service.complete_workflow(*completion(pending.popleft()))
+                batch = [pending.popleft() for _ in range(window // 2 - 1)]
+                service.complete_workflows([completion(ticket) for ticket in batch])
+        service.complete_workflows([completion(ticket) for ticket in pending])
+        assert not service.pending_tickets()
+        assert len(service.history) == n_requests
 
     peak = _traced_peak_mb(sustained)
     assert peak < _budget_mb(request), f"sustained traffic peaked at {peak:.1f} MiB"

@@ -1,30 +1,71 @@
-"""Tests for the serving-layer traffic harness (:mod:`repro.evaluation.service_load`).
+"""Tests for the load service behind ``service-zipf`` (:mod:`repro.evaluation.service_load`).
 
-Pins the properties the service benchmark relies on: deterministic replay,
-request conservation (every offered request is completed or explicitly
-abandoned after rejections -- nothing vanishes), the traffic-mix
-distributions, and the headline N-shard throughput scaling on the Zipfian
-mix.
+Pins what the benchmark relies on: the Zipfian popularity weights, input
+checks at construction, the applications the builder registers, and that
+one config replays the same decisions on the same request stream, at any
+shard count.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.evaluation import (
-    HotspotAppMix,
-    ServiceLoadConfig,
-    ZipfianAppMix,
-    format_service_load_report,
-    run_service_load,
-)
-from repro.workloads import HotspotArrivals
+from repro.evaluation import ServiceLoadConfig, ZipfianAppMix, build_load_service
 
 
-# Fixed serving cost keeps these tests fast and machine-independent; the
-# simulated clock makes results deterministic given (config, cost).
-FAST = dict(n_requests=300, cost_per_request=0.002)
+def _decision_stream(
+    config: ServiceLoadConfig, request_seed: int = 0, n_requests: int = 400, window: int = 16
+):
+    """Every decision of a closed loop over a Zipf request stream.
+
+    Mirrors ``service-zipf``: one caller submits each request and completes
+    the oldest pending ticket whenever ``window`` are pending, then drains
+    the rest; observed runtimes come from each application's workload.
+    ``request_seed`` fixes the requests and runtimes, ``config.seed`` the
+    service's exploration.
+    """
+    service, workloads = build_load_service(config)
+    apps = list(workloads)
+    weights = ZipfianAppMix(config.n_apps, config.zipf_exponent).weights()
+    chosen = np.random.default_rng([request_seed, 1]).choice(
+        config.n_apps, size=n_requests, p=weights
+    )
+    feature_rng = np.random.default_rng([request_seed, 2])
+    runtime_rng = np.random.default_rng([request_seed, 3])
+    stream = []
+    pending = collections.deque()
+
+    def complete_oldest():
+        ticket = pending.popleft()
+        runtime = workloads[ticket.application].observed_runtime(
+            ticket.features, ticket.recommendation.hardware, runtime_rng
+        )
+        service.complete_workflow(ticket.ticket_id, runtime)
+
+    for index in chosen:
+        app = apps[index]
+        ticket = service.submit_workflow(app, workloads[app].sample_features(feature_rng))
+        recommendation = ticket.recommendation
+        stream.append(
+            (
+                ticket.ticket_id,
+                app,
+                recommendation.hardware.name,
+                recommendation.explored,
+                tuple((k, float(v).hex()) for k, v in sorted(recommendation.estimates.items())),
+            )
+        )
+        pending.append(ticket)
+        if len(pending) == window:
+            complete_oldest()
+    while pending:
+        complete_oldest()
+    assert not service.pending_tickets()
+    return stream
 
 
 class TestZipfianAppMix:
@@ -33,135 +74,85 @@ class TestZipfianAppMix:
         assert weights.sum() == pytest.approx(1.0)
         assert all(a >= b for a, b in zip(weights, weights[1:]))
 
-    def test_sampling_follows_the_skew(self):
-        mix = ZipfianAppMix(n_apps=8, exponent=1.2)
-        rng = np.random.default_rng(0)
-        draws = [mix.choose(0.0, rng) for _ in range(4000)]
-        counts = np.bincount(draws, minlength=8)
-        assert counts[0] > counts[-1] * 2
-        assert counts.sum() == 4000
+    def test_weights_follow_the_power_law(self):
+        weights = ZipfianAppMix(n_apps=4, exponent=1.0).weights()
+        assert weights.tolist() == pytest.approx([12 / 25, 6 / 25, 4 / 25, 3 / 25])
 
-    def test_validates_arguments(self):
+    def test_one_app_takes_all_traffic(self):
+        assert ZipfianAppMix(n_apps=1).weights().tolist() == [1.0]
+
+    def test_accepts_a_numpy_integer_app_count(self):
+        assert len(ZipfianAppMix(np.int64(8), 0.9).weights()) == 8
+
+    @pytest.mark.parametrize("n_apps", [0, 2.5, True])
+    def test_rejects_an_app_count_that_is_not_a_positive_integer(self, n_apps):
         with pytest.raises(ValueError, match="n_apps"):
-            ZipfianAppMix(n_apps=0)
+            ZipfianAppMix(n_apps)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_an_exponent_that_is_not_finite_and_positive(self, exponent):
         with pytest.raises(ValueError, match="exponent"):
-            ZipfianAppMix(n_apps=4, exponent=-1.0)
+            ZipfianAppMix(32, exponent)
 
 
-class TestHotspotAppMix:
-    def test_hot_window_forces_the_hot_app(self):
-        mix = HotspotAppMix(
-            n_apps=6,
-            hot_app=2,
-            hot_probability=1.0,
-            hotspot_start=10.0,
-            hotspot_duration=5.0,
-        )
-        rng = np.random.default_rng(1)
-        inside = {mix.choose(12.0, rng) for _ in range(50)}
-        assert inside == {2}
-        outside = {mix.choose(30.0, rng) for _ in range(200)}
-        assert len(outside) > 1  # plain Zipf outside the window
-
-    def test_validates_hot_app(self):
-        with pytest.raises(ValueError, match="hot_app"):
-            HotspotAppMix(n_apps=4, hot_app=9)
-
-
-class TestHotspotArrivals:
-    def test_times_are_strictly_increasing(self):
-        arrivals = HotspotArrivals(
-            base_rate_per_second=50.0, hotspot_start=1.0, hotspot_duration=2.0
-        )
-        times = arrivals.arrival_times(300, np.random.default_rng(2))
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_hot_window_is_denser(self):
-        arrivals = HotspotArrivals(
-            base_rate_per_second=50.0,
-            hotspot_factor=8.0,
-            hotspot_start=2.0,
-            hotspot_duration=2.0,
-        )
-        times = np.asarray(arrivals.arrival_times(2000, np.random.default_rng(3)))
-        in_window = ((times >= 2.0) & (times < 4.0)).sum()
-        before = ((times >= 0.0) & (times < 2.0)).sum()
-        assert in_window > before * 3
-
-    def test_validates_rates(self):
-        with pytest.raises(ValueError, match="rate"):
-            HotspotArrivals(base_rate_per_second=0.0)
-        with pytest.raises(ValueError, match="hotspot_factor"):
-            HotspotArrivals(base_rate_per_second=1.0, hotspot_factor=0.5)
-
-
-class TestRunServiceLoad:
-    def test_deterministic_replay(self):
-        config = ServiceLoadConfig(n_shards=2, seed=7, **FAST)
-        first = run_service_load("zipfian", config).to_dict()
-        second = run_service_load("zipfian", config).to_dict()
-        assert first == second
-
-    @pytest.mark.parametrize("mix", ["zipfian", "hotspot", "bursty"])
-    def test_every_request_is_accounted_for(self, mix):
-        config = ServiceLoadConfig(n_shards=2, queue_capacity=16, **FAST)
-        result = run_service_load(mix, config)
-        assert result.completed + result.abandoned == config.n_requests
-        # abandonment only happens after max_retries explicit rejections
-        if result.abandoned:
-            assert result.rejected_admissions > result.abandoned
-        assert result.throughput_rps > 0
-        assert result.latency_p50 <= result.latency_p95 <= result.latency_p99
-
-    def test_four_shards_at_least_double_single_shard_zipfian(self):
-        results = []
-        for n_shards in (1, 4):
-            config = ServiceLoadConfig(
-                n_shards=n_shards, saturation_shards=4, seed=0, **FAST
-            )
-            results.append(run_service_load("zipfian", config))
-        ratio = results[1].throughput_rps / results[0].throughput_rps
-        assert ratio >= 2.0
-
-    def test_unknown_mix_is_rejected(self):
-        config = ServiceLoadConfig(**FAST)
-        with pytest.raises(ValueError, match="unknown mix"):
-            run_service_load("diurnal", config)
-
-    def test_result_dict_is_json_shaped(self):
-        config = ServiceLoadConfig(n_shards=1, **FAST)
-        result = run_service_load("bursty", config).to_dict()
-        for key in (
-            "mix",
-            "n_shards",
-            "throughput_rps",
-            "latency_p50",
-            "latency_p95",
-            "latency_p99",
-            "completed",
-            "rejected_admissions",
-            "retries",
-            "abandoned",
-            "clock",
-        ):
-            assert key in result
-        assert result["clock"] == "simulated"
-
-    def test_shard_utilisation_covers_every_shard(self):
-        config = ServiceLoadConfig(n_shards=3, **FAST)
-        result = run_service_load("zipfian", config)
-        assert len(result.shard_utilisation) == 3
-        assert all(0.0 <= u <= 1.0 + 1e-9 for u in result.shard_utilisation)
-
-
-class TestReporting:
-    def test_report_lists_all_mixes_and_the_contract(self):
-        results = [
-            run_service_load(mix, ServiceLoadConfig(n_shards=1, **FAST))
-            for mix in ("zipfian", "hotspot", "bursty")
+class TestServiceLoadConfig:
+    def test_defaults_are_the_benchmark_shape(self):
+        config = ServiceLoadConfig()
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "n_apps", "n_shards", "n_features", "seed", "zipf_exponent"
         ]
-        report = format_service_load_report(results)
-        for mix in ("zipfian", "hotspot", "bursty"):
-            assert mix in report
-        assert "p99" in report
-        assert "simulated" in report
+        assert dataclasses.astuple(config) == (32, 1, 3, 0, 0.9)
+
+    @pytest.mark.parametrize("field", ["n_apps", "n_features"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceLoadConfig(**{field: value})
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), 0.0])
+    def test_rejects_an_exponent_that_is_not_finite_and_positive(self, exponent):
+        with pytest.raises(ValueError, match="zipf_exponent"):
+            ServiceLoadConfig(zipf_exponent=exponent)
+
+
+class TestBuildLoadService:
+    def test_registers_every_application_with_its_feature_names(self):
+        config = ServiceLoadConfig(n_apps=12, n_features=4)
+        service, workloads = build_load_service(config)
+        names = [f"app-{index:02d}" for index in range(12)]
+        assert list(workloads) == names
+        assert [info.name for info in service.registry.list_applications()] == names
+        for name, workload in workloads.items():
+            assert len(workload.feature_names) == 4
+            assert service.registry.get(name).feature_names == tuple(workload.feature_names)
+
+    def test_workloads_do_not_depend_on_the_app_count(self):
+        service, small = build_load_service(ServiceLoadConfig(n_apps=4))
+        _, large = build_load_service(ServiceLoadConfig(n_apps=32))
+        features = small["app-03"].sample_features(np.random.default_rng(0))
+        for hardware in service.catalog:
+            assert small["app-03"].expected_runtime(features, hardware) == large[
+                "app-03"
+            ].expected_runtime(features, hardware)
+
+    def test_service_has_the_configured_shards(self):
+        service, workloads = build_load_service(ServiceLoadConfig(n_apps=16, n_shards=4))
+        assert service.n_shards == 4
+        assert {service.shard_for(name) for name in workloads} <= {0, 1, 2, 3}
+
+    def test_service_seed_moves_the_decisions(self):
+        assert _decision_stream(ServiceLoadConfig(n_apps=8, seed=3)) != _decision_stream(
+            ServiceLoadConfig(n_apps=8, seed=4)
+        )
+
+    def test_one_config_replays_the_same_decisions(self):
+        config = ServiceLoadConfig(n_apps=8, seed=3)
+        stream = _decision_stream(config, request_seed=3)
+        assert len(stream) == 400
+        assert len({app for _, app, *_ in stream}) > 1
+        assert _decision_stream(config, request_seed=3) == stream
+
+    def test_shard_count_changes_no_decision(self):
+        one = _decision_stream(ServiceLoadConfig(n_apps=8, n_shards=1, seed=3), request_seed=3)
+        four = _decision_stream(ServiceLoadConfig(n_apps=8, n_shards=4, seed=3), request_seed=3)
+        assert four == one
