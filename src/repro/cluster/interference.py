@@ -12,12 +12,18 @@ The :class:`~repro.cluster.simulator.ClusterSimulator` consults the model on
 every topology change (pod start/finish, preemption, autoscale provision or
 drain), re-integrates each running pod's progress at its previous rate, and
 moves its tentative finish to the new rate -- see the simulator's
-progress-based execution engine.  Models therefore only need to answer one
-pure question: *given this pod, this node, and these co-residents, how fast
-does the pod run right now?*
+progress-based execution engine.
+:class:`~repro.cluster.placement.LeastSlowdown` asks the same model about
+hypothetical placements.  Models therefore only answer one pure question,
+:meth:`InterferenceModel.node_speeds`: *given this node and its residents,
+how fast does each of them run right now?*  The built-in models answer it
+in plain Python from node-wide request totals: no reschedule in a registered
+scenario or benchmark workload sees more than 6 residents, and at that size
+one NumPy call costs more than the arithmetic.
 
 Invariants every model must satisfy (validated by the simulator):
 
+* one rate per resident, in the residents' order;
 * ``0 < speed <= 1`` -- interference can only slow a pod down;
 * a pod running **alone** must report ``speed == 1.0`` exactly, so
   contention-free executions reproduce the paper's per-run runtimes
@@ -32,103 +38,36 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence
 
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 from repro.utils.numeric import ordered_sum
+from repro.utils.validation import check_non_negative
 
 __all__ = [
     "InterferenceModel",
     "NoInterference",
     "LinearSlowdown",
     "CapacityContention",
-    "uses_batched_speeds",
 ]
 
 
-def uses_batched_speeds(model: "InterferenceModel") -> bool:
-    """Whether ``model.node_speeds`` may be dispatched instead of ``speed``.
-
-    Batched dispatch is only sound when the class providing ``node_speeds``
-    is at least as derived as the class providing ``speed``: a subclass of a
-    built-in model that overrides ``speed()`` alone would otherwise inherit
-    the built-in's closed-form ``node_speeds`` and have its override
-    silently ignored.  Such models (and models that never override
-    ``node_speeds``) keep the per-pod scalar call pattern verbatim via
-    ``InterferenceModel.node_speeds``.
-    """
-    cls = type(model)
-    speed_owner = None
-    node_speeds_owner = None
-    for klass in cls.__mro__:
-        if speed_owner is None and "speed" in vars(klass):
-            speed_owner = klass
-        if node_speeds_owner is None and "node_speeds" in vars(klass):
-            node_speeds_owner = klass
-    return (
-        node_speeds_owner is not None
-        and node_speeds_owner is not InterferenceModel
-        and (speed_owner is None or issubclass(node_speeds_owner, speed_owner))
-    )
-
-
-def _co_resident_utilisation(node: Node, co_residents: Sequence[Pod]) -> float:
-    """The co-residents' bottleneck utilisation fraction of ``node``.
-
-    The fraction of each resource dimension allocated to the *other* pods on
-    the node, taking the maximum across dimensions (GPU only when the node
-    has GPUs): the most contended shared resource is the one that hurts.
-    """
-    if not co_residents:
-        return 0.0
-    cpus = sum(p.request.cpus for p in co_residents) / node.cpus
-    memory = ordered_sum(p.request.memory_gb for p in co_residents) / node.memory_gb
-    fractions = [cpus, memory]
-    if node.gpus:
-        fractions.append(sum(p.request.gpus for p in co_residents) / node.gpus)
-    return max(fractions)
-
-
-def _request_arrays(pods: Sequence[Pod]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pods' ``(cpus, memory_gb, gpus)`` requests as aligned arrays."""
-    cpus = np.array([p.request.cpus for p in pods], dtype=np.int64)
-    mem = np.array([p.request.memory_gb for p in pods], dtype=np.float64)
-    gpus = np.array([p.request.gpus for p in pods], dtype=np.int64)
-    return cpus, mem, gpus
-
-
 class InterferenceModel(abc.ABC):
-    """How co-located pods perturb each other's progress rate."""
+    """How co-located pods perturb each other's progress rate.
+
+    :meth:`node_speeds` is the whole interface: a third-party model
+    subclasses this and implements that one method.
+    """
 
     @abc.abstractmethod
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        """Progress rate of ``pod`` on ``node`` given its ``co_residents``.
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> List[float]:
+        """Progress rates of ``pods``, the residents of ``node``.
 
-        Returns work-seconds completed per wall-clock second, in ``(0, 1]``.
-        ``co_residents`` are the *other* pods currently running on ``node``
-        (never includes ``pod`` itself).  Must return exactly ``1.0`` when
-        ``co_residents`` is empty.
+        Returns one rate per pod, in the order of ``pods``: work-seconds
+        completed per wall-clock second, each in ``(0, 1]``.  A pod running
+        alone (``len(pods) == 1``) must get exactly ``1.0``.
         """
-
-    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
-        """Progress rates of **all** of a node's residents at once.
-
-        The simulator's batched entry point: one call per topology change
-        replaces k per-pod :meth:`speed` calls (each of which rebuilt a k-1
-        co-resident list).  The default implementation falls back to the
-        per-pod loop so custom third-party models keep working unchanged;
-        the built-in models override it with closed-form array math that
-        reproduces the scalar path bit for bit on the integer-valued
-        requests every catalog uses.
-        """
-        speeds = np.empty(len(pods), dtype=np.float64)
-        for i, pod in enumerate(pods):
-            others = [p for p in pods if p is not pod]
-            speeds[i] = self.speed(pod, node, others)
-        return speeds
 
 
 @dataclass(frozen=True)
@@ -139,11 +78,8 @@ class NoInterference(InterferenceModel):
     drawn ground truth bit-for-bit -- the parity suite pins this.
     """
 
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        return 1.0
-
-    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
-        return np.ones(len(pods), dtype=np.float64)
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> List[float]:
+        return [1.0] * len(pods)
 
 
 @dataclass(frozen=True)
@@ -151,10 +87,13 @@ class LinearSlowdown(InterferenceModel):
     """Slowdown growing linearly with co-resident utilisation.
 
     ``speed = 1 / (1 + alpha_node * u)`` where ``u`` is the co-residents'
-    bottleneck utilisation fraction of the node (their allocated share of
-    the most contended resource dimension).  ``alpha`` is the slowdown per
-    unit of neighbour utilisation: with ``alpha=0.5`` a pod sharing a node
-    whose other tenants fill 80% of it runs at ``1/1.4 ~ 71%`` speed.
+    bottleneck utilisation fraction of the node: the *other* residents'
+    summed request over the node's capacity, taking the maximum across
+    resource dimensions (CPU, memory, and GPU when the node has GPUs), since
+    the most contended shared resource is the one that hurts.  ``alpha`` is
+    the slowdown per unit of neighbour utilisation: with ``alpha=0.5`` a pod
+    sharing a node whose other tenants fill 80% of it runs at
+    ``1/1.4 ~ 71%`` speed.
 
     Heterogeneous clusters can weight the slowdown per node tier:
     ``class_weights`` maps a node's
@@ -179,17 +118,13 @@ class LinearSlowdown(InterferenceModel):
     class_weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        check_non_negative(self.alpha, "alpha")
         if self.class_weights is not None:
             items = tuple(
                 sorted((str(k), float(v)) for k, v in dict(self.class_weights).items())
             )
             for name, weight in items:
-                if weight < 0:
-                    raise ValueError(
-                        f"class weight for {name!r} must be non-negative, got {weight}"
-                    )
+                check_non_negative(weight, f"class weight for {name!r}")
             object.__setattr__(self, "class_weights", items)
             object.__setattr__(self, "_weight_map", dict(items))
 
@@ -208,34 +143,27 @@ class LinearSlowdown(InterferenceModel):
             node.interference_class, 1.0
         )
 
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        return 1.0 / (
-            1.0 + self.node_alpha(node) * _co_resident_utilisation(node, co_residents)
-        )
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> List[float]:
+        """``1 / (1 + alpha_node * u)`` per resident, ``u`` its co-residents' share.
 
-    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
-        """Batched form of :meth:`speed` for every resident of ``node``.
-
-        Each pod's co-resident total is the node total minus its own
-        request (exact for the integer-valued requests catalogs use, which
-        is what makes this bit-identical to the sequential per-pod sums of
-        the scalar path); the bottleneck fraction and the linear slowdown
-        are then one elementwise expression.
+        A pod's co-resident total is the node total minus its own request
+        (exact for the integer-valued requests catalogs use).  A lone pod
+        gets exactly 1.0.
         """
-        k = len(pods)
-        if k == 0:
-            return np.empty(0, dtype=np.float64)
-        if k == 1:
-            # Solo pods short-circuit to exactly 1.0, mirroring the scalar
-            # path's u = 0 -> 1/(1 + a*0) == 1.0.
-            return np.ones(1, dtype=np.float64)
-        cpus, mem, gpus = _request_arrays(pods)
-        co_cpus = (int(cpus.sum()) - cpus) / node.cpus
-        co_mem = (float(mem.sum()) - mem) / node.memory_gb
-        u = np.maximum(co_cpus, co_mem)
-        if node.gpus:
-            u = np.maximum(u, (int(gpus.sum()) - gpus) / node.gpus)
-        return 1.0 / (1.0 + self.node_alpha(node) * u)
+        if len(pods) < 2:
+            return [1.0] * len(pods)
+        alpha = self.node_alpha(node)
+        requests = [pod.request for pod in pods]
+        cpus = sum(r.cpus for r in requests)
+        memory = ordered_sum(r.memory_gb for r in requests)
+        gpus = sum(r.gpus for r in requests)
+        speeds = []
+        for r in requests:
+            u = max((cpus - r.cpus) / node.cpus, (memory - r.memory_gb) / node.memory_gb)
+            if node.gpus:
+                u = max(u, (gpus - r.gpus) / node.gpus)
+            speeds.append(1.0 / (1.0 + alpha * u))
+        return speeds
 
 
 @dataclass(frozen=True)
@@ -274,45 +202,25 @@ class CapacityContention(InterferenceModel):
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
 
-    def speed(self, pod: Pod, node: Node, co_residents: Sequence[Pod]) -> float:
-        if not co_residents:
-            return 1.0
-        residents = [pod, *co_residents]
+    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> List[float]:
+        """Every resident gets the shared throttle of the node-wide totals.
+
+        The totals include each pod itself, so all residents share one
+        rate.  A lone pod gets the whole machine: exactly 1.0.
+        """
+        if len(pods) < 2:
+            return [1.0] * len(pods)
+        requests = [pod.request for pod in pods]
         factors = []
         for capacity, fraction, total in (
-            (node.cpus, self.cpu_fraction, sum(p.request.cpus for p in residents)),
+            (node.cpus, self.cpu_fraction, sum(r.cpus for r in requests)),
             (
                 node.memory_gb,
                 self.memory_fraction,
-                ordered_sum(p.request.memory_gb for p in residents),
+                ordered_sum(r.memory_gb for r in requests),
             ),
-            (node.gpus, self.gpu_fraction, sum(p.request.gpus for p in residents)),
+            (node.gpus, self.gpu_fraction, sum(r.gpus for r in requests)),
         ):
             if capacity and total:
                 factors.append(min(1.0, (fraction * capacity) / total))
-        return min(factors) if factors else 1.0
-
-    def node_speeds(self, node: Node, pods: Sequence[Pod]) -> np.ndarray:
-        """Batched form of :meth:`speed` for every resident of ``node``.
-
-        The throttle depends only on the node-wide allocation totals
-        (which include the pod itself), so all k residents share one
-        speed: compute it once, broadcast, done -- versus the scalar
-        path's k re-summations of the same totals.
-        """
-        k = len(pods)
-        if k == 0:
-            return np.empty(0, dtype=np.float64)
-        if k == 1:
-            return np.ones(1, dtype=np.float64)
-        cpus, mem, gpus = _request_arrays(pods)
-        factors = []
-        for capacity, fraction, total in (
-            (node.cpus, self.cpu_fraction, int(cpus.sum())),
-            (node.memory_gb, self.memory_fraction, float(mem.sum())),
-            (node.gpus, self.gpu_fraction, int(gpus.sum())),
-        ):
-            if capacity and total:
-                factors.append(min(1.0, (fraction * capacity) / total))
-        shared = min(factors) if factors else 1.0
-        return np.full(k, shared, dtype=np.float64)
+        return [min(factors) if factors else 1.0] * len(pods)

@@ -33,11 +33,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
-from repro.cluster.interference import (  # noqa: F401
-    InterferenceModel,
-    NoInterference,
-    uses_batched_speeds,
-)
+from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import Node
 from repro.cluster.pod import Pod
 
@@ -240,13 +236,14 @@ class LeastSlowdown(PlacementPolicy):
     For every feasible node the policy asks the cluster's active
     :class:`~repro.cluster.interference.InterferenceModel` a hypothetical
     question: *if this pod landed here, how fast would it run, and how much
-    would it slow down the node's current residents?*  The node's score is
-    the summed **excess** slowdown (``1 / speed - 1``, zero at full speed)
-    of the pod **and** every prospective co-resident after placement; the
-    lowest score wins, with ties falling back to cluster order.  Scoring
-    the excess rather than the raw factor matters: it ranks nodes purely by
-    the interference the placement would cause, with no constant
-    per-resident term, so under
+    would it slow down the node's current residents?*  One
+    ``node_speeds(node, [pod, *residents])`` call answers it, and the node's
+    score is the summed **excess** slowdown (``1 / speed - 1``, zero at full
+    speed) of the pod **and** every prospective co-resident after placement,
+    added in that order; the lowest score wins, with ties falling back to
+    cluster order.  Scoring the excess rather than the raw factor matters:
+    it ranks nodes purely by the interference the placement would cause,
+    with no constant per-resident term, so under
     :class:`~repro.cluster.interference.NoInterference` every node scores
     0.0 and the choice degenerates to first-fit exactly -- occupied or not.
 
@@ -267,33 +264,16 @@ class LeastSlowdown(PlacementPolicy):
     ) -> Optional[Node]:
         context = context if context is not None else PlacementContext()
         model = context.interference
-        # Built-in models override node_speeds with closed-form array math:
-        # one batched call scores a node's whole hypothetical resident set.
-        # Custom models that only implement speed() -- including subclasses
-        # of the built-ins that override speed() alone -- keep the scalar
-        # loop verbatim, preserving their exact call pattern (and
-        # co-resident ordering) from before batched dispatch.
-        batched = uses_batched_speeds(model)
         best: Optional[Node] = None
         best_key = None
         for index, node in enumerate(nodes):
             if not node.fits(pod.request):
                 continue
-            residents = list(context.residents(node))
-            if batched:
-                speeds = model.node_speeds(node, [pod, *residents])
-                # Accumulate the excess slowdown sequentially in the same
-                # order as the scalar loop (pod first, then residents), so
-                # the float sum -- and therefore every tie-break -- is
-                # bit-identical to the scalar policy.
-                cost = 0.0
-                for s in speeds.tolist():
-                    cost += 1.0 / s - 1.0
-            else:
-                cost = 1.0 / model.speed(pod, node, residents) - 1.0
-                for i, resident in enumerate(residents):
-                    others = residents[:i] + residents[i + 1 :] + [pod]
-                    cost += 1.0 / model.speed(resident, node, others) - 1.0
+            # The excess slowdown is summed left to right, pod first, so the
+            # float total (and with it every tie-break) is reproducible.
+            cost = 0.0
+            for speed in model.node_speeds(node, [pod, *context.residents(node)]):
+                cost += 1.0 / speed - 1.0
             key = (cost, index)
             if best_key is None or key < best_key:
                 best, best_key = node, key

@@ -29,8 +29,6 @@ from operator import attrgetter
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.autoscaler import AutoscalerState, AutoscalingNodePool, ScaleEvent
 from repro.cluster.events import (
     NODE_DRAIN_CHECK,
@@ -40,11 +38,7 @@ from repro.cluster.events import (
     Event,
     EventQueue,
 )
-from repro.cluster.interference import (
-    InterferenceModel,
-    NoInterference,
-    uses_batched_speeds,
-)
+from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import InsufficientCapacityError, Node
 from repro.cluster.placement import PlacementContext
 from repro.cluster.pod import Pod, PodPhase
@@ -244,10 +238,6 @@ class ClusterSimulator:
         self._pending: List[Pod] = []
         self._pods: Dict[str, Pod] = {}
         self._pod_workloads: Dict[str, WorkloadModel] = {}
-        # Models whose node_speeds override is MRO-consistent with speed()
-        # get batched dispatch; anything else keeps the per-pod scalar call
-        # pattern via InterferenceModel.node_speeds.
-        self._batched_interference = uses_batched_speeds(self.interference)
         # The one co-residency record: node name -> running pods in
         # allocation order, updated on start/finish/preempt/provision/drain.
         # Re-integration, finish selection and interference-aware placement
@@ -538,16 +528,17 @@ class ClusterSimulator:
     def _reschedule_node(self, node: Node) -> None:
         """Re-integrate progress and move the finish frontier on ``node``.
 
-        Called on every topology change touching the node.  Each resident's
-        rate is recomputed from the interference model; a pod whose rate is
-        unchanged keeps its tentative ``_finish_at`` (progress integration
-        is lazy -- the rate is piecewise constant between changes, so
-        deferring the integral to the next change is exact).  Changed pods
-        get their finish times rewritten; no per-pod events are pushed.
-        The node's single ``node_next_finish`` event is then re-pushed only
-        if the frontier (min over residents) moved, with the superseded
-        event cancelled in O(1) -- so heap traffic per topology change is
-        O(1), not O(residents).
+        Called on every topology change touching the node.  One
+        ``node_speeds`` call recomputes every resident's rate (checked: one
+        rate per resident, each in ``(0, 1]``, 1.0 for a lone pod); a pod
+        whose rate is unchanged keeps its tentative ``_finish_at`` (progress
+        integration is lazy -- the rate is piecewise constant between
+        changes, so deferring the integral to the next change is exact).
+        Changed pods get their finish times rewritten; no per-pod events are
+        pushed.  The node's single ``node_next_finish`` event is then
+        re-pushed only if the frontier (min over residents) moved, with the
+        superseded event cancelled in O(1) -- so heap traffic per topology
+        change is O(1), not O(residents).
         """
         profile = self._profile
         started = KernelProfile.clock() if profile is not None else 0.0
@@ -563,14 +554,13 @@ class ClusterSimulator:
                 profile.reschedule_calls += 1
                 profile.reintegration_seconds += KernelProfile.clock() - started
             return
-        if self._batched_interference:
-            speeds = self.interference.node_speeds(node, pods)
-        else:
-            # Force the base-class fallback (one speed() call per pod), so
-            # models that override speed() alone (including subclasses of
-            # the built-ins) are honoured.
-            speeds = InterferenceModel.node_speeds(self.interference, node, pods)
-        speeds = np.asarray(speeds, dtype=np.float64).tolist()
+        speeds = self.interference.node_speeds(node, pods)
+        if len(speeds) != len(pods):
+            raise ValueError(
+                f"interference model {type(self.interference).__name__} returned "
+                f"{len(speeds)} progress rates for the {len(pods)} pods on node "
+                f"{node.name!r}; it must return one rate per resident"
+            )
         for pod, speed in zip(pods, speeds):
             if not 0.0 < speed <= 1.0:
                 raise ValueError(

@@ -13,7 +13,6 @@ and times each call on the wall clock: the service's measured serving rates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -21,16 +20,10 @@ import numpy as np
 
 from repro.hardware import ndp_catalog
 from repro.integration import RecommendationService
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 from repro.workloads import LinearRuntimeWorkload
 
 __all__ = ["ZipfianAppMix", "ServiceLoadConfig", "build_load_service"]
-
-
-def _check_count(value, name: str) -> None:
-    """Raise :class:`ValueError` unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class ZipfianAppMix:
     exponent: float = 1.1
 
     def __post_init__(self) -> None:
-        _check_count(self.n_apps, "n_apps")
+        check_count(self.n_apps, "n_apps")
         check_positive(self.exponent, "exponent")
 
     def weights(self) -> np.ndarray:
@@ -60,8 +53,9 @@ class ServiceLoadConfig:
     zipf_exponent: float = 0.9
 
     def __post_init__(self) -> None:
-        _check_count(self.n_apps, "n_apps")
-        _check_count(self.n_features, "n_features")
+        check_count(self.n_apps, "n_apps")
+        check_count(self.n_shards, "n_shards")
+        check_count(self.n_features, "n_features")
         check_positive(self.zipf_exponent, "zipf_exponent")
 
 

@@ -102,8 +102,9 @@ class RecommendationService:
     log:
         Optional event log of service decisions.
     n_shards:
-        Number of shards applications are consistently hashed onto
-        (:meth:`shard_for`).  The shard count never changes a decision.
+        Number of shards (an integer >= 1) applications are consistently
+        hashed onto (:meth:`shard_for`).  The shard count never changes a
+        decision.
     """
 
     def __init__(

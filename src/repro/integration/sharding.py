@@ -20,6 +20,8 @@ import hashlib
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Tuple
 
+from repro.utils.validation import check_count
+
 __all__ = ["ShardMap"]
 
 #: Virtual ring points per shard; more points mean better balance at a
@@ -40,13 +42,11 @@ class ShardMap:
     Parameters
     ----------
     n_shards:
-        Number of shards (>= 1).
+        Number of shards: an integer >= 1 (a ``bool`` is refused).
     """
 
     def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = int(n_shards)
+        self.n_shards = check_count(n_shards, "n_shards")
         points: List[Tuple[int, int]] = []
         for shard in range(self.n_shards):
             for replica in range(_REPLICAS_PER_SHARD):

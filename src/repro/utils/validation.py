@@ -8,6 +8,7 @@ lengths) instead of silently producing nonsense recommendations.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, Sequence, Sized
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_in_range",
+    "check_count",
     "check_feature_matrix",
     "check_same_length",
 ]
@@ -77,6 +79,16 @@ def check_in_range(
         op = "<=" if inclusive else "<"
         raise ValueError(f"{name} must satisfy {low} {op} {name} {op} {high}, got {value!r}")
     return value
+
+
+def check_count(value: Any, name: str) -> int:
+    """Raise :class:`ValueError` unless ``value`` is an integer >= 1 (not a bool).
+
+    NumPy integers pass; the count comes back as a plain ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def check_feature_matrix(x: Any, name: str = "X", n_features: int | None = None) -> np.ndarray:

@@ -138,6 +138,16 @@ class TestListScenarios:
         assert "single closed-loop tenant" in output  # a description line
 
 
+class TestRunContentionInterference:
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_linear_alpha_exits_cleanly(self, alpha):
+        with pytest.raises(SystemExit, match="invalid interference parameter"):
+            run_cli(
+                "run-contention", "--scenario", "interference-heavy",
+                "--interference", f"linear:{alpha}",
+            )
+
+
 class TestRunContentionPlacement:
     def test_placement_flag_changes_the_outcome(self):
         packed_code, packed = run_cli(

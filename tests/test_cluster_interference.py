@@ -1,6 +1,10 @@
 """Progress-based execution and pluggable interference models."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     AutoscalingNodePool,
@@ -8,9 +12,11 @@ from repro.cluster import (
     ClusterSimulator,
     FIFOScheduler,
     InterferenceModel,
+    LeastSlowdown,
     LinearSlowdown,
     Node,
     NoInterference,
+    PlacementContext,
     Pod,
     PodPhase,
     PriorityScheduler,
@@ -40,6 +46,99 @@ def _cluster(runtimes=None, interference=None, nodes=None, scheduler=None, autos
     )
 
 
+def _oracle_speeds(model, node, pods):
+    """Each built-in model's docstring formula, written out pod by pod.
+
+    ``LinearSlowdown``: ``1 / (1 + alpha_node * u)`` with ``u`` the
+    co-residents' bottleneck share -- their summed request over the node's
+    capacity, maximised across CPU, memory and (when the node has any) GPU.
+    ``CapacityContention``: the shared throttle ``min over r of
+    min(1, usable_r / allocated_r)`` of the residents' totals.  A lone pod
+    runs at 1.0 in every model.
+    """
+    speeds = []
+    for pod in pods:
+        others = [p for p in pods if p is not pod]
+        if not others or isinstance(model, NoInterference):
+            speeds.append(1.0)
+        elif isinstance(model, LinearSlowdown):
+            u = max(
+                sum(p.request.cpus for p in others) / node.cpus,
+                math.fsum(p.request.memory_gb for p in others) / node.memory_gb,
+            )
+            if node.gpus:
+                u = max(u, sum(p.request.gpus for p in others) / node.gpus)
+            speeds.append(1.0 / (1.0 + model.node_alpha(node) * u))
+        else:
+            factors = []
+            memory = math.fsum(p.request.memory_gb for p in pods)
+            for capacity, fraction, total in (
+                (node.cpus, model.cpu_fraction, sum(p.request.cpus for p in pods)),
+                (node.memory_gb, model.memory_fraction, memory),
+                (node.gpus, model.gpu_fraction, sum(p.request.gpus for p in pods)),
+            ):
+                if capacity and total:
+                    factors.append(min(1.0, fraction * capacity / total))
+            speeds.append(min(factors, default=1.0))
+    return speeds
+
+
+def _bits(speeds):
+    """Rates as hex strings: equal lists mean bit-identical floats."""
+    return [float.hex(s) for s in speeds]
+
+
+_CLASSES = ("standard", "io-noisy", "numa-quiet")
+
+
+@st.composite
+def _node_speeds_cases(draw):
+    """A built-in model, a node (with or without GPUs, of any class) and 0-8
+    residents with integer-valued requests."""
+    node = Node(
+        "n",
+        cpus=draw(st.integers(1, 64)),
+        memory_gb=float(draw(st.integers(1, 256))),
+        gpus=draw(st.sampled_from([0, 0, 1, 2, 8])),
+        interference_class=draw(st.sampled_from(_CLASSES)),
+    )
+    fraction = st.floats(0.05, 1.0)
+    model = draw(
+        st.one_of(
+            st.just(NoInterference()),
+            st.builds(
+                LinearSlowdown,
+                alpha=st.floats(0.0, 4.0),
+                class_weights=st.none()
+                | st.dictionaries(st.sampled_from(_CLASSES), st.floats(0.0, 3.0)),
+            ),
+            st.builds(
+                CapacityContention,
+                cpu_fraction=fraction,
+                memory_fraction=fraction,
+                gpu_fraction=fraction,
+            ),
+        )
+    )
+    shapes = st.builds(
+        HardwareConfig,
+        name=st.just("shape"),
+        cpus=st.integers(1, 16),
+        memory_gb=st.integers(1, 64).map(float),
+        gpus=st.integers(0, 2),
+    )
+    requests = draw(st.lists(shapes, min_size=0, max_size=8))
+    return model, node, [Pod(f"p{i}", request) for i, request in enumerate(requests)]
+
+
+class _CrowdPenalty(InterferenceModel):
+    """A third-party model implementing only ``node_speeds``: every resident
+    loses 10% per co-resident."""
+
+    def node_speeds(self, node, pods):
+        return [1.0 / (1.0 + 0.1 * (len(pods) - 1))] * len(pods)
+
+
 def _noisy_workload(name="noisy"):
     return LinearRuntimeWorkload(
         feature_ranges={"x": (0.0, 1.0)},
@@ -59,40 +158,44 @@ class TestInterferenceModels:
     def test_solo_pod_runs_at_full_speed_in_every_model(self):
         node = Node("n", cpus=8, memory_gb=32)
         for model in (NoInterference(), LinearSlowdown(0.7), CapacityContention(0.5)):
-            assert model.speed(self._pod(), node, []) == 1.0
+            assert model.node_speeds(node, [self._pod()])[0] == 1.0
 
     def test_no_interference_ignores_neighbours(self):
         node = Node("n", cpus=8, memory_gb=32)
         others = [self._pod("big", "q"), self._pod("big", "r")]
-        assert NoInterference().speed(self._pod(), node, others) == 1.0
+        assert NoInterference().node_speeds(node, [self._pod(), *others])[0] == 1.0
 
     def test_linear_slowdown_scales_with_co_resident_utilisation(self):
         node = Node("n", cpus=8, memory_gb=32)
         one = [self._pod("small", "q")]  # 2/8 cpus = 0.25
         two = [self._pod("small", "q"), self._pod("big", "r")]  # 6/8 = 0.75
         model = LinearSlowdown(alpha=1.0)
-        assert model.speed(self._pod(), node, one) == pytest.approx(1 / 1.25)
-        assert model.speed(self._pod(), node, two) == pytest.approx(1 / 1.75)
-        assert model.speed(self._pod(), node, two) < model.speed(self._pod(), node, one)
+        with_one = model.node_speeds(node, [self._pod(), *one])[0]
+        with_two = model.node_speeds(node, [self._pod(), *two])[0]
+        assert with_one == pytest.approx(1 / 1.25)
+        assert with_two == pytest.approx(1 / 1.75)
+        assert with_two < with_one
 
     def test_linear_slowdown_uses_bottleneck_dimension(self):
         # Memory is the contended resource here: 24/32 GiB vs 4/16 CPUs.
         node = Node("n", cpus=16, memory_gb=32)
         hog = Pod("q", HardwareConfig("memhog", cpus=4, memory_gb=24))
         expected = 1 / (1 + 0.5 * (24 / 32))
-        assert LinearSlowdown(0.5).speed(self._pod(), node, [hog]) == pytest.approx(expected)
+        assert LinearSlowdown(0.5).node_speeds(node, [self._pod(), hog])[0] == pytest.approx(
+            expected
+        )
 
     def test_capacity_contention_throttles_past_usable_fraction(self):
         node = Node("n", cpus=8, memory_gb=64)
         model = CapacityContention(cpu_fraction=0.5)  # 4 usable CPUs shared
         others = [self._pod("big", "q")]  # total 2 + 4 = 6 > 4
-        assert model.speed(self._pod(), node, others) == pytest.approx(4 / 6)
+        assert model.node_speeds(node, [self._pod(), *others])[0] == pytest.approx(4 / 6)
 
     def test_capacity_contention_below_threshold_is_free(self):
         node = Node("n", cpus=8, memory_gb=64)
         model = CapacityContention(cpu_fraction=0.75)  # 6 usable CPUs
         others = [self._pod("small", "q")]  # total 4 <= 6
-        assert model.speed(self._pod(), node, others) == 1.0
+        assert model.node_speeds(node, [self._pod(), *others])[0] == 1.0
 
     @pytest.mark.parametrize(
         "model",
@@ -104,9 +207,9 @@ class TestInterferenceModels:
         ],
         ids=["none", "linear", "linear-weighted", "capacity"],
     )
-    def test_node_speeds_matches_the_per_pod_speed_loop(self, model):
-        """Each built-in ``node_speeds`` override equals the default per-pod
-        ``speed`` loop bit for bit, from an empty node to a crowded one with
+    def test_node_speeds_matches_the_docstring_formulas(self, model):
+        """Each built-in ``node_speeds`` equals its docstring formula written
+        out per pod, bit for bit, from an empty node to a crowded one with
         every resource dimension contended."""
         node = Node("n", cpus=16, memory_gb=64, gpus=2, interference_class="io-noisy")
         shapes = [
@@ -117,9 +220,28 @@ class TestInterferenceModels:
         pods = [Pod(f"p{i}", shapes[i % len(shapes)]) for i in range(6)]
         for k in range(len(pods) + 1):
             residents = pods[:k]
-            batched = model.node_speeds(node, residents)
-            per_pod = InterferenceModel.node_speeds(model, node, residents)
-            assert batched.tolist() == per_pod.tolist()
+            assert _bits(model.node_speeds(node, residents)) == _bits(
+                _oracle_speeds(model, node, residents)
+            )
+
+    def test_node_speeds_is_the_only_abstract_method(self):
+        assert InterferenceModel.__abstractmethods__ == frozenset({"node_speeds"})
+        with pytest.raises(TypeError):
+            type("Incomplete", (InterferenceModel,), {})()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"class_weights": {"io-noisy": float("nan")}},
+            {"class_weights": {"io-noisy": float("inf")}},
+        ],
+        ids=["alpha-nan", "alpha-inf", "weight-nan", "weight-inf"],
+    )
+    def test_linear_slowdown_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            LinearSlowdown(**kwargs)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -131,8 +253,8 @@ class TestInterferenceModels:
 
     def test_simulator_rejects_out_of_range_speed(self):
         class Bogus(NoInterference):
-            def speed(self, pod, node, co_residents):
-                return 2.0 if co_residents else 1.0
+            def node_speeds(self, node, pods):
+                return [2.0 if len(pods) > 1 else 1.0] * len(pods)
 
         sim = _cluster(interference=Bogus())
         sim.submit({"x": 0.0}, "small", at_time=0.0)
@@ -142,13 +264,68 @@ class TestInterferenceModels:
 
     def test_simulator_rejects_slowed_solo_pod(self):
         class Sluggish(NoInterference):
-            def speed(self, pod, node, co_residents):
-                return 0.5
+            def node_speeds(self, node, pods):
+                return [0.5] * len(pods)
 
         sim = _cluster(interference=Sluggish())
         sim.submit({"x": 0.0}, "small", at_time=0.0)
         with pytest.raises(ValueError, match="solo pods"):
             sim.run_until_idle()
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_simulator_rejects_a_rate_count_unlike_the_resident_count(self, extra):
+        class Miscounted(NoInterference):
+            def node_speeds(self, node, pods):
+                return [1.0] * (len(pods) + extra)
+
+        sim = _cluster(interference=Miscounted())
+        pod = sim.submit({"x": 0.0}, "small", at_time=0.0)
+        match = rf"Miscounted returned {1 + extra} progress rates for the 1 pods on node 'n'"
+        with pytest.raises(ValueError, match=match):
+            sim.run_until_idle()
+        # Rejected before any resident's rate or progress changed.
+        assert pod.speed is None
+        assert pod.progress_log == []
+
+
+class TestNodeSpeedsProperty:
+    """Every built-in model, on generated nodes and resident sets, answers
+    its docstring formula bit for bit, in (0, 1], and 1.0 for a lone pod."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_node_speeds_cases())
+    def test_rates_match_the_oracle_in_range_and_exact_alone(self, case):
+        model, node, pods = case
+        speeds = model.node_speeds(node, pods)
+        assert _bits(speeds) == _bits(_oracle_speeds(model, node, pods))
+        assert all(0.0 < s <= 1.0 for s in speeds)
+        if pods:
+            assert model.node_speeds(node, pods[:1]) == [1.0]
+
+
+class TestThirdPartyModel:
+    """A model outside the library implements ``node_speeds`` alone."""
+
+    def test_it_drives_the_simulator(self):
+        sim = _cluster(interference=_CrowdPenalty())
+        a = sim.submit({"x": 0.0}, "small", at_time=0.0)
+        b = sim.submit({"x": 0.0}, "small", at_time=0.0)
+        sim.run_until_idle()
+        # Both 10 s pods share the node at 1/1.1 throughout.
+        for pod in (a, b):
+            assert pod.finish_time == pytest.approx(11.0)
+            assert pod.slowdown == pytest.approx(1.1)
+
+    def test_least_slowdown_picks_the_quieter_node(self):
+        busy = Node("busy", cpus=8, memory_gb=32)
+        quiet = Node("quiet", cpus=8, memory_gb=32)
+        resident = Pod("resident", _CATALOG["small"])
+        context = PlacementContext(interference=_CrowdPenalty(), running={"busy": [resident]})
+        pod = Pod("p", _CATALOG["small"])
+        assert LeastSlowdown().select(pod, [busy, quiet], context) is quiet
+        # Without co-residents anywhere the choice falls back to cluster order.
+        empty = PlacementContext(interference=_CrowdPenalty())
+        assert LeastSlowdown().select(pod, [busy, quiet], empty) is busy
 
 
 class TestProgressExecution:

@@ -311,23 +311,24 @@ class TestNodeInterferenceClass:
         standard = Node("s", cpus=8, memory_gb=32)
         neighbour = [_pod("big", name="nb")]
         pod = _pod(name="me")
+
+        def speed(m, node):
+            return m.node_speeds(node, [pod, *neighbour])[0]
+
         # weight 0: no slowdown at all; weight 2: twice the standard alpha.
-        assert model.speed(pod, quiet, neighbour) == 1.0
-        assert model.speed(pod, noisy, neighbour) < model.speed(pod, standard, neighbour) < 1.0
+        assert speed(model, quiet) == 1.0
+        assert speed(model, noisy) < speed(model, standard) < 1.0
         # unknown classes weigh 1.0 (the plain alpha).
-        assert model.speed(pod, standard, neighbour) == LinearSlowdown(alpha=1.0).speed(
-            pod, standard, neighbour
-        )
+        assert speed(model, standard) == speed(LinearSlowdown(alpha=1.0), standard)
 
     def test_class_weighted_model_keeps_solo_invariant_and_pickles(self):
         model = LinearSlowdown(alpha=2.0, class_weights={"noisy": 5.0})
         noisy = Node("n", cpus=8, memory_gb=32, interference_class="noisy")
-        assert model.speed(_pod(), noisy, []) == 1.0
+        assert model.node_speeds(noisy, [_pod()])[0] == 1.0
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
-        assert clone.speed(_pod(), noisy, [_pod("big", name="nb")]) == model.speed(
-            _pod(), noisy, [_pod("big", name="nb")]
-        )
+        pair = [_pod(), _pod("big", name="nb")]
+        assert clone.node_speeds(noisy, pair)[0] == model.node_speeds(noisy, pair)[0]
         with pytest.raises(ValueError):
             LinearSlowdown(alpha=1.0, class_weights={"noisy": -1.0})
 

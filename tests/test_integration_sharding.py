@@ -61,6 +61,20 @@ class TestShardMap:
         with pytest.raises(ValueError, match="n_shards"):
             ShardMap(0)
 
+    @pytest.mark.parametrize("n_shards", [2.5, True, 3.0])
+    def test_rejects_a_shard_count_that_is_not_an_integer(self, n_shards):
+        with pytest.raises(ValueError, match="n_shards must be an integer >= 1"):
+            ShardMap(n_shards)
+
+    @pytest.mark.parametrize("n_shards", [2.5, True])
+    def test_service_rejects_a_shard_count_that_is_not_an_integer(self, n_shards):
+        with pytest.raises(ValueError, match="n_shards"):
+            RecommendationService(ndp_catalog(), n_shards=n_shards)
+
+    def test_accepts_a_numpy_integer_shard_count(self):
+        shard_map = ShardMap(np.int64(3))
+        assert type(shard_map.n_shards) is int and shard_map.n_shards == 3
+
     def test_len_is_shard_count(self):
         assert len(ShardMap(3)) == 3
 

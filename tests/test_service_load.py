@@ -103,7 +103,7 @@ class TestServiceLoadConfig:
         ]
         assert dataclasses.astuple(config) == (32, 1, 3, 0, 0.9)
 
-    @pytest.mark.parametrize("field", ["n_apps", "n_features"])
+    @pytest.mark.parametrize("field", ["n_apps", "n_shards", "n_features"])
     @pytest.mark.parametrize("value", [0, -3, 2.5, True])
     def test_rejects_a_count_that_is_not_a_positive_integer(self, field, value):
         with pytest.raises(ValueError, match=field):

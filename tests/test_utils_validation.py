@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_count,
     check_feature_matrix,
     check_in_range,
     check_non_negative,
@@ -49,6 +50,16 @@ class TestScalarChecks:
     def test_in_range_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range(5.0, "x", 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3)])
+    def test_count_accepts_integers_and_returns_an_int(self, value):
+        count = check_count(value, "n")
+        assert type(count) is int and count == value
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, 3.0, True, "3", None])
+    def test_count_rejects(self, value):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            check_count(value, "n")
 
     def test_error_message_contains_name(self):
         with pytest.raises(ValueError, match="my_param"):
