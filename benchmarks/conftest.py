@@ -8,11 +8,16 @@ wall-clock cost of regenerating each artefact.
 
 The default simulation budgets follow the paper (e.g. ``n_sim = 100`` and
 ``n_rounds = 50`` for the BP3D experiments); set the environment variable
-``REPRO_BENCH_FAST=1`` to shrink them for a quick smoke run.
+``REPRO_BENCH_FAST=1`` to shrink them.  That is a smoke run of the code
+paths, not of the claims: at the shrunken budgets three claim asserts fail
+(``test_fig7_bp3d_bandit.py``, ``test_claim_round25_gap.py`` and the policy
+choice in ``test_ablation_policies_and_models.py``), because they hold only
+at the paper's budgets.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -40,6 +45,15 @@ def bp3d_bundle():
 @pytest.fixture(scope="session")
 def matmul_bundle():
     return build_matmul_dataset()
+
+
+def ensemble_digest(*ensembles) -> str:
+    """SHA-256 over each ensemble's ``rmse_scores`` bytes, then its ``r2_scores`` bytes, in order."""
+    digest = hashlib.sha256()
+    for ensemble in ensembles:
+        digest.update(ensemble.rmse_scores.tobytes())
+        digest.update(ensemble.r2_scores.tobytes())
+    return digest.hexdigest()
 
 
 def print_report(title: str, body: str) -> None:

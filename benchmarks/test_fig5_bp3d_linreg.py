@@ -8,7 +8,7 @@ is run twice: with all features ("rmse_all"/"r2_all") and with the area
 feature only ("rmse_area_only"/"r2_area_only").
 """
 
-from benchmarks.conftest import print_report, scaled
+from benchmarks.conftest import ensemble_digest, print_report, scaled
 from repro.baselines import FullFitOracle, train_regression_ensemble
 from repro.evaluation.reporting import format_histogram, format_metric_table
 
@@ -41,6 +41,12 @@ def test_fig5_bp3d_linear_regression_spread(benchmark, bp3d_bundle):
     )
     summary_all = all_features.summary()
     summary_area = area_only.summary()
+    if n_models == 100:
+        # Both ensembles' scores, bit for bit (tests/test_regression_pins.py
+        # pins the 10-model runs).
+        assert ensemble_digest(all_features, area_only) == (
+            "33d233ff61026f8b4d15c8d2fac4b94fe60df88b8a148c23b5306c45b3f40c7a"
+        )
 
     # 25-sample models are unreliable: mean R² is far below the full fit's,
     # and the spread between the best and worst model is wide.

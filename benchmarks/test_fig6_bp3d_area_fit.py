@@ -16,20 +16,23 @@ from repro.evaluation import SimulationConfig, format_metric_table
 from repro.utils.rng import SeedSequencePool
 
 
-def _run(bundle, n_simulations, n_rounds):
-    catalog = bundle.catalog
-    workload = bundle.workload
+def _baseline(bundle):
+    """The "Actual" fit: per-hardware least squares on the full dataset, area only."""
     frame = bundle.frame
-
-    # Baseline ("Actual"): per-hardware least squares on the full dataset,
-    # area feature only.
     area = frame["area"].to_numpy(float).reshape(-1, 1)
     runtimes = frame["runtime_seconds"].to_numpy(float)
     hardware = frame["hardware"].values
     baseline = {}
-    for hw in catalog:
+    for hw in bundle.catalog:
         mask = np.asarray([str(h) == hw.name for h in hardware])
         baseline[hw.name] = LeastSquaresModel(1).fit(area[mask], runtimes[mask])
+    return baseline
+
+
+def _run(bundle, n_simulations, n_rounds):
+    catalog = bundle.catalog
+    workload = bundle.workload
+    baseline = _baseline(bundle)
 
     # Bandit ("Predicted"): average the learned per-arm coefficients over
     # n_simulations independent online runs of n_rounds rounds each.

@@ -7,7 +7,7 @@ from the matrix size, so the paper reports high R² (~88 % on average) for both
 variants; this benchmark reproduces that contrast with Figure 5.
 """
 
-from benchmarks.conftest import print_report, scaled
+from benchmarks.conftest import ensemble_digest, print_report, scaled
 from repro.baselines import train_regression_ensemble
 from repro.data.splits import truncate_by_threshold
 from repro.evaluation.reporting import format_histogram, format_metric_table
@@ -32,6 +32,12 @@ def test_fig8_matmul_linear_regression_spread(benchmark, matmul_bundle):
     )
     summary_full = full.summary()
     summary_trunc = truncated.summary()
+    if n_models == 100:
+        # Both ensembles' scores, bit for bit (tests/test_regression_pins.py
+        # pins the 10-model runs).
+        assert ensemble_digest(full, truncated) == (
+            "df7ef562438a270b3b30974772c88e5ffeb5b3e8a173c0a3b1a42a1a87f764d4"
+        )
 
     # Matmul runtime is highly predictable from size -- in stark contrast to
     # the BP3D ensembles of Figure 5.  On the truncated (size >= 5000) data the

@@ -20,6 +20,7 @@ from repro.dataframe import DataFrame
 from repro.evaluation.metrics import r2_score, rmse
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_feature_matrix
 
 __all__ = [
     "LinearRegressionRecommender",
@@ -121,8 +122,8 @@ class LinearRegressionRecommender:
         """Predicted runtime of a workflow on every hardware configuration."""
         self._require_fitted()
         raw = np.asarray([float(features[name]) for name in self.feature_names])
-        x = (raw - self._feature_mean) / self._feature_std
-        return {name: float(model.predict(x)) for name, model in self._models.items()}
+        x = check_feature_matrix((raw - self._feature_mean) / self._feature_std, name="x")[0]
+        return {name: model.predict_vector(x) for name, model in self._models.items()}
 
     def recommend(self, features: Dict[str, float]) -> HardwareConfig:
         """The hardware with the lowest predicted runtime."""
@@ -147,15 +148,17 @@ class LinearRegressionRecommender:
 
         Each row is predicted with the model of the hardware it actually ran
         on, so the score reflects runtime-prediction quality (the quantity
-        Figures 5 and 8 report), not recommendation accuracy.
+        Figures 5 and 8 report), not recommendation accuracy.  The whole
+        feature matrix is checked once; each row then takes the trusted
+        :meth:`~repro.core.models.ArmModel.predict_vector`.
         """
         self._require_fitted()
-        X = self._context_matrix(frame)
+        X = check_feature_matrix(self._context_matrix(frame))
         hardware = frame[hardware_column].values
         actual = frame[runtime_column].to_numpy(float)
         predicted = np.empty(len(frame))
         for i in range(len(frame)):
-            predicted[i] = self._models[str(hardware[i])].predict(X[i])
+            predicted[i] = self._models[str(hardware[i])].predict_vector(X[i])
         return {"rmse": rmse(actual, predicted), "r2": r2_score(actual, predicted)}
 
     def _require_fitted(self) -> None:

@@ -415,7 +415,10 @@ def _cmd_show_catalog(args, out) -> int:
 
 
 def _cmd_recommend(args, out) -> int:
-    history = load_run_history(args.dataset)
+    try:
+        history = load_run_history(args.dataset)
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(f"cannot load dataset {args.dataset}: {exc}") from exc
     features = _parse_feature_args(args.features)
     missing = [name for name in history.feature_names if name not in features]
     if missing:

@@ -81,11 +81,9 @@ class AutoscalingNodePool:
     node_interference_class: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.node_cpus <= 0 or self.node_memory_gb <= 0 or self.node_gpus < 0:
-            raise ValueError(
-                f"invalid pool node capacity: cpus={self.node_cpus}, "
-                f"memory_gb={self.node_memory_gb}, gpus={self.node_gpus}"
-            )
+        # Pool nodes follow Node's capacity rules; check them before the
+        # first node is provisioned mid-run.
+        self.template_node("template")
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
         if self.provision_delay_seconds < 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.hardware import HardwareConfig
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["Node", "InsufficientCapacityError"]
 
@@ -29,7 +30,8 @@ class Node:
     name:
         Node identifier (unique within a cluster).
     cpus, memory_gb, gpus:
-        Total allocatable capacity.
+        Total allocatable capacity: integer CPUs >= 1, finite positive GiB,
+        integer GPUs >= 0.
     labels:
         Arbitrary metadata (zone, architecture, ...), mirroring Kubernetes
         node labels.
@@ -53,16 +55,12 @@ class Node:
     ):
         if not name:
             raise ValueError("node requires a non-empty name")
-        if cpus <= 0 or memory_gb <= 0 or gpus < 0:
-            raise ValueError(
-                f"invalid capacity for node {name!r}: cpus={cpus}, memory_gb={memory_gb}, gpus={gpus}"
-            )
         if not interference_class:
             raise ValueError(f"node {name!r} requires a non-empty interference class")
         self.name = name
-        self.cpus = int(cpus)
-        self.memory_gb = float(memory_gb)
-        self.gpus = int(gpus)
+        self.cpus = check_count(cpus, f"node {name!r} cpus")
+        self.memory_gb = check_positive(memory_gb, f"node {name!r} memory_gb")
+        self.gpus = check_count(gpus, f"node {name!r} gpus", minimum=0)
         self.labels = dict(labels or {})
         self.interference_class = str(interference_class)
         self._allocations: Dict[str, HardwareConfig] = {}

@@ -429,9 +429,9 @@ class BanditWare:
     # ------------------------------------------------------------------ #
     def predict_runtimes(self, features: Dict[str, float]) -> Dict[str, float]:
         """Estimated runtime of ``features`` on every hardware configuration."""
-        context = self.context_vector(features)
+        context = self._checked_context(self.context_vector(features))
         return {
-            hw.name: float(model.predict(context))
+            hw.name: model.predict_vector(context)
             for hw, model in zip(self.catalog, self._models)
         }
 

@@ -10,8 +10,8 @@ provides that estimator plus two drop-in alternatives:
   better conditioned when an arm has seen fewer samples than features.
 * :class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel` --
   an O(m²) per-update recursive formulation that never re-touches stored
-  data; numerically equivalent to ridge on the same stream.  Also exposes the
-  posterior covariance needed by LinUCB / Thompson-sampling policies.
+  data; numerically equivalent to ridge on the same stream.  Its posterior
+  drives the LinUCB / Thompson-sampling policies.
 """
 
 from repro.core.models.base import ArmModel

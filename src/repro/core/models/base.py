@@ -16,11 +16,17 @@ class ArmModel(abc.ABC):
     """A runtime model for one hardware configuration (one bandit arm).
 
     Implementations estimate ``R(x) ≈ wᵀ x + b`` from the ``(x, runtime)``
-    observations assigned to the arm, and expose:
+    observations assigned to the arm.  Each operation has one
+    implementation, and only two doors check their inputs: :meth:`predict`
+    and ``fit``.  Everything else trusts its caller, which checked the input
+    where it entered (:class:`~repro.core.BanditWare`, the policies behind
+    it, and the offline baselines): a context is a finite 1-D float array of
+    length :attr:`n_features`, and a runtime a finite non-negative float.
 
-    * :meth:`update` -- incorporate one observation.
-    * :meth:`predict` -- point estimate of the runtime for a context.
-    * :meth:`uncertainty` -- (optional) standard-error-style score used by
+    * :meth:`update_vector` / :meth:`update_rows` -- incorporate one or many
+      observations;
+    * :meth:`predict_vector` -- point estimate of the runtime for a context;
+    * :meth:`uncertainty` -- a standard-error-style score used by
       optimism/posterior-sampling policies; models that do not track
       uncertainty return ``inf`` until fitted and ``0`` afterwards.
 
@@ -47,67 +53,33 @@ class ArmModel(abc.ABC):
         """Whether the model has seen at least one observation."""
         return self._n_observations > 0
 
-    def _check_context(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    # ------------------------------------------------------------------ #
+    @abc.abstractmethod
+    def update_vector(self, context: np.ndarray, runtime: float) -> None:
+        """Incorporate one checked ``(context, observed runtime)`` pair."""
+
+    @abc.abstractmethod
+    def predict_vector(self, context: np.ndarray) -> float:
+        """Point estimate of the runtime (seconds) for a checked context."""
+
+    def predict(self, x: Sequence[float] | np.ndarray) -> float:
+        """:meth:`predict_vector` behind a check of ``x``.
+
+        Raises ``ValueError`` unless ``x`` is one finite context of length
+        :attr:`n_features`.
+        """
         arr = check_feature_matrix(x, name="x", n_features=self.n_features)
         if arr.shape[0] != 1:
             raise ValueError(f"expected a single context vector, got {arr.shape[0]} rows")
-        return arr[0]
+        return self.predict_vector(arr[0])
 
-    def _checked_row(
-        self, x: Sequence[float] | np.ndarray, runtime: float
-    ) -> Tuple[np.ndarray, float]:
-        """``(x, runtime)`` as a context vector and a float, for :meth:`update`.
-
-        Raises ``ValueError`` unless ``x`` is one finite context of length
-        :attr:`n_features` and ``runtime`` is finite and non-negative.
-        """
-        context = self._check_context(x)
-        runtime = float(runtime)
-        if not np.isfinite(runtime) or runtime < 0:
-            raise ValueError(f"runtime must be a finite non-negative number, got {runtime}")
-        return context, runtime
-
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        """Incorporate one ``(context, observed runtime)`` pair."""
-
-    def update_vector(self, context: np.ndarray, runtime: float) -> None:
-        """:meth:`update` for a context and runtime the caller already checked.
-
-        The caller (a built-in :meth:`update`, :meth:`update_rows`, or
-        :meth:`~repro.core.BanditWare.observe_vector`) guarantees ``context``
-        is a finite 1-D float array of length :attr:`n_features` and
-        ``runtime`` a finite non-negative float; nothing is checked here.
-        The built-in models ingest directly; the default delegates to
-        :meth:`update`, so a custom model that implements only :meth:`update`
-        stays correct.
-        """
-        self.update(context, runtime)
-
-    @abc.abstractmethod
-    def predict(self, x: Sequence[float] | np.ndarray) -> float:
-        """Point estimate of the runtime for context ``x`` (seconds)."""
-
-    def predict_vector(self, context: np.ndarray) -> float:
-        """Point estimate for an already-validated 1-D context vector.
-
-        This is the hot path used by the policies (the façade validates the
-        context once); overrides must stay numerically identical to
-        :meth:`predict`.  The default delegates to :meth:`predict` so custom
-        (possibly non-linear) models stay correct; the built-in linear models
-        override it with validation-free arithmetic.
-        """
-        return float(self.predict(context))
-
-    def uncertainty(self, x: Sequence[float] | np.ndarray) -> float:
-        """A non-negative uncertainty score for the prediction at ``x``.
+    def uncertainty(self, context: np.ndarray) -> float:
+        """A non-negative uncertainty score for the prediction at ``context``.
 
         The default implementation knows nothing about uncertainty: it returns
         ``inf`` before the first observation (forcing optimistic policies to
         try the arm) and ``0`` afterwards.
         """
-        self._check_context(x)
         return float("inf") if not self.is_fitted else 0.0
 
     @property
@@ -121,17 +93,6 @@ class ArmModel(abc.ABC):
         """Current intercept estimate ``b``."""
 
     # ------------------------------------------------------------------ #
-    def predict_batch(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        """Vectorised point estimates over the rows of an ``(n, m)`` design matrix.
-
-        Every model in the library is linear in the context, so the default
-        implementation evaluates ``X @ w + b`` in one matrix product.
-        Subclasses with extra structure override this (and must stay
-        numerically consistent with calling :meth:`predict` row by row).
-        """
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        return X @ self.coefficients + self.intercept
-
     def _checked_rows(
         self,
         X: Sequence[Sequence[float]] | np.ndarray,
@@ -142,7 +103,7 @@ class ArmModel(abc.ABC):
         Raises ``ValueError`` unless every feature is finite, ``y`` is 1-D,
         every runtime is finite and non-negative, and ``X`` and ``y`` have the
         same number of rows.  It runs before any state changes, so a rejected
-        ``fit`` or :meth:`update_batch` leaves the model as it was.
+        ``fit`` leaves the model as it was.
         """
         X = check_feature_matrix(X, name="X", n_features=self.n_features)
         y = np.asarray(y, dtype=float)
@@ -155,34 +116,19 @@ class ArmModel(abc.ABC):
         return X, y
 
     def update_rows(self, X: np.ndarray, y: Sequence[float] | np.ndarray) -> None:
-        """:meth:`update_batch` for rows the caller already checked.
+        """Incorporate many checked ``(context, runtime)`` rows, in order.
 
-        The caller (:meth:`update_batch`, or
-        :meth:`~repro.core.BanditWare.observe_batch`, which checks every row
-        where it enters) guarantees ``X`` is a finite float
+        The caller (:meth:`~repro.core.BanditWare.observe_batch`, which
+        checks every row where it enters) guarantees ``X`` is a finite float
         ``(n, n_features)`` matrix and ``y`` holds ``n`` finite non-negative
-        runtimes; nothing is checked here.  The default feeds the rows to
-        :meth:`update_vector` in order.  Models whose refit cost does not
-        depend on the number of new rows override it to ingest every row and
-        refit once, which is exactly equivalent because only the final
-        coefficients are observable.
+        runtimes.  The default feeds the rows to :meth:`update_vector` in
+        order.  Models whose refit cost does not depend on the number of new
+        rows override it to ingest every row and refit once, which is
+        exactly equivalent because only the final coefficients are
+        observable.
         """
         for row, value in zip(X, y):
             self.update_vector(row, float(value))
-
-    def update_batch(
-        self,
-        X: Sequence[Sequence[float]] | np.ndarray,
-        y: Sequence[float] | np.ndarray,
-    ) -> None:
-        """Incorporate many ``(context, runtime)`` pairs at once.
-
-        Every row is checked (:meth:`_checked_rows`) before any is ingested,
-        so a rejected batch leaves the model unchanged; :meth:`update_rows`
-        then ingests them.  The final state is what a sequence of
-        :meth:`update` calls in row order would leave behind.
-        """
-        self.update_rows(*self._checked_rows(X, y))
 
     def coefficient_dict(self, feature_names: Sequence[str]) -> Dict[str, float]:
         """Named coefficients ``{"w_<feature>": ..., "b": ...}``."""
@@ -193,7 +139,3 @@ class ArmModel(abc.ABC):
         out = {f"w_{name}": float(w) for name, w in zip(feature_names, self.coefficients)}
         out["b"] = float(self.intercept)
         return out
-
-    def clone_unfitted(self) -> "ArmModel":
-        """A fresh, unfitted model with the same hyper-parameters."""
-        return type(self)(self.n_features)  # pragma: no cover - overridden where needed

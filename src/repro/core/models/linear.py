@@ -22,7 +22,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.models.base import ArmModel
-from repro.utils.validation import check_feature_matrix
 
 
 def _load_lapack(linalg_dir: Optional[str] = None) -> Tuple[Callable, Callable, Callable]:
@@ -112,39 +111,30 @@ class LeastSquaresModel(ArmModel):
 
     The normal equations are kept across updates and solved once the fit is
     over-determined (:func:`solve_least_squares`); the full data are stored
-    too, for the minimum-norm under-determined fits, :attr:`observations`
-    and :meth:`uncertainty`.  :meth:`update_rows` (and so
-    :meth:`update_batch`) ingests every row and refits once.
+    too, for the minimum-norm under-determined fits and :meth:`uncertainty`.
+    :meth:`update_rows` ingests every row and refits once.
 
     Parameters
     ----------
     n_features:
         Context dimensionality.
-    fit_intercept:
-        When false the intercept is pinned to zero and only slopes are fitted.
     """
 
-    def __init__(self, n_features: int, fit_intercept: bool = True):
+    def __init__(self, n_features: int):
         super().__init__(n_features)
-        self.fit_intercept = bool(fit_intercept)
         self._w = np.zeros(self.n_features)
         self._b = 0.0
-        p = self._n_params
+        p = self.n_features + 1
         self._gram = np.zeros((p, p))
         self._xty = np.zeros(p)
-        # Stored data: rows of the *augmented* design [x | 1] (or just x when
-        # fit_intercept is off) in a capacity-doubling buffer, so refits never
-        # re-stack Python lists.
+        # Stored data: rows of the augmented design [x | 1] in a
+        # capacity-doubling buffer, so refits never re-stack Python lists.
         self._capacity = 8
         self._design = np.empty((self._capacity, p))
         self._targets = np.empty(self._capacity)
         self._outer_buf = np.empty((p, p))
 
     # ------------------------------------------------------------------ #
-    @property
-    def _n_params(self) -> int:
-        return self.n_features + (1 if self.fit_intercept else 0)
-
     @property
     def coefficients(self) -> np.ndarray:
         return self._w.copy()
@@ -153,36 +143,19 @@ class LeastSquaresModel(ArmModel):
     def intercept(self) -> float:
         return float(self._b)
 
-    @property
-    def observations(self) -> tuple:
-        """The stored ``(X, y)`` data as arrays (copies)."""
-        n = self._n_observations
-        return (
-            self._design[:n, : self.n_features].copy(),
-            self._targets[:n].copy(),
-        )
-
     # ------------------------------------------------------------------ #
     def _grow(self, needed: int) -> None:
         if needed <= self._capacity:
             return
         while self._capacity < needed:
             self._capacity *= 2
-        design = np.empty((self._capacity, self._n_params))
+        design = np.empty((self._capacity, self.n_features + 1))
         targets = np.empty(self._capacity)
         n = self._n_observations
         design[:n] = self._design[:n]
         targets[:n] = self._targets[:n]
         self._design = design
         self._targets = targets
-
-    def _set_solution(self, solution: np.ndarray) -> None:
-        if self.fit_intercept:
-            self._w = solution[:-1]
-            self._b = float(solution[-1])
-        else:
-            self._w = solution
-            self._b = 0.0
 
     def _stored_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self._n_observations
@@ -195,25 +168,21 @@ class LeastSquaresModel(ArmModel):
             self._w = np.zeros(self.n_features)
             self._b = 0.0
         else:
-            self._set_solution(
-                solve_least_squares(self._gram, self._xty, n, self._stored_rows)
-            )
+            solution = solve_least_squares(self._gram, self._xty, n, self._stored_rows)
+            self._w = solution[:-1]
+            self._b = float(solution[-1])
 
     def _ingest(self, context: np.ndarray, runtime: float) -> None:
         n = self._n_observations
         self._grow(n + 1)
         row = self._design[n]
         row[: self.n_features] = context
-        if self.fit_intercept:
-            row[-1] = 1.0
+        row[-1] = 1.0
         self._targets[n] = runtime
         np.multiply(row[:, None], row[None, :], out=self._outer_buf)
         self._gram += self._outer_buf
         self._xty += row * runtime
         self._n_observations = n + 1
-
-    def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        self.update_vector(*self._checked_row(x, runtime))
 
     def update_vector(self, context: np.ndarray, runtime: float) -> None:
         self._ingest(context, runtime)
@@ -235,13 +204,12 @@ class LeastSquaresModel(ArmModel):
         """Replace the stored data with ``(X, y)`` and refit in one shot."""
         X, y = self._checked_rows(X, y)
         n = X.shape[0]
-        p = self._n_params
+        p = self.n_features + 1
         self._n_observations = 0
         self._grow(max(n, 8))
         self._n_observations = n
         self._design[:n, : self.n_features] = X
-        if self.fit_intercept:
-            self._design[:n, -1] = 1.0
+        self._design[:n, -1] = 1.0
         self._targets[:n] = y
         if n:
             design = self._design[:n]
@@ -255,42 +223,24 @@ class LeastSquaresModel(ArmModel):
             self._b = 0.0
         return self
 
-    def predict(self, x: Sequence[float] | np.ndarray) -> float:
-        context = self._check_context(x)
-        return float(self._w @ context + self._b)
-
     def predict_vector(self, context: np.ndarray) -> float:
         return float(self._w @ context + self._b)
 
-    def predict_batch(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        return X @ self._w + self._b
-
-    def uncertainty(self, x: Sequence[float] | np.ndarray) -> float:
+    def uncertainty(self, context: np.ndarray) -> float:
         """Standard error of the prediction under a homoscedastic-noise OLS model.
 
         Returns ``inf`` until the arm has strictly more observations than
         parameters (so residual variance is estimable).
         """
-        context = self._check_context(x)
-        n_params = self._n_params
-        if self._n_observations <= n_params:
-            return float("inf")
         n = self._n_observations
+        n_params = self.n_features + 1
+        if n <= n_params:
+            return float("inf")
         design = self._design[:n]
-        y = self._targets[:n]
-        if self.fit_intercept:
-            query = np.concatenate([context, [1.0]])
-            theta = np.concatenate([self._w, [self._b]])
-        else:
-            query = context
-            theta = self._w
-        residuals = y - design @ theta
-        dof = max(n - n_params, 1)
-        sigma2 = float(residuals @ residuals) / dof
+        query = np.concatenate([context, [1.0]])
+        theta = np.concatenate([self._w, [self._b]])
+        residuals = self._targets[:n] - design @ theta
+        sigma2 = float(residuals @ residuals) / (n - n_params)
         # pseudo-inverse guards against collinear contexts in early rounds.
         cov = np.linalg.pinv(design.T @ design) * sigma2
         return float(np.sqrt(max(query @ cov @ query, 0.0)))
-
-    def clone_unfitted(self) -> "LeastSquaresModel":
-        return LeastSquaresModel(self.n_features, fit_intercept=self.fit_intercept)

@@ -4,19 +4,18 @@ Algorithm 1 refits from the arm's full data store every round; that is O(n·m²)
 per update and requires keeping every observation.  The recursive
 least-squares (RLS) formulation maintains the inverse Gram matrix directly via
 the Sherman–Morrison identity, giving O(m²) updates with no stored data and
-identical predictions to ridge regression on the same stream.  It also exposes
-the posterior covariance ``A⁻¹`` needed by LinUCB and Thompson-sampling
-policies.
+identical predictions to ridge regression on the same stream.  Its posterior
+covariance ``A⁻¹`` drives :meth:`~RecursiveLeastSquaresModel.uncertainty` and
+:meth:`~RecursiveLeastSquaresModel.sample_prediction`, which LinUCB and
+Thompson sampling use.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.models.base import ArmModel
-from repro.utils.validation import check_feature_matrix, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["RecursiveLeastSquaresModel"]
 
@@ -48,10 +47,6 @@ class RecursiveLeastSquaresModel(ArmModel):
         self._theta = np.zeros(dim)
 
     # ------------------------------------------------------------------ #
-    def _augment(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
-        context = self._check_context(x)
-        return np.concatenate([context, [1.0]])
-
     @property
     def coefficients(self) -> np.ndarray:
         return self._theta[:-1].copy()
@@ -60,15 +55,7 @@ class RecursiveLeastSquaresModel(ArmModel):
     def intercept(self) -> float:
         return float(self._theta[-1])
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """The current ``A⁻¹`` (posterior covariance up to the noise scale)."""
-        return self._a_inv.copy()
-
     # ------------------------------------------------------------------ #
-    def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        self.update_vector(*self._checked_row(x, runtime))
-
     def update_vector(self, context: np.ndarray, runtime: float) -> None:
         z = np.concatenate([context, [1.0]])
         # Sherman–Morrison rank-1 update of A⁻¹.
@@ -79,33 +66,20 @@ class RecursiveLeastSquaresModel(ArmModel):
         self._theta = self._a_inv @ self._c
         self._n_observations += 1
 
-    def predict(self, x: Sequence[float] | np.ndarray) -> float:
-        z = self._augment(x)
-        return float(self._theta @ z)
-
     def predict_vector(self, context: np.ndarray) -> float:
-        z = np.concatenate([np.asarray(context, dtype=float), [1.0]])
+        z = np.concatenate([context, [1.0]])
         return float(self._theta @ z)
 
-    def predict_batch(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        return X @ self._theta[:-1] + self._theta[-1]
-
-    def uncertainty(self, x: Sequence[float] | np.ndarray) -> float:
+    def uncertainty(self, context: np.ndarray) -> float:
         """Posterior predictive standard deviation ``σ·sqrt(zᵀA⁻¹z)``."""
-        z = self._augment(x)
+        z = np.concatenate([context, [1.0]])
         return float(self.noise_std * np.sqrt(max(z @ self._a_inv @ z, 0.0)))
 
-    def sample_prediction(self, x: Sequence[float] | np.ndarray, rng: np.random.Generator) -> float:
-        """Draw a runtime prediction from the coefficient posterior (Thompson sampling)."""
-        z = self._augment(x)
+    def sample_prediction(self, context: np.ndarray, rng: np.random.Generator) -> float:
+        """Draw a runtime prediction for a checked context from the coefficient posterior."""
+        z = np.concatenate([context, [1.0]])
         cov = (self.noise_std**2) * self._a_inv
         # Symmetrise to protect the Cholesky-based sampler from rounding drift.
         cov = 0.5 * (cov + cov.T)
         theta_sample = rng.multivariate_normal(self._theta, cov, method="eigh")
         return float(theta_sample @ z)
-
-    def clone_unfitted(self) -> "RecursiveLeastSquaresModel":
-        return RecursiveLeastSquaresModel(
-            self.n_features, regularization=self.regularization, noise_std=self.noise_std
-        )

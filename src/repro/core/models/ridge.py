@@ -7,7 +7,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.models.base import ArmModel
-from repro.utils.validation import check_feature_matrix, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["RidgeModel"]
 
@@ -30,14 +30,11 @@ class RidgeModel(ArmModel):
         Context dimensionality.
     alpha:
         Regularisation strength λ (must be positive).
-    fit_intercept:
-        When false the intercept is pinned at zero.
     """
 
-    def __init__(self, n_features: int, alpha: float = 1.0, fit_intercept: bool = True):
+    def __init__(self, n_features: int, alpha: float = 1.0):
         super().__init__(n_features)
         self.alpha = check_positive(alpha, "alpha")
-        self.fit_intercept = bool(fit_intercept)
         self._X: List[np.ndarray] = []
         self._y: List[float] = []
         self._w = np.zeros(self.n_features)
@@ -53,28 +50,20 @@ class RidgeModel(ArmModel):
         return float(self._b)
 
     # ------------------------------------------------------------------ #
-    def _refit(self) -> None:
+    def _design_matrix(self) -> np.ndarray:
+        """The stored contexts with the intercept column appended."""
         X = np.vstack(self._X)
+        return np.hstack([X, np.ones((X.shape[0], 1))])
+
+    def _refit(self) -> None:
+        design = self._design_matrix()
         y = np.asarray(self._y, dtype=float)
-        if self.fit_intercept:
-            design = np.hstack([X, np.ones((X.shape[0], 1))])
-        else:
-            design = X
-        n_params = design.shape[1]
-        penalty = self.alpha * np.eye(n_params)
-        if self.fit_intercept:
-            penalty[-1, -1] = 0.0  # do not shrink the intercept
+        penalty = self.alpha * np.eye(design.shape[1])
+        penalty[-1, -1] = 0.0  # do not shrink the intercept
         gram = design.T @ design + penalty
         solution = np.linalg.solve(gram, design.T @ y)
-        if self.fit_intercept:
-            self._w = solution[:-1]
-            self._b = float(solution[-1])
-        else:
-            self._w = solution
-            self._b = 0.0
-
-    def update(self, x: Sequence[float] | np.ndarray, runtime: float) -> None:
-        self.update_vector(*self._checked_row(x, runtime))
+        self._w = solution[:-1]
+        self._b = float(solution[-1])
 
     def update_vector(self, context: np.ndarray, runtime: float) -> None:
         self._X.append(context)
@@ -109,32 +98,15 @@ class RidgeModel(ArmModel):
             self._b = 0.0
         return self
 
-    def predict(self, x: Sequence[float] | np.ndarray) -> float:
-        context = self._check_context(x)
-        return float(self._w @ context + self._b)
-
     def predict_vector(self, context: np.ndarray) -> float:
         return float(self._w @ context + self._b)
 
-    def predict_batch(self, X: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-        X = check_feature_matrix(X, name="X", n_features=self.n_features)
-        return X @ self._w + self._b
-
-    def uncertainty(self, x: Sequence[float] | np.ndarray) -> float:
-        """Ridge-posterior style score ``sqrt(xᵀ (XᵀX + λI)⁻¹ x)``."""
-        context = self._check_context(x)
+    def uncertainty(self, context: np.ndarray) -> float:
+        """Ridge-posterior style score ``sqrt(zᵀ (ZᵀZ + λI)⁻¹ z)`` with ``z = [x, 1]``."""
         if not self.is_fitted:
             return float("inf")
-        X = np.vstack(self._X)
-        if self.fit_intercept:
-            design = np.hstack([X, np.ones((X.shape[0], 1))])
-            query = np.concatenate([context, [1.0]])
-        else:
-            design = X
-            query = context
+        design = self._design_matrix()
+        query = np.concatenate([context, [1.0]])
         gram = design.T @ design + self.alpha * np.eye(design.shape[1])
         inv = np.linalg.inv(gram)
         return float(np.sqrt(max(query @ inv @ query, 0.0)))
-
-    def clone_unfitted(self) -> "RidgeModel":
-        return RidgeModel(self.n_features, alpha=self.alpha, fit_intercept=self.fit_intercept)

@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.models.base import ArmModel
 from repro.core.policies.base import BanditPolicy, PolicyDecision
 from repro.core.selection import ToleranceConfig, TolerantSelector
-from repro.hardware import HardwareCatalog, ResourceCostModel
+from repro.hardware import HardwareCatalog
 from repro.utils.validation import check_in_range, check_probability
 
 __all__ = ["DecayingEpsilonGreedyPolicy"]
@@ -28,6 +28,14 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
       tolerance window;
     * decay ε by the factor α.
 
+    Any arm that has never been tried is selected first, in catalog order.
+    The paper initialises every arm's coefficients at zero -- which makes
+    all estimates identical until an arm has data -- so a round-robin "seed
+    every arm once" phase is the behaviour its ε₀ = 1 start effectively
+    produces, made deterministic.  ε is *not* decayed on these seeding
+    rounds: they consume no ε-draw, so decaying there would shift the
+    effective exploration schedule of Algorithm 1 by ``|H|`` rounds.
+
     The paper's experiments use ``epsilon0 = 1`` and ``decay = 0.99``.
 
     Parameters
@@ -39,20 +47,7 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
     tolerance:
         ``tolerance_ratio`` / ``tolerance_seconds`` pair forwarded to the
         tolerant selector; defaults to strict (runtime-optimal) selection.
-    cost_model:
-        Resource-efficiency model used to break near-ties; defaults to the
-        standard CPU+memory footprint.
-    min_epsilon:
-        Lower bound on ε so that very long runs keep a sliver of exploration.
-    explore_unseen_first:
-        When true (default), any arm that has never been tried is selected
-        before exploitation starts.  The paper initialises every arm's
-        coefficients at zero -- which makes all estimates identical until an
-        arm has data -- so a round-robin "seed every arm once" phase is the
-        behaviour its ε₀ = 1 start effectively produces, made deterministic.
-        ε is *not* decayed on these seeding rounds: they consume no ε-draw,
-        so decaying there would shift the effective exploration schedule of
-        Algorithm 1 by ``|H|`` rounds.
+        Near-ties break on the standard CPU+memory footprint.
     audit_estimates:
         When true (default), every decision carries the per-arm runtime
         estimates in ``PolicyDecision.estimates``, also on exploration rounds
@@ -69,20 +64,11 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         epsilon0: float = 1.0,
         decay: float = 0.99,
         tolerance: Optional[ToleranceConfig] = None,
-        cost_model: Optional[ResourceCostModel] = None,
-        min_epsilon: float = 0.0,
-        explore_unseen_first: bool = True,
         audit_estimates: bool = True,
     ):
         self.epsilon0 = check_probability(epsilon0, "epsilon0")
         self.decay = check_in_range(decay, "decay", 0.0, 1.0, inclusive=True)
-        self.min_epsilon = check_probability(min_epsilon, "min_epsilon")
-        if self.min_epsilon > self.epsilon0:
-            raise ValueError(
-                f"min_epsilon ({min_epsilon}) cannot exceed epsilon0 ({epsilon0})"
-            )
-        self.selector = TolerantSelector(tolerance=tolerance, cost_model=cost_model)
-        self.explore_unseen_first = bool(explore_unseen_first)
+        self.selector = TolerantSelector(tolerance=tolerance)
         self.audit_estimates = bool(audit_estimates)
         self._epsilon = self.epsilon0
         self._round = 0
@@ -124,12 +110,10 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         values = None
         detail: Dict[str, float] = {"epsilon": epsilon_used, "round": float(self._round)}
 
-        if self.explore_unseen_first and not self._all_seen:
+        unseen = []
+        if not self._all_seen:
             unseen = [i for i, model in enumerate(models) if not model.is_fitted]
-            if not unseen:
-                self._all_seen = True
-        else:
-            unseen = []
+            self._all_seen = not unseen
         if unseen:
             arm = unseen[0]
             explored = True
@@ -154,7 +138,7 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         # (Algorithm 1, line 12).  Deterministic seeding rounds consume no
         # ε-draw, so they do not advance the schedule.
         if not seeded:
-            self._epsilon = max(self.min_epsilon, self._epsilon * self.decay)
+            self._epsilon *= self.decay
         self._round += 1
 
         return PolicyDecision(

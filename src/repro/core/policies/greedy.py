@@ -9,7 +9,7 @@ import numpy as np
 from repro.core.models.base import ArmModel
 from repro.core.policies.base import BanditPolicy, PolicyDecision
 from repro.core.selection import ToleranceConfig, TolerantSelector
-from repro.hardware import HardwareCatalog, ResourceCostModel
+from repro.hardware import HardwareCatalog
 
 __all__ = ["GreedyPolicy"]
 
@@ -22,24 +22,18 @@ class GreedyPolicy(BanditPolicy):
     been warm-started from historical data, recommending with a greedy policy
     reproduces what the paper calls prediction accuracy on the full dataset.
 
+    Arms that have never been tried are selected first (round robin), so
+    the greedy policy cannot dead-lock on all-zero estimates.
+
     Parameters
     ----------
-    tolerance, cost_model:
+    tolerance:
         Same meaning as for
         :class:`~repro.core.policies.epsilon_greedy.DecayingEpsilonGreedyPolicy`.
-    seed_unseen:
-        When true, arms that have never been tried are selected first (round
-        robin) so the greedy policy cannot dead-lock on all-zero estimates.
     """
 
-    def __init__(
-        self,
-        tolerance: Optional[ToleranceConfig] = None,
-        cost_model: Optional[ResourceCostModel] = None,
-        seed_unseen: bool = True,
-    ):
-        self.selector = TolerantSelector(tolerance=tolerance, cost_model=cost_model)
-        self.seed_unseen = bool(seed_unseen)
+    def __init__(self, tolerance: Optional[ToleranceConfig] = None):
+        self.selector = TolerantSelector(tolerance=tolerance)
 
     def select(
         self,
@@ -54,7 +48,7 @@ class GreedyPolicy(BanditPolicy):
             )
         estimates = self.estimate_runtimes(context, models, catalog)
         unseen = [i for i, model in enumerate(models) if not model.is_fitted]
-        if self.seed_unseen and unseen:
+        if unseen:
             arm = int(unseen[0])
             return PolicyDecision(
                 arm_index=arm,

@@ -51,7 +51,7 @@ class ThompsonSamplingPolicy(BanditPolicy):
             # An uninformed arm: sample far-and-wide around the reference so
             # it has a real chance of winning the round.
             return float(rng.normal(reference, self.prior_scale * max(reference, 1.0)))
-        estimate = model.predict(context)
+        estimate = model.predict_vector(context)
         width = model.uncertainty(context)
         if not np.isfinite(width):
             width = self.prior_scale * max(abs(estimate), 1.0)

@@ -75,7 +75,9 @@ def load_run_history(directory: Union[str, os.PathLike]) -> LoadedRunHistory:
     FileNotFoundError
         If any of the three expected files is missing.
     ValueError
-        If the run table lacks the columns named in the metadata.
+        If the run table lacks the columns named in the metadata, or a
+        catalog entry has a fractional CPU or GPU count or a non-finite
+        capacity (:class:`~repro.hardware.HardwareConfig` checks each).
     """
     path = Path(directory)
     for filename in (_RUNS_FILE, _CATALOG_FILE, _METADATA_FILE):

@@ -58,9 +58,9 @@ from repro.core.policies import (
     RandomPolicy,
     ThompsonSamplingPolicy,
 )
-from repro.core.selection import ToleranceConfig
+from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.dataframe import DataFrame
-from repro.hardware import HardwareCatalog, ResourceCostModel
+from repro.hardware import HardwareCatalog
 from repro.utils.validation import check_non_negative, check_probability
 from repro.workloads.base import WorkloadModel
 
@@ -273,9 +273,6 @@ class OnlineSimulation:
     feature_names:
         Context features to use; defaults to all of the workload's features.
         Experiment 3 uses only ``size`` and Figure 6 uses only ``area``.
-    cost_model:
-        Resource-efficiency model used both by the bandit's tolerant selection
-        and by the vectorised accuracy scorer.
     sample_from_frame:
         When true (the default), each round's incoming workflow is a row drawn
         uniformly from the evaluation dataset -- the paper replays its
@@ -291,14 +288,12 @@ class OnlineSimulation:
         evaluation_frame: DataFrame,
         config: Optional[SimulationConfig] = None,
         feature_names: Optional[Sequence[str]] = None,
-        cost_model: Optional[ResourceCostModel] = None,
         sample_from_frame: bool = True,
     ):
         self.workload = workload
         self.catalog = catalog
         self.config = config or SimulationConfig()
         self.feature_names = list(feature_names) if feature_names else list(workload.feature_names)
-        self.cost_model = cost_model or ResourceCostModel()
         self.sample_from_frame = bool(sample_from_frame)
         required = {"hardware", "runtime_seconds", *self.feature_names}
         missing = [c for c in required if c not in evaluation_frame]
@@ -354,8 +349,8 @@ class OnlineSimulation:
         sigma = np.empty((n_eval, n_arms))
         for i, features in enumerate(pool):
             for j, hw in enumerate(self.catalog):
-                truth[i, j] = self.workload.expected_runtime(features, hw)
-                sigma[i, j] = self.workload.noise_scale(features, hw)
+                truth[i, j] = expected = self.workload.expected_runtime(features, hw)
+                sigma[i, j] = self.workload.noise_scale(expected)
         self._truth = truth
         self._pool_sigma = sigma
         # The replay fast path is only valid when observations come from the
@@ -364,15 +359,12 @@ class OnlineSimulation:
             self.sample_from_frame
             and type(self.workload).observed_runtime is WorkloadModel.observed_runtime
         )
-        # Efficiency ranking of arms (lower rank = more resource-efficient).
-        footprints = np.asarray([self.cost_model.footprint(hw) for hw in self.catalog])
-        order = np.argsort(footprints, kind="stable")
-        ranks = np.empty(n_arms, dtype=float)
-        ranks[order] = np.arange(n_arms)
-        self._efficiency_rank = ranks
-        # Arms sorted most-efficient first, and each arm's position in that
-        # order -- the batched scorer works in efficiency-ordered arm layout.
-        self._efficiency_order = order.astype(np.intp)
+        # Arms sorted most-efficient first, footprint ties included, exactly
+        # as the bandit's tolerant selection orders them, and each arm's
+        # position in that order -- the batched scorer works in
+        # efficiency-ordered arm layout.
+        order = TolerantSelector().efficiency_order(self.catalog)
+        self._efficiency_order = order
         inverse = np.empty(n_arms, dtype=np.intp)
         inverse[order] = np.arange(n_arms)
         self._efficiency_pos = inverse

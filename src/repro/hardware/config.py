@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.utils.validation import check_count, check_non_negative, check_positive
+
 __all__ = ["HardwareConfig"]
 
 
@@ -22,11 +24,12 @@ class HardwareConfig:
     name:
         Identifier such as ``"H0"``.
     cpus:
-        Number of CPU cores allocated to the application.
+        Number of CPU cores allocated to the application (an integer >= 1).
     memory_gb:
-        Memory allocation in GiB.
+        Memory allocation in GiB (finite, positive).
     gpus:
-        Number of GPUs (0 for every configuration in the paper).
+        Number of GPUs, an integer >= 0 (0 for every configuration in the
+        paper).
     cpu_clock_ghz:
         Nominal per-core clock, used only by workload models that scale
         runtime with single-core speed.
@@ -49,20 +52,14 @@ class HardwareConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("hardware configuration requires a non-empty name")
-        if int(self.cpus) <= 0:
-            raise ValueError(f"cpus must be a positive integer, got {self.cpus}")
-        if float(self.memory_gb) <= 0:
-            raise ValueError(f"memory_gb must be positive, got {self.memory_gb}")
-        if int(self.gpus) < 0:
-            raise ValueError(f"gpus must be non-negative, got {self.gpus}")
-        if float(self.cpu_clock_ghz) <= 0:
-            raise ValueError(f"cpu_clock_ghz must be positive, got {self.cpu_clock_ghz}")
-        object.__setattr__(self, "cpus", int(self.cpus))
-        object.__setattr__(self, "gpus", int(self.gpus))
-        object.__setattr__(self, "memory_gb", float(self.memory_gb))
-        object.__setattr__(self, "cpu_clock_ghz", float(self.cpu_clock_ghz))
-        if self.hourly_cost is not None and float(self.hourly_cost) < 0:
-            raise ValueError(f"hourly_cost must be non-negative, got {self.hourly_cost}")
+        object.__setattr__(self, "cpus", check_count(self.cpus, "cpus"))
+        object.__setattr__(self, "gpus", check_count(self.gpus, "gpus", minimum=0))
+        object.__setattr__(self, "memory_gb", check_positive(self.memory_gb, "memory_gb"))
+        object.__setattr__(
+            self, "cpu_clock_ghz", check_positive(self.cpu_clock_ghz, "cpu_clock_ghz")
+        )
+        if self.hourly_cost is not None:
+            check_non_negative(self.hourly_cost, "hourly_cost")
 
     # ------------------------------------------------------------------ #
     @property

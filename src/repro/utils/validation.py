@@ -81,13 +81,13 @@ def check_in_range(
     return value
 
 
-def check_count(value: Any, name: str) -> int:
-    """Raise :class:`ValueError` unless ``value`` is an integer >= 1 (not a bool).
+def check_count(value: Any, name: str, minimum: int = 1) -> int:
+    """Raise :class:`ValueError` unless ``value`` is an integer >= ``minimum`` (not a bool).
 
     NumPy integers pass; the count comes back as a plain ``int``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -73,8 +73,8 @@ class WorkloadModel(abc.ABC):
     * :meth:`sample_features` -- draw one workflow's feature dictionary.
     * :meth:`expected_runtime` -- noise-free expected runtime of the workflow
       on a hardware configuration (seconds).
-    * :meth:`noise_scale` -- standard deviation of the runtime noise for a
-      given workflow/hardware pair (may depend on both).
+    * :meth:`noise_scale` -- standard deviation of the runtime noise, a
+      function of the expected runtime.
 
     :meth:`observed_runtime` then draws a noisy, non-negative runtime, which
     is what the cluster simulator reports back to BanditWare.
@@ -96,9 +96,9 @@ class WorkloadModel(abc.ABC):
     def expected_runtime(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
         """Noise-free expected runtime (seconds) of ``features`` on ``hardware``."""
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        """Standard deviation of runtime noise; default 2% of the expectation."""
-        return 0.02 * self.expected_runtime(features, hardware)
+    def noise_scale(self, expected: float) -> float:
+        """Standard deviation of the noise around an ``expected`` runtime; default 2% of it."""
+        return 0.02 * expected
 
     # ------------------------------------------------------------------ #
     def feature_vector(self, features: Dict[str, float]) -> np.ndarray:
@@ -117,7 +117,7 @@ class WorkloadModel(abc.ABC):
         """Draw a noisy runtime observation (never below 1% of the expectation)."""
         rng = as_generator(rng)
         mean = self.expected_runtime(features, hardware)
-        sigma = self.noise_scale(features, hardware)
+        sigma = self.noise_scale(mean)
         value = float(rng.normal(mean, sigma)) if sigma > 0 else mean
         return max(value, 0.01 * mean, 0.0)
 

@@ -180,8 +180,7 @@ class BurnPro3DWorkload(WorkloadModel):
         base = max(base, 300.0)
         return base * self._hardware_factor(features, hardware)
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        expected = self.expected_runtime(features, hardware)
+    def noise_scale(self, expected: float) -> float:
         return float(np.hypot(self.noise_seconds, 0.12 * expected))
 
     # ------------------------------------------------------------------ #

@@ -110,8 +110,8 @@ class CyclesWorkload(WorkloadModel):
             raise ValueError(f"num_tasks must be positive, got {num_tasks}")
         return self.startup_seconds + self.per_task_seconds(hardware) * num_tasks
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        return self.noise_fraction * self.expected_runtime(features, hardware)
+    def noise_scale(self, expected: float) -> float:
+        return self.noise_fraction * expected
 
     # ------------------------------------------------------------------ #
     def true_coefficients(self, hardware: HardwareConfig) -> Dict[str, float]:

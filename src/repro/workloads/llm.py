@@ -132,5 +132,5 @@ class LLMInferenceWorkload(WorkloadModel):
         startup_seconds = 5.0 + 2.0 * hardware.gpus  # model load / shard init
         return startup_seconds + prefill_seconds + decode_seconds
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        return self.noise_fraction * self.expected_runtime(features, hardware)
+    def noise_scale(self, expected: float) -> float:
+        return self.noise_fraction * expected

@@ -211,8 +211,7 @@ class MatrixMultiplicationWorkload(WorkloadModel):
         )
         return compute_seconds + setup_seconds
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
-        expected = self.expected_runtime(features, hardware)
+    def noise_scale(self, expected: float) -> float:
         return float(np.hypot(0.5, self.noise_fraction * expected))
 
     # ------------------------------------------------------------------ #

@@ -137,7 +137,7 @@ class LinearRuntimeWorkload(WorkloadModel):
             value = self.nonlinearity(value)
         return max(float(value), 0.0)
 
-    def noise_scale(self, features: Dict[str, float], hardware: HardwareConfig) -> float:
+    def noise_scale(self, expected: float) -> float:
         return self.noise_sigma
 
     # ------------------------------------------------------------------ #

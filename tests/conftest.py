@@ -56,8 +56,8 @@ def integrated_work(pod):
     return total
 
 
-def fig7_input_digest():
-    """SHA-256 of the BurnPro3D evaluation inputs behind Figure 7 (seed 0).
+def experiment_input_digest(name):
+    """SHA-256 of one registered experiment's evaluation inputs (seed 0).
 
     Covers the ground truth, noise scales, standardised contexts, acceptable
     arms and replay pool that ``OnlineSimulation`` builds before any round;
@@ -65,7 +65,7 @@ def fig7_input_digest():
     """
     from repro.evaluation.experiment import build_experiment
 
-    sim = build_experiment("bp3d_all_features", seed=0).simulation()
+    sim = build_experiment(name, seed=0).simulation()
     digest = hashlib.sha256()
     for array in (sim._truth, sim._pool_sigma, sim._X_eval, sim._acceptable):
         digest.update(np.ascontiguousarray(array).tobytes())
@@ -73,8 +73,19 @@ def fig7_input_digest():
     return digest.hexdigest()
 
 
-#: The pinned value of :func:`fig7_input_digest`; never re-captured to absorb drift.
-FIG7_INPUT_DIGEST = "e9bd0cdca7307f355b22229b8c1db1ff7d3155ccfefe61e45f1456eb6d6d67a4"
+#: Pinned values of :func:`experiment_input_digest` for every name in
+#: ``EXPERIMENT_NAMES`` (Figure 7 is ``bp3d_all_features``); captured before
+#: ``noise_scale`` took the expectation instead of recomputing it, and never
+#: re-captured to absorb drift.
+EXPERIMENT_INPUT_DIGESTS = {
+    "cycles_synthetic": "65396d9c818e728dab7ef4012895b57c923eb2d01a27db5e9e8240f4a5cc5820",
+    "bp3d_all_features": "e9bd0cdca7307f355b22229b8c1db1ff7d3155ccfefe61e45f1456eb6d6d67a4",
+    "bp3d_area_only": "69d858b868104425ca07a62ed5c9b9ad255ae61177d50212a99038bcf0c8ea00",
+    "matmul_full_no_tolerance": "60dbc87952d594f025b60754748079be6a1c75d0360cfdab9efda52fed99c5af",
+    "matmul_subset_no_tolerance": "a637f5a3578d00849b51e23b92e2f8bb81000c925a2ebac8f3a2d4493cd0a623",
+    "matmul_full_tolerance_20s": "ac10459ce6216d2d5b8698760032390bcb6f1bf90e9195a77778e4af93291d87",
+    "matmul_subset_tolerance_5pct": "713c3c828db02c9270ba0e2de00b3d184aaaff8bbe8369f049753cce456e4e02",
+}
 
 
 @pytest.fixture

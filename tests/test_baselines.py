@@ -11,6 +11,8 @@ from repro.baselines import (
     RandomRecommender,
     train_regression_ensemble,
 )
+from repro.baselines import linear_regression
+from repro.core.models import base as model_base
 from repro.dataframe import DataFrame
 from repro.hardware import ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
@@ -72,6 +74,41 @@ class TestLinearRegressionRecommender:
         only_h0 = history.filter(history["hardware"] == "H0")
         rec = LinearRegressionRecommender(ndp, ["x", "y"]).fit(only_h0)
         assert rec.model_for("H1").n_observations == 0
+
+
+class TestCheckedOnce:
+    """The offline recommender checks each input once, then predicts on the trusted path."""
+
+    def test_fit_checks_per_model_and_score_once_per_frame(self, monkeypatch, ndp, history):
+        calls = {"models": 0, "recommender": 0}
+        for key, module in (("models", model_base), ("recommender", linear_regression)):
+
+            def counted(*args, _key=key, _check=module.check_feature_matrix, **kwargs):
+                calls[_key] += 1
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(module, "check_feature_matrix", counted)
+        rec = LinearRegressionRecommender(ndp, ["x", "y"]).fit(history)
+        assert calls == {"models": 3, "recommender": 0}
+        rec.score(history)
+        assert calls == {"models": 3, "recommender": 1}
+        rec.predict_runtimes({"x": 5.0, "y": 2.0})
+        assert calls == {"models": 3, "recommender": 2}
+
+    def test_non_finite_features_are_refused(self, ndp, history):
+        rec = LinearRegressionRecommender(ndp, ["x", "y"]).fit(history)
+        frame = DataFrame(
+            {
+                "x": [1.0, float("nan")],
+                "y": [1.0, 1.0],
+                "hardware": ["H0", "H1"],
+                "runtime_seconds": [5.0, 6.0],
+            }
+        )
+        with pytest.raises(ValueError):
+            rec.score(frame)
+        with pytest.raises(ValueError):
+            rec.predict_runtimes({"x": float("inf"), "y": 1.0})
 
 
 class TestRegressionEnsemble:

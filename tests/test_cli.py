@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import re
 
 import pytest
@@ -221,6 +222,15 @@ class TestGenerateAndRecommend:
         run_cli("generate-dataset", "cycles", "--output", str(target), "--runs", "20")
         with pytest.raises(SystemExit):
             run_cli("recommend", "--dataset", str(target), "--features", "wrong=1")
+
+    def test_recommend_refuses_a_hand_edited_catalog(self, tmp_path):
+        target = tmp_path / "cycles"
+        run_cli("generate-dataset", "cycles", "--output", str(target), "--runs", "20")
+        records = json.loads((target / "catalog.json").read_text())
+        records[0]["cpus"] = 2.5
+        (target / "catalog.json").write_text(json.dumps(records))
+        with pytest.raises(SystemExit, match="cannot load dataset .*cpus must be an integer"):
+            run_cli("recommend", "--dataset", str(target), "--features", "num_tasks=40")
 
     def test_recommend_bad_feature_syntax(self, tmp_path):
         target = tmp_path / "cycles"

@@ -250,6 +250,29 @@ class TestNode:
         with pytest.raises(ValueError):
             Node("n", cpus=0, memory_gb=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cpus", 3.7),
+            ("cpus", True),
+            ("gpus", 0.5),
+            ("gpus", True),
+            ("gpus", -1),
+            ("memory_gb", float("nan")),
+            ("memory_gb", float("inf")),
+        ],
+    )
+    def test_counts_are_integers_and_memory_finite(self, field, value):
+        capacity = dict(cpus=4, memory_gb=8.0, gpus=0)
+        capacity[field] = value
+        with pytest.raises(ValueError, match=field):
+            Node("n", **capacity)
+
+    def test_numpy_integer_counts_become_ints(self):
+        node = Node("n", cpus=np.int64(4), memory_gb=8, gpus=np.int32(2))
+        assert (node.cpus, node.gpus) == (4, 2)
+        assert (type(node.cpus), type(node.gpus)) == (int, int)
+
 
 class TestPodLifecycle:
     def test_normal_transitions(self, request_small):

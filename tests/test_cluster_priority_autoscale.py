@@ -267,6 +267,12 @@ class TestAutoscalingNodePool:
         with pytest.raises(ValueError):
             AutoscalingNodePool(node_cpus=0, node_memory_gb=1)
         with pytest.raises(ValueError):
+            self._pool(node_cpus=4.5)
+        with pytest.raises(ValueError):
+            self._pool(node_memory_gb=float("nan"))
+        with pytest.raises(ValueError):
+            self._pool(node_gpus=0.5)
+        with pytest.raises(ValueError):
             self._pool(max_nodes=0)
         with pytest.raises(ValueError):
             self._pool(provision_delay_seconds=-1.0)

@@ -17,8 +17,6 @@ from repro.core.models import (
     RidgeModel,
     base,
     linear,
-    online_linear,
-    ridge,
 )
 
 
@@ -46,7 +44,7 @@ class TestLeastSquaresModel:
         X, y = _generate_linear_data(rng, n=30)
         online = LeastSquaresModel(2)
         for xi, yi in zip(X, y):
-            online.update(xi, yi)
+            online.update_vector(xi, float(yi))
         batch = LeastSquaresModel(2).fit(X, y)
         assert online.coefficients == pytest.approx(batch.coefficients)
         assert online.intercept == pytest.approx(batch.intercept)
@@ -58,46 +56,23 @@ class TestLeastSquaresModel:
         x = np.array([3.0, 4.0])
         assert model.predict(x) == pytest.approx(model.coefficients @ x + model.intercept)
 
-    def test_predict_batch_matches_per_row_predict(self, rng):
-        X, y = _generate_linear_data(rng)
-        for model in (
-            LeastSquaresModel(2).fit(X, y),
-            RidgeModel(2, alpha=0.5).fit(X, y),
-        ):
-            batch = model.predict_batch(X[:10])
-            scalar = np.asarray([model.predict(row) for row in X[:10]])
-            assert np.allclose(batch, scalar, rtol=1e-12)
-
-    def test_rls_predict_batch_matches_per_row_predict(self, rng):
-        X, y = _generate_linear_data(rng)
-        model = RecursiveLeastSquaresModel(2)
-        for xi, yi in zip(X, y):
-            model.update(xi, yi)
-        batch = model.predict_batch(X[:10])
-        scalar = np.asarray([model.predict(row) for row in X[:10]])
-        assert np.allclose(batch, scalar, rtol=1e-12)
-
-    def test_no_intercept_mode(self, rng):
-        X, y = _generate_linear_data(rng, b=0.0)
-        model = LeastSquaresModel(2, fit_intercept=False).fit(X, y)
-        assert model.intercept == 0.0
-        assert model.coefficients == pytest.approx([2.0, 1.0], abs=0.05)
-
     def test_underdetermined_is_still_usable(self):
         model = LeastSquaresModel(3)
-        model.update([1.0, 2.0, 3.0], 10.0)
+        model.update_vector(np.array([1.0, 2.0, 3.0]), 10.0)
         assert np.isfinite(model.predict([1.0, 2.0, 3.0]))
 
     def test_rejects_bad_runtime(self):
         model = LeastSquaresModel(1)
         with pytest.raises(ValueError):
-            model.update([1.0], -5.0)
+            model.fit([[1.0]], [-5.0])
         with pytest.raises(ValueError):
-            model.update([1.0], float("nan"))
+            model.fit([[1.0]], [float("nan")])
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            LeastSquaresModel(2).update([1.0], 1.0)
+            LeastSquaresModel(2).fit([[1.0]], [1.0])
+        with pytest.raises(ValueError):
+            LeastSquaresModel(2).predict([1.0])
 
     def test_fit_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -105,8 +80,8 @@ class TestLeastSquaresModel:
 
     def test_uncertainty_inf_until_overdetermined(self):
         model = LeastSquaresModel(2)
-        model.update([1.0, 0.0], 1.0)
-        assert model.uncertainty([1.0, 0.0]) == float("inf")
+        model.update_vector(np.array([1.0, 0.0]), 1.0)
+        assert model.uncertainty(np.array([1.0, 0.0])) == float("inf")
 
     def test_uncertainty_shrinks_with_data(self, rng):
         X, y = _generate_linear_data(rng, n=10, noise=0.5)
@@ -125,13 +100,6 @@ class TestLeastSquaresModel:
     def test_coefficient_dict_wrong_length(self):
         with pytest.raises(ValueError):
             LeastSquaresModel(2).coefficient_dict(["only_one"])
-
-    def test_clone_unfitted(self, rng):
-        X, y = _generate_linear_data(rng)
-        model = LeastSquaresModel(2, fit_intercept=False).fit(X, y)
-        clone = model.clone_unfitted()
-        assert not clone.is_fitted
-        assert clone.fit_intercept is False
 
     def test_invalid_n_features(self):
         with pytest.raises(ValueError):
@@ -229,25 +197,24 @@ class TestRidgeModel:
         X, y = _generate_linear_data(rng, n=20)
         model = RidgeModel(2, alpha=0.1)
         for xi, yi in zip(X, y):
-            model.update(xi, yi)
+            model.update_vector(xi, float(yi))
         assert model.n_observations == 20
         assert np.isfinite(model.predict([1.0, 1.0]))
 
     def test_well_conditioned_when_underdetermined(self):
         model = RidgeModel(5, alpha=1.0)
-        model.update([1, 2, 3, 4, 5], 10.0)
+        model.update_vector(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 10.0)
         assert np.isfinite(model.predict([1, 2, 3, 4, 5]))
 
     def test_uncertainty_decreases_with_data(self, rng):
         model = RidgeModel(2, alpha=1.0)
-        q = [1.0, 1.0]
+        q = np.array([1.0, 1.0])
         assert model.uncertainty(q) == float("inf")
         X, y = _generate_linear_data(rng, n=100)
         model.fit(X, y)
         first = model.uncertainty(q)
         X2, y2 = _generate_linear_data(rng, n=100)
-        for xi, yi in zip(X2, y2):
-            model.update(xi, yi)
+        model.update_rows(X2, y2)
         assert model.uncertainty(q) < first
 
     def test_invalid_alpha(self):
@@ -256,11 +223,7 @@ class TestRidgeModel:
 
     def test_rejects_negative_runtime(self):
         with pytest.raises(ValueError):
-            RidgeModel(1).update([1.0], -1.0)
-
-    def test_clone_preserves_alpha(self):
-        clone = RidgeModel(2, alpha=3.0).clone_unfitted()
-        assert clone.alpha == 3.0
+            RidgeModel(1).fit([[1.0]], [-1.0])
 
 
 class TestRecursiveLeastSquaresModel:
@@ -269,8 +232,8 @@ class TestRecursiveLeastSquaresModel:
         rls = RecursiveLeastSquaresModel(2, regularization=1.0)
         ridge = RidgeModel(2, alpha=1.0)
         for xi, yi in zip(X, y):
-            rls.update(xi, yi)
-            ridge.update(xi, yi)
+            rls.update_vector(xi, float(yi))
+            ridge.update_vector(xi, float(yi))
         # Ridge penalises only the slopes while RLS regularises the full
         # augmented vector, so allow a loose tolerance on the coefficients but
         # require close predictions.
@@ -280,8 +243,7 @@ class TestRecursiveLeastSquaresModel:
     def test_recovers_known_coefficients(self, rng):
         X, y = _generate_linear_data(rng, n=300)
         model = RecursiveLeastSquaresModel(2, regularization=1e-3)
-        for xi, yi in zip(X, y):
-            model.update(xi, yi)
+        model.update_rows(X, y)
         assert model.coefficients == pytest.approx([2.0, 1.0], abs=0.05)
         assert model.intercept == pytest.approx(5.0, abs=0.3)
 
@@ -289,50 +251,38 @@ class TestRecursiveLeastSquaresModel:
         model = RecursiveLeastSquaresModel(2)
         X, y = _generate_linear_data(rng, n=10)
         for xi, yi in zip(X, y):
-            model.update(xi, yi)
+            model.update_vector(xi, float(yi))
         assert model.n_observations == 10
         assert not hasattr(model, "_X")
 
     def test_uncertainty_shrinks_with_observations(self, rng):
         model = RecursiveLeastSquaresModel(2, noise_std=1.0)
-        q = [1.0, 1.0]
+        q = np.array([1.0, 1.0])
         before = model.uncertainty(q)
         X, y = _generate_linear_data(rng, n=50)
-        for xi, yi in zip(X, y):
-            model.update(xi, yi)
+        model.update_rows(X, y)
         assert model.uncertainty(q) < before
-
-    def test_covariance_is_symmetric_positive(self, rng):
-        model = RecursiveLeastSquaresModel(3)
-        X, y = _generate_linear_data(rng, n=40, w=(1.0, 2.0, 3.0))
-        for xi, yi in zip(X, y):
-            model.update(xi, yi)
-        cov = model.covariance
-        assert np.allclose(cov, cov.T, atol=1e-9)
-        assert np.all(np.linalg.eigvalsh(cov) > 0)
 
     def test_sample_prediction_varies_but_centres(self, rng):
         model = RecursiveLeastSquaresModel(1, regularization=1e-3, noise_std=1.0)
         for x in np.linspace(0, 10, 100):
-            model.update([x], 3.0 * x + 2.0)
-        samples = [model.sample_prediction([5.0], rng) for _ in range(200)]
+            model.update_vector(np.array([x]), 3.0 * x + 2.0)
+        samples = [model.sample_prediction(np.array([5.0]), rng) for _ in range(200)]
         assert np.mean(samples) == pytest.approx(model.predict([5.0]), abs=0.5)
         assert np.std(samples) > 0
 
-    def test_rejects_bad_inputs(self):
-        model = RecursiveLeastSquaresModel(1)
+    def test_rejects_bad_inputs(self, ndp):
+        # The model trusts its observations; the bandit in front checks them.
+        bandit = BanditWare(ndp, ["x"], arm_model_factory=RecursiveLeastSquaresModel)
         with pytest.raises(ValueError):
-            model.update([1.0], -1.0)
+            bandit.observe({"x": 1.0}, "H0", -1.0)
+        assert not bandit.models[0].is_fitted
+        with pytest.raises(ValueError):
+            RecursiveLeastSquaresModel(1).predict([1.0, 2.0])
         with pytest.raises(ValueError):
             RecursiveLeastSquaresModel(1, regularization=0.0)
         with pytest.raises(ValueError):
             RecursiveLeastSquaresModel(1, noise_std=0.0)
-
-    def test_clone_unfitted_preserves_hyperparameters(self):
-        clone = RecursiveLeastSquaresModel(2, regularization=2.0, noise_std=3.0).clone_unfitted()
-        assert clone.regularization == 2.0
-        assert clone.noise_std == 3.0
-        assert not clone.is_fitted
 
 
 _GOOD_X = [[1.0, 1.0], [2.0, 0.5], [0.5, 3.0]]
@@ -348,30 +298,27 @@ _BAD_BATCHES = {
     "column-runtime": (_GOOD_X, [[4.0], [5.0], [6.0]]),
 }
 
-#: Every checked batch entry: update_batch on all three models, fit on the two that have one.
-_BATCH_ENTRIES = [
-    (LeastSquaresModel, "update_batch"),
-    (RidgeModel, "update_batch"),
-    (RecursiveLeastSquaresModel, "update_batch"),
-    (LeastSquaresModel, "fit"),
-    (RidgeModel, "fit"),
-]
-
 
 class TestCheckedOnce:
     """Each input is checked once, where it enters, and a rejected batch changes nothing."""
 
+    def test_predict_and_fit_are_the_only_checked_doors(self):
+        assert ArmModel.__abstractmethods__ == frozenset(
+            {"update_vector", "predict_vector", "coefficients", "intercept"}
+        )
+        for name in ("update", "update_batch", "predict_batch", "clone_unfitted"):
+            assert not hasattr(ArmModel, name)
+
     @pytest.mark.parametrize("bad", sorted(_BAD_BATCHES))
     @pytest.mark.parametrize(
-        "cls, entry", _BATCH_ENTRIES, ids=[f"{c.__name__}.{e}" for c, e in _BATCH_ENTRIES]
+        "cls", [LeastSquaresModel, RidgeModel], ids=lambda cls: f"{cls.__name__}.fit"
     )
-    def test_rejected_batch_leaves_model_unchanged(self, cls, entry, bad):
-        model = cls(2)
-        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+    def test_rejected_batch_leaves_model_unchanged(self, cls, bad):
+        model = cls(2).fit(_GOOD_X, [4.0, 5.0, 6.0])
         coefficients, intercept = model.coefficients, model.intercept
         X, y = _BAD_BATCHES[bad]
         with pytest.raises(ValueError):
-            getattr(model, entry)(X, y)
+            model.fit(X, y)
         assert np.array_equal(model.coefficients, coefficients)
         assert model.intercept == intercept
         assert model.n_observations == 3
@@ -381,13 +328,12 @@ class TestCheckedOnce:
     )
     def test_banditware_observations_skip_model_checks(self, monkeypatch, ndp, factory):
         calls = []
-        for module in (base, linear, ridge, online_linear):
 
-            def counted(*args, _check=module.check_feature_matrix, **kwargs):
-                calls.append(args)
-                return _check(*args, **kwargs)
+        def counted(*args, _check=base.check_feature_matrix, **kwargs):
+            calls.append(args)
+            return _check(*args, **kwargs)
 
-            monkeypatch.setattr(module, "check_feature_matrix", counted)
+        monkeypatch.setattr(base, "check_feature_matrix", counted)
         bandit = BanditWare(ndp, ["x0", "x1"], arm_model_factory=factory, seed=0)
         features = [{"x0": float(i), "x1": float(i % 3)} for i in range(6)]
         bandit.observe_batch(
@@ -395,33 +341,31 @@ class TestCheckedOnce:
         )
         bandit.observe_vector(np.asarray([1.0, 2.0]), "H2", 5.0)
         bandit.observe({"x0": 3.0, "x1": 1.0}, "H0", 7.0)
+        bandit.recommend({"x0": 3.0, "x1": 1.0})
+        bandit.predict_runtimes({"x0": 3.0, "x1": 1.0})
         assert [model.n_observations for model in bandit.models] == [5, 2, 1]
         assert len(calls) == 0
-        # The counter is live: the model's own public entry still checks.
-        bandit.models[0].update([1.0, 2.0], 1.0)
+        # The counter is live: the model's own checked door still checks.
+        bandit.models[0].predict([1.0, 2.0])
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "factory", [LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel]
     )
-    def test_trusted_update_vector_matches_update(self, rng, factory):
+    def test_checked_predict_matches_predict_vector(self, rng, factory):
         X, y = _generate_linear_data(rng, n=12)
-        checked, trusted = factory(2), factory(2)
-        for row, value in zip(X, y):
-            checked.update(list(row), value)
-            trusted.update_vector(row, float(value))
-        assert np.array_equal(trusted.coefficients, checked.coefficients)
-        assert trusted.intercept == checked.intercept
-        assert trusted.n_observations == checked.n_observations == 12
+        model = factory(2)
+        model.update_rows(X, y)
+        for row in X:
+            assert model.predict(list(row)) == model.predict_vector(row)
 
     @pytest.mark.parametrize(
         "factory", [LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel]
     )
     def test_empty_batch_changes_nothing(self, factory):
         model = factory(2)
-        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+        model.update_rows(np.asarray(_GOOD_X), [4.0, 5.0, 6.0])
         coefficients, intercept = model.coefficients, model.intercept
-        model.update_batch(np.empty((0, 2)), [])
         model.update_rows(np.empty((0, 2)), np.empty(0))
         assert np.array_equal(model.coefficients, coefficients)
         assert model.intercept == intercept
@@ -436,28 +380,31 @@ class TestCheckedOnce:
         assert model.intercept == 0.0
         assert model.predict([1.0, 1.0]) == 0.0
 
-    def test_custom_model_batch_goes_through_update(self):
+    def test_custom_model_rows_go_through_update_vector(self):
         class Recorder(ArmModel):
-            """Implements only ``update`` and ``predict``, like a user model."""
+            """Implements only the abstract members, like a user model."""
 
             def __init__(self, n_features):
                 super().__init__(n_features)
                 self.seen = []
 
-            def update(self, x, runtime):
-                self.seen.append((list(np.asarray(x, dtype=float)), float(runtime)))
+            def update_vector(self, context, runtime):
+                self.seen.append((list(context), runtime))
                 self._n_observations += 1
 
-            def predict(self, x):
-                return 0.0
+            def predict_vector(self, context):
+                return float(sum(context))
 
-            coefficients = property(lambda self: np.zeros(self.n_features))
+            coefficients = property(lambda self: np.ones(self.n_features))
             intercept = property(lambda self: 0.0)
 
         model = Recorder(2)
-        model.update_batch(_GOOD_X, [4.0, 5.0, 6.0])
+        model.update_rows(np.asarray(_GOOD_X), [4.0, 5.0, 6.0])
         assert model.seen == [(row, value) for row, value in zip(_GOOD_X, [4.0, 5.0, 6.0])]
-        # Rows are checked before the first one reaches update().
+        assert model.uncertainty(np.array([1.0, 1.0])) == 0.0
+        # The inherited checked door hands predict_vector a checked context.
+        assert model.predict([1.0, 2.0]) == 3.0
         with pytest.raises(ValueError):
-            model.update_batch(_GOOD_X, [4.0, 5.0, -6.0])
-        assert model.n_observations == 3
+            model.predict([1.0, float("nan")])
+        with pytest.raises(TypeError):
+            type("Partial", (ArmModel,), {"predict_vector": lambda self, c: 0.0})(2)

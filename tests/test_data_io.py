@@ -39,6 +39,18 @@ class TestSaveLoadRoundtrip:
         with pytest.raises(FileNotFoundError):
             load_run_history(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cpus", 2.5), ("gpus", 0.5), ("memory_gb", float("nan")), ("memory_gb", float("inf"))],
+    )
+    def test_hand_edited_catalog_is_refused(self, tmp_path, cycles_bundle, field, value):
+        path = save_dataset(cycles_bundle, tmp_path / "cycles")
+        records = json.loads((path / "catalog.json").read_text())
+        records[1][field] = value
+        (path / "catalog.json").write_text(json.dumps(records))
+        with pytest.raises(ValueError, match=field):
+            load_run_history(path)
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_run_history(tmp_path / "nope")

@@ -106,7 +106,7 @@ class TestBatchSequentialParity:
         with pytest.raises(IndexError):
             bandit.observe_vector(np.asarray([1.0, 2.0]), len(ndp), 5.0)
 
-    def test_custom_nonlinear_model_estimates_go_through_predict(self, ndp):
+    def test_custom_nonlinear_model_estimates_go_through_predict_vector(self, ndp):
         from repro.core.models.base import ArmModel
         from repro.core.policies.base import BanditPolicy
 
@@ -115,11 +115,10 @@ class TestBatchSequentialParity:
                 super().__init__(n_features)
                 self._w = np.ones(n_features)
 
-            def update(self, x, runtime):
+            def update_vector(self, context, runtime):
                 self._n_observations += 1
 
-            def predict(self, x):
-                context = self._check_context(x)
+            def predict_vector(self, context):
                 return float((self._w @ context) ** 2)
 
             @property
@@ -132,9 +131,10 @@ class TestBatchSequentialParity:
 
         models = [SquaredModel(2) for _ in ndp]
         estimates = BanditPolicy.estimate_runtimes(np.asarray([2.0, 1.0]), models, ndp)
-        # Default predict_vector must delegate to predict (9.0), not assume
-        # linearity (which would give 3.0).
+        # The estimates are the model's own (9.0), not a linear read of its
+        # coefficients (3.0); the checked predict gives the same.
         assert all(v == pytest.approx(9.0) for v in estimates.values())
+        assert models[0].predict([2.0, 1.0]) == pytest.approx(9.0)
 
     def test_warm_start_matches_sequential_observes(self, ndp, linear_workload):
         frame = TraceGenerator(linear_workload, ndp, seed=5).generate_frame(24)
@@ -288,7 +288,7 @@ class TestIncrementalSolverParity:
         for i in range(30):
             x = rng.uniform(0, 10, size=3)
             y = float(2.0 * x[0] - x[1] + 0.5 * x[2] + 7.0 + rng.normal(0, 0.1))
-            incremental.update(x, y)
+            incremental.update_vector(x, y)
             # The seed behaviour: minimum-norm lstsq on the stacked [x | 1] design.
             rows.append(np.append(x, 1.0))
             targets.append(y)
@@ -303,19 +303,19 @@ class TestIncrementalSolverParity:
     def test_repeated_contexts_fall_back_gracefully(self):
         model = LeastSquaresModel(2)
         for _ in range(6):
-            model.update([1.0, 2.0], 10.0)  # rank-deficient gram
+            model.update_vector(np.array([1.0, 2.0]), 10.0)  # rank-deficient gram
         assert np.isfinite(model.coefficients).all()
         assert model.predict([1.0, 2.0]) == pytest.approx(10.0, rel=1e-6)
 
-    def test_update_batch_matches_sequential(self, rng):
+    def test_update_rows_matches_sequential(self, rng):
         X = rng.uniform(0, 10, size=(15, 2))
         y = rng.uniform(1, 50, size=15)
         for cls in (LeastSquaresModel, RidgeModel, RecursiveLeastSquaresModel):
             one = cls(2)
             two = cls(2)
             for row, value in zip(X, y):
-                one.update(row, float(value))
-            two.update_batch(X, y)
+                one.update_vector(row, float(value))
+            two.update_rows(X, y)
             assert np.array_equal(one.coefficients, two.coefficients)
             assert one.intercept == two.intercept
 

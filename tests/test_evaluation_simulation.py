@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import FIG7_INPUT_DIGEST, fig7_input_digest
+from conftest import EXPERIMENT_INPUT_DIGESTS, experiment_input_digest
 from repro.data import build_cycles_dataset
 from repro.evaluation import (
     EXPERIMENT_NAMES,
@@ -14,9 +14,9 @@ from repro.evaluation import (
     format_series,
     run_experiment,
 )
-from repro.core.selection import TolerantSelector
+from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.evaluation.experiment import ExperimentDefinition
-from repro.hardware import ndp_catalog
+from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
 
 
@@ -209,7 +209,7 @@ def _assert_accuracy_matches_row_by_row(bundle, config):
     sim.run()
     assert len(scored) == 1 + config.n_simulations
 
-    selector = TolerantSelector(config.tolerance, cost_model=sim.cost_model)
+    selector = TolerantSelector(config.tolerance)
     acceptable = sim._acceptable
     n_eval = len(sim._y_eval)
     for W_hist, b_hist, accuracy in scored:
@@ -247,6 +247,36 @@ class TestSeriesScoringMatchesSelection:
         assert len(bp3d_bundle.catalog) == 3
         config = SimulationConfig(n_rounds=20, n_simulations=2, seed=0, **tolerance)
         _assert_accuracy_matches_row_by_row(bp3d_bundle, config)
+
+    def test_footprint_ties_break_like_the_selector(self):
+        # A and B have equal footprints (6 CPU-equivalents each), listed out
+        # of the selector's (cpus, memory_gb, name) tie-break order.
+        catalog = HardwareCatalog(
+            [
+                HardwareConfig("A", cpus=4, memory_gb=16),
+                HardwareConfig("B", cpus=3, memory_gb=24),
+                HardwareConfig("C", cpus=8, memory_gb=64),
+            ]
+        )
+        workload = LinearRuntimeWorkload(
+            feature_ranges={"x": (1.0, 2.0)},
+            coefficients={
+                "A": ({"x": 2.0}, 10.0),
+                "B": ({"x": 1.0}, 10.0),
+                "C": ({"x": 1.0}, 50.0),
+            },
+            noise_sigma=0.0,
+        )
+        frame = TraceGenerator(workload, catalog, seed=0).generate_frame(5, grid=True)
+        sim = OnlineSimulation(
+            workload, catalog, frame, SimulationConfig(n_rounds=1, n_simulations=1)
+        )
+        # A and B predicted equal: selection takes B, the only acceptable arm.
+        W, b = np.ones((3, 1)), np.array([10.0, 10.0, 50.0])
+        selector = TolerantSelector(ToleranceConfig())
+        picks = {selector.select_index(catalog, row)[0] for row in sim._X_eval @ W.T + b}
+        assert picks == {1}
+        assert sim._score_models(W, b)[1] == 1.0
 
     def test_matmul_five_arms_strict(self, matmul_bundle):
         assert len(matmul_bundle.catalog) == 5
@@ -335,8 +365,9 @@ class TestExperimentRegistry:
         assert "rmse_gap_round_25" in summary
 
 
-class TestFig7EvaluationInputs:
-    """Figure 7's evaluation inputs are pinned, not only compared within one run."""
+class TestEvaluationInputs:
+    """Every experiment's evaluation inputs are pinned, not only compared within one run."""
 
-    def test_matches_the_pinned_digest(self):
-        assert fig7_input_digest() == FIG7_INPUT_DIGEST
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_matches_the_pinned_digest(self, name):
+        assert experiment_input_digest(name) == EXPERIMENT_INPUT_DIGESTS[name]

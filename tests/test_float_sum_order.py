@@ -4,9 +4,9 @@ Since CPython 3.12 the builtin ``sum`` compensates float rounding (Neumaier
 summation), so a float total can differ in its last bit from the plain
 left-to-right ``sum`` of 3.10/3.11, under which every golden file was
 captured.  These tests swap ``builtins.sum`` for an exact emulation of the
-3.12+ builtin and replay the golden pins (and the Figure 7 input pin) under
-it: a float ``sum()`` on an output path fails them on every interpreter, not
-only on the CI legs that run 3.12 or 3.13.
+3.12+ builtin and replay the golden pins (and the experiment-input and
+regression-fit pins) under it: a float ``sum()`` on an output path fails
+them on every interpreter, not only on the CI legs that run 3.12 or 3.13.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import sys
 import pytest
 
 from benchmarks import capture_frontier_parity, capture_service_parity
-from conftest import FIG7_INPUT_DIGEST, fig7_input_digest
+from conftest import EXPERIMENT_INPUT_DIGESTS, experiment_input_digest
+from test_regression_pins import PINS, regression_fits
 from repro.evaluation.contention import scenario_fingerprint
 
 _LONG_MIN, _LONG_MAX = -(2**63), 2**63 - 1
@@ -139,5 +140,9 @@ class TestPinsUnderCompensatedSum:
         )
         assert json.loads(json.dumps(summary)) == reference["summary"]
 
-    def test_fig7_evaluation_inputs(self):
-        assert fig7_input_digest() == FIG7_INPUT_DIGEST
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_INPUT_DIGESTS))
+    def test_evaluation_inputs(self, name):
+        assert experiment_input_digest(name) == EXPERIMENT_INPUT_DIGESTS[name]
+
+    def test_regression_fits(self):
+        assert regression_fits() == PINS

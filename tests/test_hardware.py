@@ -1,5 +1,6 @@
 """Tests for repro.hardware (config, catalog, cost model)."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import (
@@ -35,6 +36,32 @@ class TestHardwareConfig:
     def test_empty_name(self):
         with pytest.raises(ValueError):
             HardwareConfig("", cpus=1, memory_gb=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cpus", 2.5),
+            ("cpus", 2.0),
+            ("cpus", True),
+            ("gpus", 1.9),
+            ("gpus", 0.5),
+            ("gpus", True),
+            ("memory_gb", float("nan")),
+            ("memory_gb", float("inf")),
+            ("cpu_clock_ghz", float("nan")),
+            ("hourly_cost", float("inf")),
+        ],
+    )
+    def test_counts_are_integers_and_capacities_finite(self, field, value):
+        spec = dict(cpus=2, memory_gb=8.0, gpus=1, cpu_clock_ghz=2.5, hourly_cost=1.0)
+        spec[field] = value
+        with pytest.raises(ValueError, match=field):
+            HardwareConfig("x", **spec)
+
+    def test_numpy_integer_counts_become_ints(self):
+        hw = HardwareConfig("x", cpus=np.int64(4), memory_gb=8, gpus=np.int32(1))
+        assert (type(hw.cpus), type(hw.gpus)) == (int, int)
+        assert hw == HardwareConfig("x", cpus=4, memory_gb=8.0, gpus=1)
 
     def test_default_cost_increases_with_resources(self):
         small = HardwareConfig("s", cpus=2, memory_gb=16)

@@ -141,8 +141,8 @@ class TestModelProperties:
         rls = RecursiveLeastSquaresModel(1, regularization=1.0)
         ridge = RidgeModel(1, alpha=1.0)
         for x, y in pairs:
-            rls.update([x], y)
-            ridge.update([x], y)
+            rls.update_vector(np.array([x]), y)
+            ridge.update_vector(np.array([x]), y)
         assert np.isfinite(rls.predict([1.0]))
         assert np.isfinite(ridge.predict([1.0]))
 
@@ -151,7 +151,7 @@ class TestModelProperties:
     def test_observation_count_matches_updates(self, pairs):
         model = LeastSquaresModel(1)
         for x, y in pairs:
-            model.update([x], y)
+            model.update_vector(np.array([x]), y)
         assert model.n_observations == len(pairs)
 
 

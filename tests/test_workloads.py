@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.evaluation import OnlineSimulation, SimulationConfig
 from repro.hardware import matmul_catalog, ndp_catalog, synthetic_catalog
 from repro.workloads import (
     BP3D_FEATURES,
     BurnPro3DWorkload,
     CyclesWorkload,
     LinearRuntimeWorkload,
+    LLMInferenceWorkload,
     MatrixMultiplicationWorkload,
     RunRecord,
     TraceGenerator,
+    gpu_catalog,
     records_to_frame,
     tiled_matrix_square,
 )
@@ -146,7 +149,7 @@ class TestBurnPro3DWorkload:
         workload = BurnPro3DWorkload()
         hw = ndp_catalog()["H0"]
         f = workload.sample_features(rng)
-        assert workload.noise_scale(f, hw) >= workload.noise_seconds
+        assert workload.noise_scale(workload.expected_runtime(f, hw)) >= workload.noise_seconds
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -339,6 +342,50 @@ class TestWorkloadModelShared:
     def test_feature_vector_missing_raises(self, bp3d_workload):
         with pytest.raises(KeyError):
             bp3d_workload.feature_vector({"area": 1.0})
+
+
+#: Workloads whose noise scale grows with the expectation, with their catalogs.
+_SCALED_NOISE = {
+    "burnpro3d": (BurnPro3DWorkload, ndp_catalog),
+    "cycles": (CyclesWorkload, lambda: synthetic_catalog(4)),
+    "matmul": (MatrixMultiplicationWorkload, matmul_catalog),
+    "llm": (LLMInferenceWorkload, gpu_catalog),
+}
+
+
+class TestExpectationEvaluatedOnce:
+    """The noise rule takes the expectation; nothing evaluates a ground truth twice."""
+
+    @staticmethod
+    def _count_expectations(monkeypatch, workload):
+        calls = []
+        expected_runtime = type(workload).expected_runtime
+
+        def counted(self, features, hardware):
+            calls.append(hardware.name)
+            return expected_runtime(self, features, hardware)
+
+        monkeypatch.setattr(type(workload), "expected_runtime", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(_SCALED_NOISE))
+    def test_one_per_observed_runtime(self, monkeypatch, name, rng):
+        workload_cls, catalog = _SCALED_NOISE[name]
+        workload, catalog = workload_cls(), catalog()
+        features = workload.sample_features(rng)
+        calls = self._count_expectations(monkeypatch, workload)
+        for hw in catalog:
+            workload.observed_runtime(features, hw, rng)
+        assert calls == catalog.names
+
+    @pytest.mark.parametrize("name", sorted(_SCALED_NOISE))
+    def test_one_per_row_and_arm_in_the_simulation_set_up(self, monkeypatch, name):
+        workload_cls, catalog = _SCALED_NOISE[name]
+        workload, catalog = workload_cls(), catalog()
+        frame = TraceGenerator(workload, catalog, seed=3).generate_frame(4, grid=True)
+        calls = self._count_expectations(monkeypatch, workload)
+        OnlineSimulation(workload, catalog, frame, SimulationConfig(n_rounds=1, n_simulations=1))
+        assert len(calls) == len(frame) * len(catalog)
 
 
 class TestTraceGenerator:
