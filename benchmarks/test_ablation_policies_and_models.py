@@ -19,7 +19,6 @@ import numpy as np
 from benchmarks.conftest import print_report, scaled
 from repro.data.splits import truncate_by_threshold
 from repro.evaluation import OnlineSimulation, SimulationConfig, format_metric_table
-from repro.hardware import ResourceCostModel
 
 
 def _simulate(bundle, feature_names, frame=None, **config_kwargs):
@@ -130,7 +129,6 @@ def test_ablation_tolerance_sweep(benchmark, matmul_bundle):
     tolerances = (0.0, 5.0, 20.0, 60.0)
     n_rounds = scaled(80, 20)
     n_simulations = scaled(10, 3)
-    cost_model = ResourceCostModel()
     frame = matmul_bundle.frame
 
     def run_all():

@@ -44,7 +44,7 @@ def test_fig8_matmul_linear_regression_spread(benchmark, matmul_bundle):
     # mean R² matches the paper's ~88 %; on the full dataset our 25-sample
     # models extrapolate a locally-linear fit of the (cubic) size-runtime
     # curve from mostly-small matrices, so R² is lower than the paper's while
-    # remaining far above the BP3D level (see EXPERIMENTS.md).
+    # remaining far above the BP3D level (the printed Figure 8 report shows both).
     assert summary_trunc["r2_mean"] > 0.7
     assert summary_full["r2_mean"] > 0.1
     assert summary_trunc["r2_mean"] > summary_full["r2_mean"]

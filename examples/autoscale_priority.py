@@ -12,7 +12,7 @@ registered scenario:
   by an :class:`~repro.cluster.AutoscalingNodePool`.  Scale-ups land after a
   provisioning delay (visible as queueing before each burst drains) and idle
   pool nodes are drained; the pool's provision-to-drain lifetime is charged
-  through :meth:`~repro.hardware.ResourceCostModel.node_occupancy_cost`.
+  through :func:`~repro.hardware.node_occupancy_cost`.
 * **queue-feedback** -- the same campaign with the opt-in queue-inclusive
   reward mode (:class:`~repro.core.RewardConfig`): observed queueing delay
   inflates each arm's training target, so the bandit learns that the

@@ -26,7 +26,7 @@ import numpy as np
 from repro.cluster import ClusterSimulator
 from repro.core import ToleranceConfig
 from repro.data import build_bp3d_dataset
-from repro.hardware import ResourceCostModel
+from repro.hardware import footprint, occupancy_cost
 from repro.integration import RecommendationService, RunHistoryStore
 from repro.utils.logging import EventLog
 from repro.workloads import RunRecord
@@ -36,7 +36,6 @@ def main() -> None:
     bundle = build_bp3d_dataset()
     catalog = bundle.catalog
     workload = bundle.workload
-    cost_model = ResourceCostModel()
 
     # 1. Platform-side history: a subset of the historical 1316-run dataset.
     history = RunHistoryStore()
@@ -75,7 +74,7 @@ def main() -> None:
     n_workflows = 40
     resource_seconds_used = 0.0
     resource_seconds_biggest = 0.0
-    biggest = max(catalog, key=lambda hw: cost_model.footprint(hw))
+    biggest = max(catalog, key=lambda hw: footprint(hw.cpus, hw.memory_gb, hw.gpus))
     usage = {name: 0 for name in catalog.names}
 
     for _ in range(n_workflows):
@@ -83,9 +82,9 @@ def main() -> None:
         ticket = service.run_workflow(workload.name, features, cluster)
         chosen = ticket.recommendation.hardware
         usage[chosen.name] += 1
-        resource_seconds_used += cost_model.occupancy_cost(chosen, ticket.observed_runtime)
+        resource_seconds_used += occupancy_cost(chosen, ticket.observed_runtime)
         biggest_runtime = workload.expected_runtime(features, biggest)
-        resource_seconds_biggest += cost_model.occupancy_cost(biggest, biggest_runtime)
+        resource_seconds_biggest += occupancy_cost(biggest, biggest_runtime)
 
     print(f"submitted {n_workflows} burn-unit simulations through the service")
     print(f"recommendations per hardware: {usage}")

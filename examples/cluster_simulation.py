@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BanditWare, CyclesWorkload, ToleranceConfig, synthetic_catalog
-from repro.cluster import BestFitScheduler, ClusterSimulator, Node
+from repro.cluster import BackfillScheduler, BestFit, ClusterSimulator, Node
 from repro.workloads import TraceGenerator
 
 
@@ -36,7 +36,7 @@ def build_cluster(workload, catalog, seed):
         workload=workload,
         catalog=catalog,
         nodes=nodes,
-        scheduler=BestFitScheduler(),
+        scheduler=BackfillScheduler(placement=BestFit()),
         seed=seed,
     )
 

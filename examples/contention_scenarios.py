@@ -13,10 +13,9 @@ Three things to look for in the output:
   queue-inclusive regret is essentially the classic runtime regret;
 * **saturated** -- a bursty campaign against one 8-core node queues for far
   longer than it computes, so the queue-inclusive regret dwarfs the
-  runtime-only number the synchronous evaluation would report;
-* **zero-contention** -- the queued path degenerates to the paper's loop: a
-  parity check asserts the decision stream matches the synchronous reference
-  decision for decision.
+  runtime-only number the paper's contention-free evaluation would report;
+* **zero-contention** -- the queued path degenerates to the paper's loop, so
+  its queue-inclusive regret equals its runtime regret.
 
 Run with::
 
@@ -25,12 +24,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.evaluation import (
-    build_scenario,
-    format_contention_report,
-    run_scenario,
-    run_synchronous,
-)
+from repro.evaluation import build_scenario, format_contention_report, run_scenario
 
 
 def main() -> None:
@@ -51,14 +45,6 @@ def main() -> None:
 
     print("\nqueueing turns small allocation mistakes into large latency regret:\n")
     print(format_contention_report(run_scenario(build_scenario("saturated", seed=0))))
-
-    # The queued path is a strict generalisation of the paper's synchronous
-    # loop: with one closed-loop tenant and effectively infinite capacity the
-    # decision streams are identical.
-    queued = run_scenario(build_scenario("zero-contention", seed=0))
-    synchronous = run_synchronous(build_scenario("zero-contention", seed=0))
-    matches = queued.tenants["solo"].decisions == synchronous.tenants["solo"].decisions
-    print(f"\nzero-contention parity with the synchronous loop: {matches}")
 
 
 if __name__ == "__main__":

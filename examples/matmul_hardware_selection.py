@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from repro import BanditWare, MatrixMultiplicationWorkload, ToleranceConfig, matmul_catalog
-from repro.hardware import ResourceCostModel
+from repro.hardware import footprint
 from repro.workloads import tiled_matrix_square
 
 
@@ -58,13 +58,12 @@ def show_crossover(workload: MatrixMultiplicationWorkload) -> None:
 
 def online_selection(workload: MatrixMultiplicationWorkload, tolerance: ToleranceConfig, label: str) -> None:
     catalog = matmul_catalog()
-    cost_model = ResourceCostModel()
     bandit = BanditWare(
         catalog=catalog, feature_names=["size"], tolerance=tolerance, seed=11
     )
     rng = np.random.default_rng(5)
     correct_within_tolerance = 0
-    footprint = 0.0
+    total_footprint = 0.0
     n_rounds = 150
     for _ in range(n_rounds):
         features = workload.sample_features(rng)
@@ -76,11 +75,12 @@ def online_selection(workload: MatrixMultiplicationWorkload, tolerance: Toleranc
         truth = {hw.name: workload.expected_runtime(features, hw) for hw in catalog}
         limit = (1.0 + tolerance.ratio) * min(truth.values()) + tolerance.seconds
         correct_within_tolerance += int(truth[recommendation.hardware.name] <= limit)
-        footprint += cost_model.footprint(recommendation.hardware)
+        chosen = recommendation.hardware
+        total_footprint += footprint(chosen.cpus, chosen.memory_gb, chosen.gpus)
 
     print(
         f"{label:<28} accuracy-within-tolerance={correct_within_tolerance / n_rounds:.2f} "
-        f"mean-footprint={footprint / n_rounds:.2f} CPU-equivalents"
+        f"mean-footprint={total_footprint / n_rounds:.2f} CPU-equivalents"
     )
 
 

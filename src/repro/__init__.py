@@ -14,7 +14,7 @@ around:
 * :mod:`repro.cluster` -- a Kubernetes-like execution simulator standing in
   for the National Data Platform;
 * :mod:`repro.baselines` -- the offline linear-regression recommender and
-  oracle references the paper compares against;
+  the full-data fit the paper compares against;
 * :mod:`repro.evaluation` -- the replicated online-simulation harness behind
   every figure;
 * :mod:`repro.data` -- deterministic builders of the three evaluation
@@ -49,7 +49,6 @@ from repro.dataframe import DataFrame, Series, read_csv, write_csv
 from repro.hardware import (
     HardwareCatalog,
     HardwareConfig,
-    ResourceCostModel,
     matmul_catalog,
     ndp_catalog,
     synthetic_catalog,
@@ -82,7 +81,6 @@ __all__ = [
     # hardware
     "HardwareConfig",
     "HardwareCatalog",
-    "ResourceCostModel",
     "ndp_catalog",
     "synthetic_catalog",
     "matmul_catalog",

@@ -8,13 +8,6 @@
 * :class:`~repro.baselines.oracle.FullFitOracle` -- the "theoretical best
   possible model" the paper fits on all 1316 samples and uses as the RMSE
   reference line in Figures 4 and 7.
-* :class:`~repro.baselines.oracle.GroundTruthOracle` -- knows the workload
-  model itself; used by the evaluation harness to score accuracy/regret.
-* :class:`~repro.baselines.random_recommender.RandomRecommender` -- the
-  random-guess reference.
-* :class:`~repro.baselines.fixed.BestFixedHardwareRecommender` -- always
-  recommends the single configuration that is best on average (a context-free
-  baseline the bandit must beat when the best hardware depends on features).
 """
 
 from repro.baselines.linear_regression import (
@@ -22,16 +15,11 @@ from repro.baselines.linear_regression import (
     RegressionEnsembleResult,
     train_regression_ensemble,
 )
-from repro.baselines.oracle import FullFitOracle, GroundTruthOracle
-from repro.baselines.random_recommender import RandomRecommender
-from repro.baselines.fixed import BestFixedHardwareRecommender
+from repro.baselines.oracle import FullFitOracle
 
 __all__ = [
     "LinearRegressionRecommender",
     "RegressionEnsembleResult",
     "train_regression_ensemble",
     "FullFitOracle",
-    "GroundTruthOracle",
-    "RandomRecommender",
-    "BestFixedHardwareRecommender",
 ]

@@ -1,28 +1,22 @@
-"""Oracle baselines: the full-data fit and the ground-truth workload model.
+"""The full-data fit: the paper's "best possible model" reference.
 
-Two distinct "best possible" references appear in the paper:
-
-* the **full fit** -- per-hardware least squares fitted on the *entire*
-  historical dataset ("the theoretical best possible model that the
-  contextual bandit can learn"), used as the red/orange reference line of the
-  RMSE and accuracy plots; and
-* the **ground truth** -- the workload model itself, which only the
-  simulation harness has access to.  It defines which hardware really is
-  fastest for a workflow, which is what "accuracy" is measured against.
+Per-hardware least squares fitted on the *entire* historical dataset ("the
+theoretical best possible model that the contextual bandit can learn") is
+the red/orange reference line of the RMSE and accuracy plots.  Accuracy
+itself is measured against the workload model's ground truth, which only the
+evaluation harness reads (:class:`~repro.evaluation.OnlineSimulation` and the
+contention engine's accountant).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
-
-import numpy as np
+from typing import Sequence
 
 from repro.baselines.linear_regression import LinearRegressionRecommender
 from repro.dataframe import DataFrame
-from repro.hardware import HardwareCatalog, HardwareConfig
-from repro.workloads.base import WorkloadModel
+from repro.hardware import HardwareCatalog
 
-__all__ = ["FullFitOracle", "GroundTruthOracle"]
+__all__ = ["FullFitOracle"]
 
 
 class FullFitOracle(LinearRegressionRecommender):
@@ -61,52 +55,3 @@ class FullFitOracle(LinearRegressionRecommender):
     def reference_r2(self) -> float:
         """R² of the full fit on its own training data."""
         return self._reference_scores["r2"]
-
-
-class GroundTruthOracle:
-    """Knows the workload model's true expected runtimes.
-
-    Used exclusively by the evaluation harness: it provides the "correct"
-    hardware for accuracy scoring and the best expected runtime for regret
-    accounting.  It is *not* available to BanditWare or to any baseline
-    recommender.
-    """
-
-    def __init__(self, workload: WorkloadModel, catalog: HardwareCatalog):
-        self.workload = workload
-        self.catalog = catalog
-
-    def expected_runtimes(self, features: Dict[str, float]) -> Dict[str, float]:
-        """True expected runtime of ``features`` on every configuration."""
-        return {
-            hw.name: self.workload.expected_runtime(features, hw) for hw in self.catalog
-        }
-
-    def best_hardware(self, features: Dict[str, float]) -> HardwareConfig:
-        """The configuration with the lowest true expected runtime."""
-        runtimes = self.expected_runtimes(features)
-        best = min(runtimes, key=lambda name: (runtimes[name], self.catalog.index_of(name)))
-        return self.catalog[best]
-
-    def best_runtime(self, features: Dict[str, float]) -> float:
-        """The lowest true expected runtime for ``features``."""
-        return min(self.expected_runtimes(features).values())
-
-    def acceptable_hardware(
-        self,
-        features: Dict[str, float],
-        tolerance_ratio: float = 0.0,
-        tolerance_seconds: float = 0.0,
-    ) -> set:
-        """Configurations whose true runtime is within the tolerance of the best.
-
-        The paper's tolerance experiments (Figures 11 and 12) count a
-        recommendation as acceptable when its true runtime is within the
-        allowed slowdown of the true optimum; this is the ground-truth side of
-        that check.
-        """
-        if tolerance_ratio < 0 or tolerance_seconds < 0:
-            raise ValueError("tolerances must be non-negative")
-        runtimes = self.expected_runtimes(features)
-        limit = (1.0 + tolerance_ratio) * min(runtimes.values()) + tolerance_seconds
-        return {name for name, value in runtimes.items() if value <= limit}

@@ -56,9 +56,9 @@ from repro.evaluation import (
     run_scenario,
 )
 from repro.hardware import (
-    ResourceCostModel,
     matmul_catalog,
     ndp_catalog,
+    rank_by_efficiency,
     synthetic_catalog,
 )
 from repro.workloads import gpu_catalog
@@ -402,8 +402,7 @@ def _cmd_generate_dataset(args, out) -> int:
 
 def _cmd_show_catalog(args, out) -> int:
     catalog = _CATALOGS[args.catalog]()
-    cost_model = ResourceCostModel()
-    ranked = {hw.name: rank for rank, hw in enumerate(cost_model.rank(catalog))}
+    ranked = {hw.name: rank for rank, hw in enumerate(rank_by_efficiency(catalog))}
     print(f"{'name':<6} {'cpus':>5} {'memory_gb':>10} {'gpus':>5} {'cost/h':>8} {'efficiency rank':>16}", file=out)
     for hw in catalog:
         print(

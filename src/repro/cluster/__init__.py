@@ -62,7 +62,6 @@ from repro.cluster.placement import (
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.scheduler import (
     BackfillScheduler,
-    BestFitScheduler,
     FIFOScheduler,
     PreemptionDecision,
     PriorityScheduler,
@@ -92,7 +91,6 @@ __all__ = [
     "PodPhase",
     "FIFOScheduler",
     "BackfillScheduler",
-    "BestFitScheduler",
     "PriorityScheduler",
     "PreemptionDecision",
     "SchedulingDecision",

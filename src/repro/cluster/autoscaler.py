@@ -17,10 +17,9 @@ boot, image pull, join), and drains idle ones to save cost.  The
   ``scale_down_idle_seconds`` is drained and removed.  Base nodes (the ones
   the cluster was constructed with) are never removed.
 
-The cost of elasticity is accounted through the
-:meth:`~repro.hardware.ResourceCostModel.node_occupancy_cost` hook: each pool
-node is charged for its full provisioned lifetime (from join to drain),
-whether busy or idle.
+The cost of elasticity is accounted through
+:func:`~repro.hardware.node_occupancy_cost`: each pool node is charged for
+its full provisioned lifetime (from join to drain), whether busy or idle.
 """
 
 from __future__ import annotations

@@ -168,12 +168,6 @@ class EventQueue:
         self.pushed += 1
         return event
 
-    def push_in(self, delay: float, kind: str, **payload: Any) -> Event:
-        """Schedule an event ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.push(self._now + delay, kind, **payload)
-
     def cancel(self, event: Event) -> None:
         """Invalidate a scheduled event in O(1) (idempotent).
 

@@ -113,8 +113,7 @@ class LinearSlowdown(InterferenceModel):
     #: Optional per-interference-class multiplier on ``alpha``.  Accepts a
     #: mapping (or an items tuple) at construction; *stored* normalised as a
     #: sorted tuple of ``(class, weight)`` pairs so the frozen dataclass
-    #: stays hashable and picklable -- read it back as a mapping via
-    #: :attr:`weight_map`.
+    #: stays hashable and picklable.
     class_weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
@@ -127,13 +126,6 @@ class LinearSlowdown(InterferenceModel):
                 check_non_negative(weight, f"class weight for {name!r}")
             object.__setattr__(self, "class_weights", items)
             object.__setattr__(self, "_weight_map", dict(items))
-
-    @property
-    def weight_map(self) -> Mapping[str, float]:
-        """The per-class multipliers as a plain mapping (empty when unset)."""
-        if self.class_weights is None:
-            return {}
-        return dict(getattr(self, "_weight_map", dict(self.class_weights)))
 
     def node_alpha(self, node: Node) -> float:
         """The effective slowdown coefficient for one node's tier."""

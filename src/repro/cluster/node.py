@@ -81,10 +81,6 @@ class Node:
         return self._alloc_memory_gb
 
     @property
-    def allocated_gpus(self) -> int:
-        return self._alloc_gpus
-
-    @property
     def free_cpus(self) -> int:
         return self.cpus - self._alloc_cpus
 

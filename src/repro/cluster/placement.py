@@ -8,12 +8,9 @@ Scheduling on this cluster is two independent questions:
 * **which node** -- given the pod the queue discipline picked, where does it
   go?  That axis lives here.
 
-Before this module the answer to the second question was baked into each
-scheduler (`FIFOScheduler` hard-coded first-fit, `BestFitScheduler`
-hard-coded best-fit), so evaluating "priority scheduling with spread
-placement" meant writing a new scheduler class.  Now every
-:class:`~repro.cluster.scheduler.Scheduler` composes with any
-:class:`PlacementPolicy`, and the cluster's interference model becomes a
+Every :class:`~repro.cluster.scheduler.Scheduler` composes with any
+:class:`PlacementPolicy` (say, priority scheduling with spread placement),
+and the cluster's interference model becomes a
 placement *input*: :class:`LeastSlowdown` scores candidate nodes by the
 post-placement slowdown of the pod **and** its prospective co-residents, so
 the simulator can avoid (or, with :class:`Pack`, deliberately create) noisy

@@ -226,10 +226,6 @@ class Pod:
             return None
         return self.finish_time - self.start_time
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.phase is PodPhase.SUCCEEDED
-
     def to_dict(self) -> Dict[str, Any]:
         """Flatten into a serialisable dictionary."""
         return {

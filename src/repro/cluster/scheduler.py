@@ -5,10 +5,8 @@ queue (FIFO head-of-line blocking, backfill skip-ahead, priority classes
 with preemption).  **Which node** is a separate, orthogonal axis answered
 by a pluggable :class:`~repro.cluster.placement.PlacementPolicy`; every
 scheduler composes with any placement via the ``placement=`` constructor
-argument, and defaults to the policy that reproduces its pre-refactor
-behaviour bit for bit (:class:`~repro.cluster.placement.FirstFit` for the
-FIFO family, :class:`~repro.cluster.placement.BestFit` for
-:class:`BestFitScheduler`).
+argument, and defaults to :class:`~repro.cluster.placement.FirstFit`, which
+reproduces the pre-refactor behaviour bit for bit.
 """
 
 from __future__ import annotations
@@ -18,12 +16,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.node import Node
-from repro.cluster.placement import (
-    BestFit,
-    FirstFit,
-    PlacementContext,
-    PlacementPolicy,
-)
+from repro.cluster.placement import FirstFit, PlacementContext, PlacementPolicy
 from repro.cluster.pod import Pod
 from repro.utils.numeric import ordered_sum
 
@@ -33,7 +26,6 @@ __all__ = [
     "Scheduler",
     "FIFOScheduler",
     "BackfillScheduler",
-    "BestFitScheduler",
     "PriorityScheduler",
 ]
 
@@ -95,9 +87,8 @@ class Scheduler(abc.ABC):
     ----------
     placement:
         The node-choice policy (see :mod:`repro.cluster.placement`).
-        Defaults to the scheduler's :meth:`default_placement` --
-        first-fit unless a subclass says otherwise -- which keeps every
-        scheduler's historical behaviour intact.
+        Defaults to first-fit, which keeps every scheduler's historical
+        behaviour intact.
     """
 
     #: Queue discipline: when true, a pending pod that cannot be placed blocks
@@ -113,12 +104,7 @@ class Scheduler(abc.ABC):
     supports_preemption: bool = False
 
     def __init__(self, placement: Optional[PlacementPolicy] = None):
-        self.placement = placement if placement is not None else self.default_placement()
-
-    @classmethod
-    def default_placement(cls) -> PlacementPolicy:
-        """The placement policy used when none is injected."""
-        return FirstFit()
+        self.placement = placement if placement is not None else FirstFit()
 
     def select_node(
         self,
@@ -206,24 +192,8 @@ class BackfillScheduler(FIFOScheduler):
     head_of_line_blocking = False
 
 
-class BestFitScheduler(Scheduler):
-    """Backfill service order with best-fit placement by default.
-
-    Kept as a named class for backwards compatibility: it is exactly
-    ``Scheduler(placement=BestFit())``.  Best-fit keeps large contiguous
-    capacity free for large requests, which reduces head-of-line blocking
-    when workloads with mixed resource requests share the cluster.
-    Tie-breaking between equal-fit nodes is deterministic on
-    ``(leftover, node.name)`` -- see :class:`~repro.cluster.placement.BestFit`.
-    """
-
-    @classmethod
-    def default_placement(cls) -> PlacementPolicy:
-        return BestFit()
-
-
 class PriorityScheduler(FIFOScheduler):
-    """Priority classes with optional preemption (first-fit placement by default).
+    """Priority classes with preemption (first-fit placement by default).
 
     The pending queue is served highest priority class first; within one
     class, strict first-in-first-out order is preserved (the simulator
@@ -234,23 +204,17 @@ class PriorityScheduler(FIFOScheduler):
     higher-class pod is always ahead of it -- so no class can starve a class
     above it.
 
-    With ``preemption`` enabled (the default), a blocked pod may evict
-    strictly-lower-priority *running* pods to make room.  Victims are chosen
-    on a single node, lowest priority first and most-recently-started first
-    within a class (least work discarded -- evictions are checkpoint-free, so
-    the victim's partial execution is wasted and it requeues from scratch).
+    A blocked pod may evict strictly-lower-priority *running* pods to make
+    room.  Victims are chosen on a single node, lowest priority first and
+    most-recently-started first within a class (least work discarded --
+    evictions are checkpoint-free, so the victim's partial execution is
+    wasted and it requeues from scratch).
     Among nodes that can be freed, the one needing the fewest evictions wins,
     ties broken toward the most recently started victims (least total run
     time wasted).
     """
 
-    def __init__(
-        self,
-        preemption: bool = True,
-        placement: Optional[PlacementPolicy] = None,
-    ):
-        super().__init__(placement=placement)
-        self.supports_preemption = bool(preemption)
+    supports_preemption = True
 
     def service_class(self, pod: Pod) -> int:
         return -pod.priority
@@ -261,8 +225,6 @@ class PriorityScheduler(FIFOScheduler):
         nodes: Sequence[Node],
         running: Mapping[str, Sequence[Pod]],
     ) -> Optional[PreemptionDecision]:
-        if not self.supports_preemption:
-            return None
         best_plan: Optional[Tuple[int, float, str, Tuple[str, ...]]] = None
         for node in nodes:
             candidates = [

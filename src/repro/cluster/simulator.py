@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -46,6 +45,7 @@ from repro.cluster.scheduler import FIFOScheduler, Scheduler
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.logging import EventLog, NullLog
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_priority
 from repro.workloads.base import RunRecord, WorkloadModel
 
 __all__ = ["CompletedRun", "ClusterSimulator", "KernelProfile"]
@@ -448,9 +448,7 @@ class ClusterSimulator:
                 f"at_time must be finite and not before the current time t={self.now} "
                 f"(got {at_time!r})"
             )
-        if isinstance(priority, bool):
-            raise TypeError(f"priority must be an integer, not a bool ({priority!r})")
-        priority = operator.index(priority)
+        priority = check_priority(priority)
         workload = workload if workload is not None else self.workload
         name = f"pod-{next(self._pod_counter):06d}"
         pod = Pod(
@@ -585,11 +583,9 @@ class ClusterSimulator:
             pod._progress_updated_at = now
             pod.speed = speed
             remaining = max(pod.work_seconds - pod.progress_seconds, 0.0) / speed
-            # ``now + remaining`` is exactly what ``push_in(remaining)``
-            # scheduled in the per-pod-event engine: the clock has not
-            # advanced since ``now`` was read.  The wall remainder is kept
-            # alongside so completion can report the drawn runtime without
-            # a lossy ``finish - updated_at`` subtraction.
+            # The wall remainder is kept alongside the finish time so
+            # completion can report the drawn runtime without a lossy
+            # ``finish - updated_at`` subtraction.
             pod._remaining = remaining
             pod._finish_at = now + remaining
             pod.progress_log.append((now, speed))

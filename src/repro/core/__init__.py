@@ -31,7 +31,7 @@ from repro.core.policies import (
     RandomPolicy,
     ThompsonSamplingPolicy,
 )
-from repro.core.rewards import RegretLedger, RewardConfig, RoundOutcome, runtime_to_reward
+from repro.core.rewards import RegretLedger, RewardConfig, RoundOutcome
 from repro.core.selection import SelectionOutcome, ToleranceConfig, TolerantSelector
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "RegretLedger",
     "RewardConfig",
     "RoundOutcome",
-    "runtime_to_reward",
 ]

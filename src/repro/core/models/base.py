@@ -25,10 +25,11 @@ class ArmModel(abc.ABC):
 
     * :meth:`update_vector` / :meth:`update_rows` -- incorporate one or many
       observations;
-    * :meth:`predict_vector` -- point estimate of the runtime for a context;
-    * :meth:`uncertainty` -- a standard-error-style score used by
-      optimism/posterior-sampling policies; models that do not track
-      uncertainty return ``inf`` until fitted and ``0`` afterwards.
+    * :meth:`predict_vector` -- point estimate of the runtime for a context.
+
+    Only :class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel`
+    keeps a posterior (``uncertainty`` and ``sample_prediction``), which is
+    why LinUCB and Thompson sampling take RLS arms only.
 
     Parameters
     ----------
@@ -72,15 +73,6 @@ class ArmModel(abc.ABC):
         if arr.shape[0] != 1:
             raise ValueError(f"expected a single context vector, got {arr.shape[0]} rows")
         return self.predict_vector(arr[0])
-
-    def uncertainty(self, context: np.ndarray) -> float:
-        """A non-negative uncertainty score for the prediction at ``context``.
-
-        The default implementation knows nothing about uncertainty: it returns
-        ``inf`` before the first observation (forcing optimistic policies to
-        try the arm) and ``0`` afterwards.
-        """
-        return float("inf") if not self.is_fitted else 0.0
 
     @property
     @abc.abstractmethod

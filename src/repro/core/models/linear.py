@@ -111,7 +111,7 @@ class LeastSquaresModel(ArmModel):
 
     The normal equations are kept across updates and solved once the fit is
     over-determined (:func:`solve_least_squares`); the full data are stored
-    too, for the minimum-norm under-determined fits and :meth:`uncertainty`.
+    too, for the minimum-norm under-determined fits.
     :meth:`update_rows` ingests every row and refits once.
 
     Parameters
@@ -225,22 +225,3 @@ class LeastSquaresModel(ArmModel):
 
     def predict_vector(self, context: np.ndarray) -> float:
         return float(self._w @ context + self._b)
-
-    def uncertainty(self, context: np.ndarray) -> float:
-        """Standard error of the prediction under a homoscedastic-noise OLS model.
-
-        Returns ``inf`` until the arm has strictly more observations than
-        parameters (so residual variance is estimable).
-        """
-        n = self._n_observations
-        n_params = self.n_features + 1
-        if n <= n_params:
-            return float("inf")
-        design = self._design[:n]
-        query = np.concatenate([context, [1.0]])
-        theta = np.concatenate([self._w, [self._b]])
-        residuals = self._targets[:n] - design @ theta
-        sigma2 = float(residuals @ residuals) / (n - n_params)
-        # pseudo-inverse guards against collinear contexts in early rounds.
-        cov = np.linalg.pinv(design.T @ design) * sigma2
-        return float(np.sqrt(max(query @ cov @ query, 0.0)))

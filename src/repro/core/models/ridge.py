@@ -100,13 +100,3 @@ class RidgeModel(ArmModel):
 
     def predict_vector(self, context: np.ndarray) -> float:
         return float(self._w @ context + self._b)
-
-    def uncertainty(self, context: np.ndarray) -> float:
-        """Ridge-posterior style score ``sqrt(zᵀ (ZᵀZ + λI)⁻¹ z)`` with ``z = [x, 1]``."""
-        if not self.is_fitted:
-            return float("inf")
-        design = self._design_matrix()
-        query = np.concatenate([context, [1.0]])
-        gram = design.T @ design + self.alpha * np.eye(design.shape[1])
-        inv = np.linalg.inv(gram)
-        return float(np.sqrt(max(query @ inv @ query, 0.0)))

@@ -9,6 +9,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.models.base import ArmModel
+from repro.core.models.online_linear import RecursiveLeastSquaresModel
 from repro.hardware import HardwareCatalog, HardwareConfig
 
 __all__ = ["PolicyDecision", "BanditPolicy"]
@@ -99,6 +100,20 @@ class BanditPolicy(abc.ABC):
             dtype=float,
             count=len(models),
         )
+
+    def require_posterior(self, models: Sequence[ArmModel]) -> None:
+        """Raise :class:`TypeError` unless every arm keeps a posterior.
+
+        Only :class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel`
+        keeps one (its ``A⁻¹``), so LinUCB and Thompson sampling take RLS arms
+        only; they call this before any draw.
+        """
+        for model in models:
+            if not isinstance(model, RecursiveLeastSquaresModel):
+                raise TypeError(
+                    f"{self.name} needs RecursiveLeastSquaresModel arms, "
+                    f"got {type(model).__name__}"
+                )
 
     @property
     def name(self) -> str:

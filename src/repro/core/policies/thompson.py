@@ -5,11 +5,9 @@ the arm with the smallest sampled runtime is chosen.  Arms the system is
 uncertain about produce widely varying samples and therefore keep getting
 tried occasionally; well-understood arms converge to their point estimates.
 
-Requires arm models that can sample predictions
-(:class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel`).  For
-models without a posterior the policy falls back to the point estimate plus
-Gaussian noise proportional to the model's uncertainty score, which preserves
-the explore-while-uncertain behaviour.
+Requires arm models that keep a posterior: only
+:class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel` does, and
+the policy refuses any other.
 """
 
 from __future__ import annotations
@@ -33,29 +31,26 @@ class ThompsonSamplingPolicy(BanditPolicy):
     Parameters
     ----------
     prior_scale:
-        Standard deviation of the pseudo-posterior used for never-tried arms
-        and for models that expose no sampling interface; expressed as a
-        fraction of the current best point estimate (or 1.0 s when no arm has
-        data yet).
+        Standard deviation of the pseudo-posterior used for never-tried arms,
+        expressed as a fraction of the current best point estimate (or 1.0 s
+        when no arm has data yet).
     """
 
     def __init__(self, prior_scale: float = 1.0):
         self.prior_scale = check_positive(prior_scale, "prior_scale")
 
     def _sample_runtime(
-        self, model: ArmModel, context: np.ndarray, rng: np.random.Generator, reference: float
+        self,
+        model: RecursiveLeastSquaresModel,
+        context: np.ndarray,
+        rng: np.random.Generator,
+        reference: float,
     ) -> float:
-        if isinstance(model, RecursiveLeastSquaresModel) and model.is_fitted:
+        if model.is_fitted:
             return model.sample_prediction(context, rng)
-        if not model.is_fitted:
-            # An uninformed arm: sample far-and-wide around the reference so
-            # it has a real chance of winning the round.
-            return float(rng.normal(reference, self.prior_scale * max(reference, 1.0)))
-        estimate = model.predict_vector(context)
-        width = model.uncertainty(context)
-        if not np.isfinite(width):
-            width = self.prior_scale * max(abs(estimate), 1.0)
-        return float(rng.normal(estimate, width))
+        # An uninformed arm: sample far-and-wide around the reference so it
+        # has a real chance of winning the round.
+        return float(rng.normal(reference, self.prior_scale * max(reference, 1.0)))
 
     def select(
         self,
@@ -68,6 +63,7 @@ class ThompsonSamplingPolicy(BanditPolicy):
             raise ValueError(
                 f"got {len(models)} models for {len(catalog)} hardware configurations"
             )
+        self.require_posterior(models)
         estimates = self.estimate_runtimes(context, models, catalog)
         fitted = [v for m, v in zip(models, estimates.values()) if m.is_fitted]
         reference = float(min(fitted)) if fitted else 1.0

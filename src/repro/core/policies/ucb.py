@@ -6,10 +6,11 @@ future work; LinUCB is the canonical next step.  Because BanditWare
 *lower* confidence bound ``R̂(H_i, x) − α·σ_i(x)``: an arm we know little
 about gets the benefit of the doubt and is tried sooner.
 
-The uncertainty term comes from each arm model's :meth:`uncertainty` method
-(exact for :class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel`
-and :class:`~repro.core.models.ridge.RidgeModel`; OLS models report ``inf``
-until they are over-determined, which simply forces early exploration).
+The width ``σ_i(x)`` is the posterior predictive standard deviation of a
+:class:`~repro.core.models.online_linear.RecursiveLeastSquaresModel` arm, the
+only model that keeps a posterior; the policy refuses any other.  Its ``λI``
+prior makes the width finite from round 0, so never-tried arms compete on
+their prior width rather than winning outright.
 """
 
 from __future__ import annotations
@@ -50,23 +51,14 @@ class LinUCBPolicy(BanditPolicy):
             raise ValueError(
                 f"got {len(models)} models for {len(catalog)} hardware configurations"
             )
+        self.require_posterior(models)
         estimates = self.estimate_runtimes(context, models, catalog)
-        scores: Dict[str, float] = {}
-        for hw, model in zip(catalog, models):
-            width = model.uncertainty(context)
-            if np.isinf(width):
-                scores[hw.name] = -np.inf  # never-tried arms win immediately
-            else:
-                scores[hw.name] = estimates[hw.name] - self.alpha * width
-        # Lowest optimistic runtime wins; ties break on catalog order for
-        # determinism, with a random shuffle among exact -inf ties so cold
-        # starts do not always hammer arm 0.
-        best_score = min(scores.values())
-        tied = [name for name, s in scores.items() if s == best_score]
-        if len(tied) > 1 and np.isinf(best_score):
-            chosen_name = tied[int(rng.integers(len(tied)))]
-        else:
-            chosen_name = min(tied, key=catalog.index_of)
+        scores: Dict[str, float] = {
+            hw.name: estimates[hw.name] - self.alpha * model.uncertainty(context)
+            for hw, model in zip(catalog, models)
+        }
+        # Lowest optimistic runtime wins; ties break on catalog order.
+        chosen_name = min(scores, key=lambda name: (scores[name], catalog.index_of(name)))
         arm = catalog.index_of(chosen_name)
         explored = not models[arm].is_fitted
         return PolicyDecision(

@@ -1,9 +1,9 @@
 """Reward and regret accounting for the online recommendation loop.
 
-Bandit literature speaks in rewards to maximise; BanditWare minimises
-runtime.  This module keeps that translation in one place and provides the
-per-round regret ledger the evaluation harness and the ablation benchmarks
-consume.
+BanditWare minimises runtime.  This module decides what each arm model
+learns from a completion (:class:`RewardConfig`: the observed runtime, or a
+queue- or slowdown-inclusive target) and provides the per-round regret
+ledger the evaluation harness and the ablation benchmarks consume.
 
 Two regret notions are tracked:
 
@@ -32,23 +32,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.utils.numeric import ordered_sum
+from repro.utils.validation import check_non_negative
 
-__all__ = ["RewardConfig", "RoundOutcome", "RegretLedger", "runtime_to_reward"]
-
-
-def runtime_to_reward(runtime_seconds: float, scale: float = 1.0) -> float:
-    """Map a runtime to a reward: ``-runtime / scale``.
-
-    A negated (optionally scaled) runtime keeps "higher is better" semantics
-    for policies written in reward terms while preserving the ordering that
-    runtime minimisation needs.
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    runtime_seconds = float(runtime_seconds)
-    if not np.isfinite(runtime_seconds) or runtime_seconds < 0:
-        raise ValueError(f"runtime must be finite and non-negative, got {runtime_seconds}")
-    return -runtime_seconds / scale
+__all__ = ["RewardConfig", "RoundOutcome", "RegretLedger"]
 
 
 @dataclass(frozen=True)
@@ -101,12 +87,8 @@ class RewardConfig:
                 f"unknown reward mode {self.mode!r}; choose 'runtime', "
                 "'queue_inclusive' or 'slowdown_inclusive'"
             )
-        if self.queue_weight < 0:
-            raise ValueError(f"queue_weight must be non-negative, got {self.queue_weight}")
-        if self.slowdown_weight < 0:
-            raise ValueError(
-                f"slowdown_weight must be non-negative, got {self.slowdown_weight}"
-            )
+        check_non_negative(self.queue_weight, "queue_weight")
+        check_non_negative(self.slowdown_weight, "slowdown_weight")
 
     @property
     def queue_aware(self) -> bool:

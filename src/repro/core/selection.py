@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel
+from repro.hardware import HardwareCatalog, HardwareConfig, rank_by_efficiency
 from repro.utils.validation import all_finite, check_non_negative
 
 __all__ = ["ToleranceConfig", "TolerantSelector", "SelectionOutcome"]
@@ -105,31 +105,21 @@ class SelectionOutcome:
     limit: float
     candidates: List[str]
 
-    @property
-    def traded_runtime(self) -> float:
-        """Extra estimated seconds accepted relative to the fastest option."""
-        return self.estimates[self.chosen.name] - self.estimates[self.fastest.name]
-
 
 class TolerantSelector:
     """Implements the tolerant selection strategy of Algorithm 1.
+
+    Among the near-fastest candidates it picks the first in
+    :func:`~repro.hardware.rank_by_efficiency` order.
 
     Parameters
     ----------
     tolerance:
         The ratio/seconds tolerance pair (defaults to strict selection).
-    cost_model:
-        Resource-efficiency scoring used to pick among near-fastest
-        candidates; defaults to the standard CPU+memory footprint.
     """
 
-    def __init__(
-        self,
-        tolerance: Optional[ToleranceConfig] = None,
-        cost_model: Optional[ResourceCostModel] = None,
-    ):
+    def __init__(self, tolerance: Optional[ToleranceConfig] = None):
         self.tolerance = tolerance or ToleranceConfig()
-        self.cost_model = cost_model or ResourceCostModel()
         self._order_cache: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -137,15 +127,15 @@ class TolerantSelector:
         """Arm indices sorted most-efficient first (cached per catalog).
 
         The ordering (including tie-breaks) is exactly the one
-        :meth:`ResourceCostModel.rank` produces, so picking the first
-        candidate in this order equals
-        :meth:`ResourceCostModel.most_efficient` over the candidate set.
+        :func:`~repro.hardware.rank_by_efficiency` produces, so picking the
+        first candidate in this order equals the first entry of
+        ``rank_by_efficiency`` over the candidate set.
         """
         key = id(catalog)
         cached = self._order_cache.get(key)
         if cached is None or cached[0] is not catalog:
             order = np.asarray(
-                [catalog.index_of(hw) for hw in self.cost_model.rank(catalog)],
+                [catalog.index_of(hw) for hw in rank_by_efficiency(catalog)],
                 dtype=np.intp,
             )
             cached = (catalog, order)

@@ -11,7 +11,7 @@ what those callers use:
   build row masks.
 * :class:`~repro.dataframe.frame.DataFrame` -- an ordered mapping of equal
   length columns: construction (also :meth:`~DataFrame.from_records`),
-  column access and assignment, ``select``/``drop``, row access
+  column access and assignment, ``select``, row access
   (``row``/``iterrows``/``head``/``take``/``filter``/``sample``),
   ``to_numpy`` and ``groupby`` into per-hardware sub-frames (Figure 1).
 * :mod:`~repro.dataframe.io` -- CSV reading and writing with type inference.

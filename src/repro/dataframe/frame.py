@@ -122,16 +122,6 @@ class DataFrame:
             )
         self._columns[str(name)] = series
 
-    def drop(self, columns: Union[str, Sequence[str]]) -> "DataFrame":
-        """Return a new frame without the given column(s)."""
-        if isinstance(columns, str):
-            columns = [columns]
-        missing = [c for c in columns if c not in self._columns]
-        if missing:
-            raise KeyError(f"cannot drop missing columns {missing}; available: {self.columns}")
-        keep = [c for c in self.columns if c not in set(columns)]
-        return self.select(keep)
-
     def select(self, columns: Sequence[str]) -> "DataFrame":
         """Return a new frame with only ``columns`` (in the given order)."""
         data = {}

@@ -7,8 +7,7 @@ dataset (RMSE) and against the ground-truth best hardware (accuracy), with
 the full-data fit as the reference line.  This package implements that
 protocol once so every benchmark and example reuses it.
 
-* :mod:`~repro.evaluation.metrics` -- RMSE, MAE, R², selection accuracy,
-  regret summaries.
+* :mod:`~repro.evaluation.metrics` -- RMSE and R².
 * :mod:`~repro.evaluation.simulation` -- the replicated online simulation
   (:class:`OnlineSimulation`) and its result container.
 * :mod:`~repro.evaluation.experiment` -- pre-configured experiment
@@ -27,14 +26,7 @@ protocol once so every benchmark and example reuses it.
   drives, and its Zipfian application popularity.
 """
 
-from repro.evaluation.metrics import (
-    accuracy_score,
-    mae,
-    mape,
-    r2_score,
-    rmse,
-    selection_accuracy,
-)
+from repro.evaluation.metrics import r2_score, rmse
 from repro.evaluation.simulation import (
     OnlineSimulation,
     SimulationConfig,
@@ -61,7 +53,6 @@ from repro.evaluation.contention import (
     TenantSpec,
     build_scenario,
     run_scenario,
-    run_synchronous,
 )
 from repro.evaluation.reporting import (
     format_contention_report,
@@ -85,7 +76,6 @@ __all__ = [
     "TenantSpec",
     "build_scenario",
     "run_scenario",
-    "run_synchronous",
     "run_scenario_sweep",
     "run_scenario_replications",
     "ReplicationSummary",
@@ -94,11 +84,7 @@ __all__ = [
     "format_kernel_profile",
     "format_replication_bands",
     "rmse",
-    "mae",
-    "mape",
     "r2_score",
-    "accuracy_score",
-    "selection_accuracy",
     "OnlineSimulation",
     "SimulationConfig",
     "SimulationResult",

@@ -27,7 +27,7 @@ arrival streams, the cluster's nodes, scheduler, autoscaler and reward mode
   delays and slowdowns for the opt-in shaped reward modes
   (:class:`~repro.core.rewards.RewardConfig`);
 * accounting is queue-aware: per-round queue delay, batch makespan,
-  :meth:`~repro.hardware.ResourceCostModel.occupancy_cost` resource-seconds
+  :func:`~repro.hardware.occupancy_cost` resource-seconds
   (useful and preemption-wasted), autoscaled node-pool cost, and the
   queue-inclusive regret column of :mod:`repro.core.rewards`;
 * execution is **interference-aware** when the scenario carries an
@@ -37,9 +37,9 @@ arrival streams, the cluster's nodes, scheduler, autoscaler and reward mode
   the gap against the contention-free plan.
 
 A zero-contention scenario (single closed-loop tenant, effectively infinite
-capacity) reproduces the synchronous loop's decisions *exactly* -- the parity
-test pins this, so the queued path is a strict generalisation of the paper's
-one-workflow-per-round protocol.
+capacity) reproduces the decisions of the paper's one-workflow-per-round
+protocol *exactly* -- the parity tests replay that loop as a test-local
+reference -- so the queued path is a strict generalisation of it.
 
 Use the registry::
 
@@ -78,11 +78,11 @@ from repro.evaluation.engine import (
 from repro.hardware import (
     HardwareCatalog,
     HardwareConfig,
-    ResourceCostModel,
     matmul_catalog,
     ndp_catalog,
 )
 from repro.utils.logging import EventLog
+from repro.utils.validation import check_count, check_priority
 from repro.workloads import (
     ArrivalProcess,
     BurnPro3DWorkload,
@@ -100,17 +100,11 @@ __all__ = [
     "TenantOutcome",
     "ContentionResult",
     "run_scenario",
-    "run_synchronous",
     "run_scenario_sweep",
     "build_scenario",
     "scenario_fingerprint",
     "CONTENTION_SCENARIOS",
 ]
-
-
-def _priority_preempting_scheduler() -> Scheduler:
-    """Module-level factory so priority scenarios stay picklable."""
-    return PriorityScheduler(preemption=True)
 
 
 # --------------------------------------------------------------------- #
@@ -165,10 +159,9 @@ class TenantSpec:
     reward: Optional[RewardConfig] = None
 
     def __post_init__(self) -> None:
-        if self.n_workflows < 1:
-            raise ValueError(f"n_workflows must be >= 1, got {self.n_workflows}")
-        if self.warm_start_runs < 0:
-            raise ValueError(f"warm_start_runs must be non-negative, got {self.warm_start_runs}")
+        check_count(self.n_workflows, "n_workflows")
+        check_count(self.warm_start_runs, "warm_start_runs", minimum=0)
+        check_priority(self.priority)
         if self.features is not None and len(self.features) != self.n_workflows:
             raise ValueError(
                 f"explicit feature stream has {len(self.features)} entries "
@@ -291,7 +284,6 @@ class ContentionScenario:
 # --------------------------------------------------------------------- #
 def run_scenario(
     scenario: ContentionScenario,
-    cost_model: Optional[ResourceCostModel] = None,
     log: Optional[EventLog] = None,
     profile: bool = False,
 ) -> ContentionResult:
@@ -306,21 +298,7 @@ def run_scenario(
     (:attr:`ContentionResult.kernel_profile`); the scenario outputs
     themselves are unaffected.
     """
-    return ExperimentEngine(scenario, cost_model=cost_model, log=log, profile=profile).run()
-
-
-def run_synchronous(
-    scenario: ContentionScenario,
-    cost_model: Optional[ResourceCostModel] = None,
-    log: Optional[EventLog] = None,
-) -> ContentionResult:
-    """Play a single-tenant scenario through the contention-free synchronous path.
-
-    Thin frontend over :meth:`ExperimentEngine.run_synchronous` -- the
-    paper's one-workflow-per-round protocol, kept as the parity reference
-    for the queued runner.
-    """
-    return ExperimentEngine(scenario, cost_model=cost_model, log=log).run_synchronous()
+    return ExperimentEngine(scenario, log=log, profile=profile).run()
 
 
 # --------------------------------------------------------------------- #
@@ -546,7 +524,7 @@ def _scenario_priority_tiers(seed: int = 0) -> ContentionScenario:
         ),
         tenants=tenants,
         nodes=(Node("worker-1", cpus=8, memory_gb=32),),
-        scheduler_factory=_priority_preempting_scheduler,
+        scheduler_factory=PriorityScheduler,
         seed=seed,
     )
 

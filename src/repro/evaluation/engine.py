@@ -9,8 +9,7 @@ a run plays out:
 
 * **one round/outcome ledger** -- :class:`ScenarioAccountant` turns every
   completion into a :class:`~repro.core.rewards.RoundOutcome`, a per-tenant
-  :class:`~repro.core.rewards.RegretLedger` entry and one accounting row,
-  identically for the queued and the synchronous path;
+  :class:`~repro.core.rewards.RegretLedger` entry and one accounting row;
 * **one completion → observe path** -- each tenant's
   :class:`~repro.core.BanditWare` gets one
   :meth:`~repro.core.BanditWare.observe_batch` call per event drain, rows in
@@ -20,8 +19,9 @@ a run plays out:
 * **one seeding discipline** -- replications derive from a
   :class:`~repro.utils.rng.SeedSequencePool` via
   :func:`replication_sequences`; tenant feature/arrival/warm-start streams
-  derive from :func:`stream_rng`, so every frontend draws the same streams
-  for the same scenario and the queued/synchronous parity is exact;
+  derive from :func:`stream_rng`, so every consumer of a scenario (the
+  engine, and the contention-free reference loop the parity tests replay)
+  draws the same streams;
 * **the event loop** -- :class:`ExperimentEngine` interleaves external
   arrivals with the cluster's own events (pod lifecycle, autoscaler
   provisioning and drains) in global time order, with cluster events winning
@@ -42,7 +42,6 @@ import heapq
 import itertools
 import pickle
 from concurrent.futures import BrokenExecutor
-from functools import partial
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import (
     TYPE_CHECKING,
@@ -60,11 +59,11 @@ from repro.core.banditware import BanditWare, Recommendation
 from repro.core.models.linear import solve_least_squares
 from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.core.selection import TolerantSelector
-from repro.dataframe import DataFrame
-from repro.hardware import HardwareCatalog, ResourceCostModel
+from repro.hardware import HardwareCatalog, node_occupancy_cost, occupancy_cost
 from repro.utils.logging import EventLog
 from repro.utils.numeric import ordered_sum
 from repro.utils.rng import SeedSequencePool
+from repro.utils.validation import check_count
 from repro.workloads import ClosedLoopArrivals, TraceGenerator
 from repro.workloads.base import WorkloadModel
 
@@ -101,8 +100,8 @@ def stream_rng(seed: int, index: int, purpose: str) -> np.random.Generator:
     """The random stream for one (seed, tenant, purpose) triple.
 
     All scenario-level randomness -- feature sampling, arrival times,
-    warm-start traces -- flows through here so the queued and synchronous
-    frontends draw byte-identical streams.
+    warm-start traces -- flows through here so everything that replays a
+    scenario draws byte-identical streams.
     """
     if purpose not in _STREAM_PURPOSES:
         raise KeyError(
@@ -164,16 +163,8 @@ class ContentionResult:
     #: perturb parity-pinned outputs.
     kernel_profile: Optional[Dict[str, float]] = None
 
-    @property
-    def n_completed(self) -> int:
-        return len(self.rows)
-
     def queue_delays(self) -> np.ndarray:
         return np.asarray([float(row["queue_seconds"]) for row in self.rows])
-
-    def to_frame(self) -> DataFrame:
-        """The per-completion accounting table as a :class:`DataFrame`."""
-        return DataFrame.from_records(self.rows)
 
     def summary(self) -> Dict[str, float]:
         """Headline queue-aware numbers for reports and tests."""
@@ -224,8 +215,8 @@ class ContentionResult:
 
 
 # --------------------------------------------------------------------- #
-# Shared construction (queued runner and synchronous reference must build
-# byte-identical recommenders and workflow streams for the parity guarantee)
+# Shared construction (the recommenders and workflow streams of a scenario;
+# the zero-contention parity tests build their reference loop from these)
 # --------------------------------------------------------------------- #
 def tenant_feature_streams(scenario: "ContentionScenario") -> List[List[Dict[str, float]]]:
     """The workflow feature stream of every tenant, in tenant order."""
@@ -322,18 +313,15 @@ class _InFlight:
 
 
 class ScenarioAccountant:
-    """One round/outcome ledger for every frontend.
+    """The round/outcome ledger of a scenario run.
 
     Turns each completed run into a :class:`RoundOutcome` on the tenant's
     regret ledger plus one accounting row, and integrates occupancy cost --
-    useful and (for preempted pods) wasted resource-seconds.  Both the queued
-    event-driven path and the synchronous reference loop record through this
-    class, so their accounting cannot drift apart.
+    useful and (for preempted pods) wasted resource-seconds.
     """
 
-    def __init__(self, catalog: HardwareCatalog, cost_model: ResourceCostModel):
+    def __init__(self, catalog: HardwareCatalog):
         self.catalog = catalog
-        self.cost_model = cost_model
         self.rows: List[Dict[str, object]] = []
         self.total_occupancy = 0.0
         self.wasted_occupancy = 0.0
@@ -364,8 +352,8 @@ class ScenarioAccountant:
         state.outcome.ledger.record(outcome)
         state.outcome.runtimes.append(run.record.runtime_seconds)
         config = self.catalog[run.record.hardware]
-        occupancy = self.cost_model.occupancy_cost(config, run.record.runtime_seconds)
-        wasted = self.cost_model.occupancy_cost(config, run.wasted_runtime_seconds)
+        occupancy = occupancy_cost(config, run.record.runtime_seconds)
+        wasted = occupancy_cost(config, run.wasted_runtime_seconds)
         self.total_occupancy += occupancy
         self.wasted_occupancy += wasted
         self.rows.append(
@@ -415,12 +403,10 @@ class ExperimentEngine:
     def __init__(
         self,
         scenario: "ContentionScenario",
-        cost_model: Optional[ResourceCostModel] = None,
         log: Optional[EventLog] = None,
         profile: bool = False,
     ):
         self.scenario = scenario
-        self.cost_model = cost_model or ResourceCostModel()
         self.log = log
         self.profile = profile
         self.catalog = scenario.union_catalog()
@@ -455,7 +441,7 @@ class ExperimentEngine:
         if pool is None:
             return 0.0
         return ordered_sum(
-            self.cost_model.node_occupancy_cost(
+            node_occupancy_cost(
                 pool.node_cpus, pool.node_memory_gb, end - start, pool.node_gpus
             )
             for _, start, end in cluster.pool_node_lifetimes()
@@ -467,7 +453,7 @@ class ExperimentEngine:
         scenario = self.scenario
         cluster = self._build_cluster(scenario.tenants[0].workload)
         kernel_profile = cluster.enable_profiling() if self.profile else None
-        accountant = ScenarioAccountant(self.catalog, self.cost_model)
+        accountant = ScenarioAccountant(self.catalog)
         recommenders = build_recommenders(scenario)
         states = [
             _TenantState(index, spec, stream, recommenders[index])
@@ -584,51 +570,6 @@ class ExperimentEngine:
             placement=cluster.scheduler.placement.name,
             reward_modes=self._reward_modes(),
             kernel_profile=kernel_profile.as_dict() if kernel_profile else None,
-        )
-
-    # ------------------------------------------------------------------ #
-    def run_synchronous(self) -> ContentionResult:
-        """Play a single-tenant scenario through the contention-free loop.
-
-        This is the paper's one-workflow-per-round protocol: recommend,
-        execute "alone" via :meth:`ClusterSimulator.run_workload`, observe.
-        It exists as the parity reference for the queued runner -- a
-        zero-contention scenario must reproduce its decision stream exactly.
-        """
-        scenario = self.scenario
-        if len(scenario.tenants) != 1:
-            raise ValueError(
-                "the synchronous reference loop supports exactly one tenant; "
-                f"scenario {scenario.name!r} has {len(scenario.tenants)}"
-            )
-        tenant = scenario.tenants[0]
-        cluster = self._build_cluster(tenant.workload)
-        (recommender,) = build_recommenders(scenario)
-        accountant = ScenarioAccountant(self.catalog, self.cost_model)
-        state = _TenantState(0, tenant, tenant_feature_streams(scenario)[0], recommender)
-        clock = 0.0
-        for features in state.features:
-            recommendation = recommender.recommend(features)
-            state.outcome.decisions.append(recommendation.hardware.name)
-            run = cluster.run_workload(features, recommendation.hardware)
-            recommender.observe(features, recommendation.hardware, run.record.runtime_seconds)
-            clock += run.record.runtime_seconds
-            accountant.record(
-                state,
-                features,
-                run,
-                explored=recommendation.explored,
-                finish_time=clock,
-            )
-        return ContentionResult(
-            scenario_name=scenario.name,
-            description=scenario.description,
-            makespan_seconds=clock,
-            total_occupancy_cost=accountant.total_occupancy,
-            rows=accountant.rows,
-            tenants={tenant.name: state.outcome},
-            placement=cluster.scheduler.placement.name,
-            reward_modes=self._reward_modes(),
         )
 
 
@@ -941,41 +882,34 @@ def run_replications(
 # --------------------------------------------------------------------- #
 # Scenario sweeps
 # --------------------------------------------------------------------- #
-def _sweep_worker(
-    scenario: "ContentionScenario", cost_model: Optional[ResourceCostModel] = None
-) -> ContentionResult:
-    return ExperimentEngine(scenario, cost_model=cost_model).run()
+def _sweep_worker(scenario: "ContentionScenario") -> ContentionResult:
+    return ExperimentEngine(scenario).run()
 
 
 def run_scenario_sweep(
-    scenarios: Sequence["ContentionScenario"],
-    n_workers: int = 1,
-    cost_model: Optional[ResourceCostModel] = None,
+    scenarios: Sequence["ContentionScenario"], n_workers: int = 1
 ) -> List[ContentionResult]:
     """Run many scenarios, optionally fanning out over a process pool.
 
     Scenario runs are independent, so the pool is embarrassingly parallel;
     results come back in input order either way.  Scenarios (and their
     workloads, arrival processes and schedulers) are picklable by
-    construction, which the contention test-suite pins.  ``cost_model``
-    applies to every run, exactly as it would in ``run_scenario``.
+    construction, which the contention test-suite pins.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    worker = partial(_sweep_worker, cost_model=cost_model)
+    check_count(n_workers, "n_workers")
     n_workers = min(n_workers, len(scenarios)) if scenarios else 1
     if n_workers <= 1:
-        return [worker(scenario) for scenario in scenarios]
+        return [_sweep_worker(scenario) for scenario in scenarios]
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as executor:
-            return list(executor.map(worker, scenarios))
+            return list(executor.map(_sweep_worker, scenarios))
     except (OSError, PermissionError, ImportError, BrokenExecutor,
             pickle.PicklingError, AttributeError, TypeError):
         # Same fallback contract as run_replications.
         with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            return list(executor.map(worker, scenarios))
+            return list(executor.map(_sweep_worker, scenarios))
 
 
 # --------------------------------------------------------------------- #
@@ -1074,7 +1008,6 @@ def run_scenario_replications(
     scenario: "ContentionScenario",
     n_replications: int,
     n_workers: int = 1,
-    cost_model: Optional[ResourceCostModel] = None,
 ) -> ReplicationSummary:
     """Replicate one scenario over consecutive seeds and aggregate band curves.
 
@@ -1085,11 +1018,10 @@ def run_scenario_replications(
     :func:`run_scenario_sweep`, so ``n_workers > 1`` distributes
     replications over a process pool with the usual thread fallback.
     """
-    if n_replications < 1:
-        raise ValueError(f"n_replications must be >= 1, got {n_replications}")
+    check_count(n_replications, "n_replications")
     seeds = [scenario.seed + i for i in range(n_replications)]
     replications = [dataclass_replace(scenario, seed=seed) for seed in seeds]
-    results = run_scenario_sweep(replications, n_workers=n_workers, cost_model=cost_model)
+    results = run_scenario_sweep(replications, n_workers=n_workers)
     lengths = {len(result.rows) for result in results}
     if len(lengths) > 1:
         raise RuntimeError(

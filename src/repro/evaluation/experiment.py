@@ -3,9 +3,9 @@
 Each of the paper's bandit figures (4, 6, 7, 9, 10, 11, 12) is one
 combination of dataset, context features, tolerance and simulation budget.
 :func:`build_experiment` encodes those combinations by name so benchmarks,
-examples and EXPERIMENTS.md all run exactly the same configurations, and
-:func:`run_experiment` executes one and returns both the raw simulation
-result and the derived comparisons.
+examples, the ``run-experiment`` command and the tests' input pins all run
+exactly the same configurations, and :func:`run_experiment` executes one and
+returns both the raw simulation result and the derived comparisons.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Prediction-quality and recommendation-quality metrics."""
+"""Prediction-quality metrics."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Union
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["rmse", "mae", "mape", "r2_score", "accuracy_score", "selection_accuracy"]
+__all__ = ["rmse", "r2_score"]
 
 
 def _paired_arrays(actual, predicted) -> tuple:
@@ -27,19 +27,6 @@ def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((a - p) ** 2)))
 
 
-def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute error."""
-    a, p = _paired_arrays(actual, predicted)
-    return float(np.mean(np.abs(a - p)))
-
-
-def mape(actual: Sequence[float], predicted: Sequence[float], epsilon: float = 1e-12) -> float:
-    """Mean absolute percentage error (with an epsilon guard for zero actuals)."""
-    a, p = _paired_arrays(actual, predicted)
-    denom = np.maximum(np.abs(a), epsilon)
-    return float(np.mean(np.abs(a - p) / denom))
-
-
 def r2_score(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination R².
 
@@ -53,43 +40,3 @@ def r2_score(actual: Sequence[float], predicted: Sequence[float]) -> float:
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return 1.0 - ss_res / ss_tot
-
-
-def accuracy_score(correct: Sequence[bool]) -> float:
-    """Fraction of true values in a boolean sequence."""
-    arr = np.asarray(list(correct), dtype=bool)
-    if arr.size == 0:
-        raise ValueError("accuracy requires at least one decision")
-    return float(np.mean(arr))
-
-
-def selection_accuracy(
-    chosen: Sequence[str],
-    acceptable: Sequence[Union[str, Set[str], Iterable[str]]],
-) -> float:
-    """Fraction of choices that fall inside their acceptable set.
-
-    Parameters
-    ----------
-    chosen:
-        The hardware name chosen for each decision.
-    acceptable:
-        For each decision, either the single correct hardware name or the set
-        of names considered acceptable (e.g. all hardware within the
-        tolerance of the true optimum, as in Figures 11 and 12).
-    """
-    chosen = list(chosen)
-    acceptable = list(acceptable)
-    if len(chosen) != len(acceptable):
-        raise ValueError(
-            f"chosen has {len(chosen)} entries but acceptable has {len(acceptable)}"
-        )
-    if not chosen:
-        raise ValueError("selection_accuracy requires at least one decision")
-    hits = 0
-    for pick, ok in zip(chosen, acceptable):
-        if isinstance(ok, str):
-            hits += int(pick == ok)
-        else:
-            hits += int(pick in set(ok))
-    return hits / len(chosen)

@@ -61,7 +61,7 @@ from repro.core.policies import (
 from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.dataframe import DataFrame
 from repro.hardware import HardwareCatalog
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import check_count, check_non_negative, check_probability
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["SimulationConfig", "SimulationResult", "OnlineSimulation"]
@@ -102,20 +102,22 @@ class SimulationConfig:
     n_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
-        if self.n_simulations < 1:
-            raise ValueError(f"n_simulations must be >= 1, got {self.n_simulations}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        check_count(self.n_rounds, "n_rounds")
+        check_count(self.n_simulations, "n_simulations")
+        check_count(self.n_workers, "n_workers")
         if self.policy not in ("epsilon_greedy", "greedy", "random", "linucb", "thompson"):
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.arm_model not in _ARM_MODEL_FACTORIES:
             raise ValueError(
                 f"unknown arm_model {self.arm_model!r}; choose from {sorted(_ARM_MODEL_FACTORIES)}"
             )
-        if self.evaluation_subsample is not None and self.evaluation_subsample < 1:
-            raise ValueError("evaluation_subsample must be >= 1 when given")
+        if self.policy in ("linucb", "thompson") and self.arm_model != "rls":
+            raise ValueError(
+                f"policy {self.policy!r} needs arm_model='rls', the only model that "
+                f"keeps a posterior; got {self.arm_model!r}"
+            )
+        if self.evaluation_subsample is not None:
+            check_count(self.evaluation_subsample, "evaluation_subsample")
         check_probability(self.epsilon0, "epsilon0")
         check_probability(self.decay, "decay")
         check_non_negative(self.tolerance_ratio, "tolerance_ratio")
@@ -228,20 +230,12 @@ class SimulationResult:
             )
         return round_index - 1
 
-    def to_frame(self) -> DataFrame:
-        """Per-round summary table (round, mean/std RMSE, mean/std accuracy)."""
-        return DataFrame(
-            {
-                "round": self.rounds,
-                "rmse_mean": self.mean_rmse(),
-                "rmse_std": self.std_rmse(),
-                "accuracy_mean": self.mean_accuracy(),
-                "accuracy_std": self.std_accuracy(),
-            }
-        )
-
     def summary(self) -> Dict[str, float]:
-        """Headline numbers used by tests and EXPERIMENTS.md."""
+        """Headline numbers for reports and tests.
+
+        :meth:`~repro.evaluation.experiment.ExperimentResult.summary` extends
+        them, and ``run-experiment`` prints that.
+        """
         final = self.n_rounds
         return {
             "n_rounds": float(self.n_rounds),

@@ -21,11 +21,11 @@ from repro.hardware.catalog import (
     ndp_catalog,
     synthetic_catalog,
     matmul_catalog,
-    uniform_scaling_catalog,
 )
 from repro.hardware.cost import (
-    ResourceCostModel,
-    resource_footprint,
+    footprint,
+    node_occupancy_cost,
+    occupancy_cost,
     rank_by_efficiency,
 )
 
@@ -35,8 +35,8 @@ __all__ = [
     "ndp_catalog",
     "synthetic_catalog",
     "matmul_catalog",
-    "uniform_scaling_catalog",
-    "ResourceCostModel",
-    "resource_footprint",
+    "footprint",
+    "occupancy_cost",
+    "node_occupancy_cost",
     "rank_by_efficiency",
 ]

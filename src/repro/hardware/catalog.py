@@ -11,7 +11,6 @@ __all__ = [
     "ndp_catalog",
     "synthetic_catalog",
     "matmul_catalog",
-    "uniform_scaling_catalog",
 ]
 
 
@@ -157,24 +156,3 @@ def matmul_catalog() -> HardwareCatalog:
             HardwareConfig("H4", cpus=8, memory_gb=32),
         ]
     )
-
-
-def uniform_scaling_catalog(
-    n: int,
-    base_cpus: int = 2,
-    base_memory_gb: float = 8.0,
-    cpu_step: int = 2,
-    memory_step_gb: float = 8.0,
-) -> HardwareCatalog:
-    """A parametric ladder of configurations for sweeps and property tests."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    configs = [
-        HardwareConfig(
-            name=f"H{i}",
-            cpus=base_cpus + i * cpu_step,
-            memory_gb=base_memory_gb + i * memory_step_gb,
-        )
-        for i in range(n)
-    ]
-    return HardwareCatalog(configs)

@@ -4,115 +4,59 @@ Algorithm 1's exploitation branch does not simply pick the estimated-fastest
 hardware: it builds the tolerance threshold ``R_limit`` and, among all
 configurations whose estimated runtime is within the threshold, chooses "the
 one with the most resource efficiency".  The paper does not pin down a single
-formula, so this module provides a configurable :class:`ResourceCostModel`
-whose default matches the intuitive reading -- fewer CPUs and less memory are
-"cheaper", so among near-equally-fast configurations the smallest allocation
-wins.
+formula; this module fixes the intuitive reading -- fewer CPUs and less
+memory are "cheaper", so among near-equally-fast configurations the smallest
+allocation wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.hardware.catalog import HardwareCatalog
 from repro.hardware.config import HardwareConfig
 
-__all__ = ["ResourceCostModel", "resource_footprint", "rank_by_efficiency"]
+__all__ = ["footprint", "occupancy_cost", "node_occupancy_cost", "rank_by_efficiency"]
 
 
-def resource_footprint(config: HardwareConfig, cpu_weight: float = 1.0, memory_weight: float = 0.125, gpu_weight: float = 8.0) -> float:
+def footprint(cpus: float, memory_gb: float, gpus: float) -> float:
     """A scalar "amount of resources" score (lower = more efficient to hold).
 
-    The default weights express memory in CPU-equivalents (8 GiB ~ 1 CPU) and
-    GPUs as 8 CPU-equivalents, which reproduces the orderings implied by the
-    paper (H0=(2,16) is the most efficient NDP configuration, H1=(3,24) the
-    middle one, H2=(4,16) uses the most CPU).
+    Memory counts in CPU-equivalents (8 GiB ~ 1 CPU) and a GPU as 8
+    CPU-equivalents, which reproduces the orderings implied by the paper
+    (H0=(2,16) is the most efficient NDP configuration, H1=(3,24) the middle
+    one, H2=(4,16) uses the most CPU).  The same score prices a pod's
+    allocation and a node's provisioned capacity, so autoscaling cost is
+    directly comparable to the occupancy cost of the work it carried.
     """
-    return (
-        cpu_weight * config.cpus
-        + memory_weight * config.memory_gb
-        + gpu_weight * config.gpus
-    )
+    return 1.0 * cpus + 0.125 * memory_gb + 8.0 * gpus
 
 
-@dataclass(frozen=True)
-class ResourceCostModel:
-    """Weighted resource footprint used to break ties toward efficient hardware.
+def occupancy_cost(config: HardwareConfig, seconds: float) -> float:
+    """A run's footprint integrated over its duration (resource-seconds)."""
+    if seconds < 0:
+        raise ValueError(f"seconds must be non-negative, got {seconds}")
+    return footprint(config.cpus, config.memory_gb, config.gpus) * seconds
 
-    Parameters
-    ----------
-    cpu_weight, memory_weight, gpu_weight:
-        Relative weights of each resource dimension.
+
+def node_occupancy_cost(cpus: int, memory_gb: float, seconds: float, gpus: int = 0) -> float:
+    """A node's capacity footprint integrated over its provisioned lifetime.
+
+    Elastic capacity is charged for the full provision-to-drain interval in
+    the same resource-second units as :func:`occupancy_cost`.
     """
-
-    cpu_weight: float = 1.0
-    memory_weight: float = 0.125
-    gpu_weight: float = 8.0
-
-    def __post_init__(self) -> None:
-        for name in ("cpu_weight", "memory_weight", "gpu_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-
-    def footprint(self, config: HardwareConfig) -> float:
-        """Scalar footprint of ``config`` (lower is more resource-efficient)."""
-        return resource_footprint(
-            config,
-            cpu_weight=self.cpu_weight,
-            memory_weight=self.memory_weight,
-            gpu_weight=self.gpu_weight,
-        )
-
-    def occupancy_cost(self, config: HardwareConfig, seconds: float) -> float:
-        """Footprint integrated over a run's duration (resource-seconds)."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be non-negative, got {seconds}")
-        return self.footprint(config) * seconds
-
-    def node_footprint(self, cpus: int, memory_gb: float, gpus: int = 0) -> float:
-        """Scalar footprint of a whole node's capacity.
-
-        The same weights that price a pod's *allocation* price a node's
-        *provisioned capacity*, so autoscaling cost (paying for a node from
-        provision to drain, busy or idle) is directly comparable to the
-        occupancy cost of the work it carried.
-        """
-        return self.cpu_weight * cpus + self.memory_weight * memory_gb + self.gpu_weight * gpus
-
-    def node_occupancy_cost(self, cpus: int, memory_gb: float, seconds: float, gpus: int = 0) -> float:
-        """A node's capacity footprint integrated over its provisioned lifetime.
-
-        This is the autoscaler's cost hook: elastic capacity is charged for
-        the full provision-to-drain interval in the same resource-second
-        units as :meth:`occupancy_cost`.
-        """
-        if seconds < 0:
-            raise ValueError(f"seconds must be non-negative, got {seconds}")
-        return self.node_footprint(cpus, memory_gb, gpus) * seconds
-
-    def most_efficient(self, candidates: Sequence[HardwareConfig]) -> HardwareConfig:
-        """Return the candidate with the smallest footprint.
-
-        Ties break toward fewer CPUs, then less memory, then name, so the
-        choice is deterministic.
-        """
-        if not candidates:
-            raise ValueError("candidates must be a non-empty sequence")
-        return min(
-            candidates,
-            key=lambda c: (self.footprint(c), c.cpus, c.memory_gb, c.name),
-        )
-
-    def rank(self, catalog: HardwareCatalog | Sequence[HardwareConfig]) -> List[HardwareConfig]:
-        """All configurations sorted from most to least resource-efficient."""
-        configs = list(catalog)
-        return sorted(
-            configs,
-            key=lambda c: (self.footprint(c), c.cpus, c.memory_gb, c.name),
-        )
+    if seconds < 0:
+        raise ValueError(f"seconds must be non-negative, got {seconds}")
+    return footprint(cpus, memory_gb, gpus) * seconds
 
 
 def rank_by_efficiency(catalog: HardwareCatalog | Sequence[HardwareConfig]) -> List[HardwareConfig]:
-    """Rank configurations using the default :class:`ResourceCostModel`."""
-    return ResourceCostModel().rank(catalog)
+    """All configurations sorted from most to least resource-efficient.
+
+    Ties break toward fewer CPUs, then less memory, then name, so the order
+    is deterministic.
+    """
+    return sorted(
+        catalog,
+        key=lambda c: (footprint(c.cpus, c.memory_gb, c.gpus), c.cpus, c.memory_gb, c.name),
+    )

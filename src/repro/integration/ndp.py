@@ -80,10 +80,6 @@ class ApplicationRegistry:
     def __len__(self) -> int:
         return len(self._applications)
 
-    def list_applications(self) -> List[ApplicationInfo]:
-        """All registered applications, sorted by name."""
-        return [self._applications[name] for name in sorted(self._applications)]
-
 
 class RunHistoryStore:
     """Append-only store of completed runs, queryable per application."""

@@ -477,10 +477,6 @@ class RecommendationService:
 
         return checkpoint_service(self)
 
-    def save_checkpoint(self, path) -> None:
-        """Write :meth:`checkpoint` to ``path``."""
-        self.checkpoint().save(path)
-
     @classmethod
     def restore(cls, checkpoint, log: Optional[EventLog] = None) -> "RecommendationService":
         """Rebuild a service from a :class:`ServiceCheckpoint` (or a path)."""

@@ -14,27 +14,24 @@ every other subsystem:
   simulator and the recommendation service.
 """
 
-from repro.utils.rng import SeedSequencePool, as_generator, spawn_generators
+from repro.utils.rng import SeedSequencePool, as_generator
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_probability,
     check_in_range,
     check_feature_matrix,
-    check_same_length,
 )
 from repro.utils.logging import EventLog, LogRecord, NullLog
 
 __all__ = [
     "SeedSequencePool",
     "as_generator",
-    "spawn_generators",
     "check_positive",
     "check_non_negative",
     "check_probability",
     "check_in_range",
     "check_feature_matrix",
-    "check_same_length",
     "EventLog",
     "LogRecord",
     "NullLog",

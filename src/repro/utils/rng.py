@@ -9,19 +9,18 @@ obtain bit-for-bit reproducible figures.
 The evaluation harness replays the same experiment many times ("simulations"
 in the paper's terminology, e.g. ``n_sim = 100``).  Each replication must see
 an *independent* random stream while remaining reproducible as a family;
-:func:`spawn_generators` and :class:`SeedSequencePool` provide that via NumPy
-seed-sequence spawning.
+:class:`SeedSequencePool` provides that via NumPy seed-sequence spawning.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
-__all__ = ["SeedLike", "as_generator", "spawn_generators", "SeedSequencePool"]
+__all__ = ["SeedLike", "as_generator", "SeedSequencePool"]
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -54,29 +53,6 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
         "seed must be None, an int, a numpy SeedSequence or a numpy Generator; "
         f"got {type(seed).__name__}"
     )
-
-
-def spawn_generators(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Create ``n`` independent generators derived from ``seed``.
-
-    Independence is achieved through :meth:`numpy.random.SeedSequence.spawn`,
-    which guarantees non-overlapping streams.  When ``seed`` is already a
-    ``Generator`` the child streams are derived from its bit generator's
-    seed sequence when available and from fresh entropy otherwise.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if isinstance(seed, np.random.Generator):
-        ss = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-        if ss is None:  # pragma: no cover - extremely unusual
-            ss = np.random.SeedSequence()
-    elif isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    elif seed is None:
-        ss = np.random.SeedSequence()
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 class SeedSequencePool:
@@ -128,7 +104,3 @@ class SeedSequencePool:
     def generator(self, index: int) -> np.random.Generator:
         """Return the generator for child ``index`` (created lazily)."""
         return np.random.default_rng(self.sequence(index))
-
-    def generators(self, n: int) -> List[np.random.Generator]:
-        """Return generators for children ``0 .. n-1``."""
-        return [self.generator(i) for i in range(n)]

@@ -1,15 +1,16 @@
 """Argument-validation helpers shared across the library.
 
 These helpers keep error messages consistent and make the public API fail
-loudly on misuse (negative runtimes, malformed feature matrices, mismatched
-lengths) instead of silently producing nonsense recommendations.
+loudly on misuse (negative runtimes, malformed feature matrices, non-integer
+counts) instead of silently producing nonsense recommendations.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Sequence, Sized
+import operator
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -20,8 +21,8 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_count",
+    "check_priority",
     "check_feature_matrix",
-    "check_same_length",
 ]
 
 
@@ -91,6 +92,17 @@ def check_count(value: Any, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_priority(value: Any) -> int:
+    """Return a pod priority class as an ``int``.
+
+    Raises :class:`TypeError` unless ``value`` is an integer; a ``bool`` is
+    rejected too.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"priority must be an integer, not a bool ({value!r})")
+    return operator.index(value)
+
+
 def check_feature_matrix(x: Any, name: str = "X", n_features: int | None = None) -> np.ndarray:
     """Coerce ``x`` into a 2-D float array of shape ``(n_samples, n_features)``.
 
@@ -108,15 +120,3 @@ def check_feature_matrix(x: Any, name: str = "X", n_features: int | None = None)
             f"{name} has {arr.shape[1]} features but {n_features} were expected"
         )
     return arr
-
-
-def check_same_length(*pairs: tuple[str, Sized]) -> int:
-    """Check that all named sized objects have equal length; return that length."""
-    if not pairs:
-        return 0
-    lengths = {name: len(obj) for name, obj in pairs}
-    unique = set(lengths.values())
-    if len(unique) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in lengths.items())
-        raise ValueError(f"length mismatch: {detail}")
-    return unique.pop()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -35,13 +35,6 @@ class RunRecord:
             raise ValueError(
                 f"runtime_seconds must be non-negative, got {self.runtime_seconds}"
             )
-
-    def feature_vector(self, feature_names: Sequence[str]) -> np.ndarray:
-        """Return the features in the order given by ``feature_names``."""
-        missing = [name for name in feature_names if name not in self.features]
-        if missing:
-            raise KeyError(f"run {self.run_id} is missing features {missing}")
-        return np.asarray([float(self.features[name]) for name in feature_names])
 
     def to_row(self) -> Dict[str, Any]:
         """Flatten into a row dictionary suitable for a :class:`DataFrame`."""
@@ -101,13 +94,6 @@ class WorkloadModel(abc.ABC):
         return 0.02 * expected
 
     # ------------------------------------------------------------------ #
-    def feature_vector(self, features: Dict[str, float]) -> np.ndarray:
-        """Order ``features`` according to :attr:`feature_names`."""
-        missing = [name for name in self.feature_names if name not in features]
-        if missing:
-            raise KeyError(f"features missing {missing} for workload {self.name!r}")
-        return np.asarray([float(features[name]) for name in self.feature_names])
-
     def observed_runtime(
         self,
         features: Dict[str, float],
@@ -126,12 +112,6 @@ class WorkloadModel(abc.ABC):
     ) -> HardwareConfig:
         """The configuration with the smallest *expected* runtime for ``features``."""
         return min(catalog, key=lambda hw: (self.expected_runtime(features, hw), hw.name))
-
-    def runtime_table(
-        self, features: Dict[str, float], catalog: HardwareCatalog
-    ) -> Dict[str, float]:
-        """Expected runtime of ``features`` on every configuration in ``catalog``."""
-        return {hw.name: self.expected_runtime(features, hw) for hw in catalog}
 
 
 class TraceGenerator:

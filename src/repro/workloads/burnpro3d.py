@@ -193,11 +193,3 @@ class BurnPro3DWorkload(WorkloadModel):
         coeffs = {f"w_{k}": v for k, v in self._coefficients.items()}
         coeffs["b"] = self._intercept
         return coeffs
-
-    @staticmethod
-    def feature_table() -> List[Dict[str, str]]:
-        """Rows of Table 1 (feature name + description)."""
-        return [
-            {"feature": name, "description": BP3D_FEATURE_DESCRIPTIONS[name]}
-            for name in BP3D_FEATURES
-        ]

@@ -20,12 +20,11 @@ here:
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.hardware import HardwareConfig
-from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["tiled_matrix_square", "MatrixMultiplicationWorkload"]
@@ -213,24 +212,3 @@ class MatrixMultiplicationWorkload(WorkloadModel):
 
     def noise_scale(self, expected: float) -> float:
         return float(np.hypot(0.5, self.noise_fraction * expected))
-
-    # ------------------------------------------------------------------ #
-    def generate_matrix(self, features: Dict[str, float], rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Materialise the random integer matrix described by ``features``.
-
-        Matrix generation is *not* part of the measured runtime in the paper;
-        this helper exists so the examples can execute the real kernel on the
-        same inputs the synthetic model describes (at small sizes).
-        """
-        rng = as_generator(rng)
-        size = int(features["size"])
-        lo = int(features.get("min_value", 0))
-        hi = int(features.get("max_value", 100))
-        if hi <= lo:
-            hi = lo + 1
-        matrix = rng.integers(lo, hi + 1, size=(size, size)).astype(float)
-        sparsity = float(features.get("sparsity", 0.0))
-        if sparsity > 0:
-            mask = rng.random((size, size)) < sparsity
-            matrix[mask] = 0.0
-        return matrix

@@ -56,6 +56,43 @@ def integrated_work(pod):
     return total
 
 
+def synchronous_run(scenario):
+    """The paper's one-workflow-per-round loop over a single-tenant scenario.
+
+    Recommend, execute "alone" through
+    :meth:`~repro.cluster.ClusterSimulator.run_workload`, observe -- on the
+    same warm-started recommender and feature stream the engine builds.
+    This is the reference the zero-contention parity tests hold the engine's
+    queued path to.  Returns ``{"decisions", "runtimes", "hardware",
+    "explored"}``, one entry per workflow: the recommended hardware, the
+    observed runtime, the hardware the run executed on and whether the
+    recommendation explored.
+    """
+    from repro.cluster import ClusterSimulator
+    from repro.evaluation.engine import build_recommenders, tenant_feature_streams
+
+    (tenant,) = scenario.tenants
+    (recommender,) = build_recommenders(scenario)
+    (features_stream,) = tenant_feature_streams(scenario)
+    cluster = ClusterSimulator(
+        workload=tenant.workload,
+        catalog=scenario.union_catalog(),
+        nodes=scenario.fresh_nodes(),
+        scheduler=scenario.scheduler_factory(),
+        seed=scenario.seed,
+    )
+    out = {"decisions": [], "runtimes": [], "hardware": [], "explored": []}
+    for features in features_stream:
+        recommendation = recommender.recommend(features)
+        run = cluster.run_workload(features, recommendation.hardware)
+        recommender.observe(features, recommendation.hardware, run.record.runtime_seconds)
+        out["decisions"].append(recommendation.hardware.name)
+        out["runtimes"].append(run.record.runtime_seconds)
+        out["hardware"].append(run.record.hardware)
+        out["explored"].append(recommendation.explored)
+    return out
+
+
 def experiment_input_digest(name):
     """SHA-256 of one registered experiment's evaluation inputs (seed 0).
 

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BestFixedHardwareRecommender,
     FullFitOracle,
-    GroundTruthOracle,
     LinearRegressionRecommender,
-    RandomRecommender,
     train_regression_ensemble,
 )
 from repro.baselines import linear_regression
@@ -158,55 +155,3 @@ class TestOracles:
         oracle = FullFitOracle(history, ndp, ["x", "y"])
         assert oracle.reference_rmse > 0
         assert 0 <= oracle.reference_r2 <= 1
-
-    def test_ground_truth_best_hardware(self, ndp, workload):
-        oracle = GroundTruthOracle(workload, ndp)
-        assert oracle.best_hardware({"x": 5.0, "y": 0.0}).name == "H1"
-
-    def test_ground_truth_best_runtime(self, ndp, workload):
-        oracle = GroundTruthOracle(workload, ndp)
-        f = {"x": 5.0, "y": 0.0}
-        assert oracle.best_runtime(f) == pytest.approx(workload.expected_runtime(f, ndp["H1"]))
-
-    def test_acceptable_hardware_with_tolerance(self, ndp, workload):
-        oracle = GroundTruthOracle(workload, ndp)
-        f = {"x": 1.0, "y": 0.0}
-        strict = oracle.acceptable_hardware(f)
-        generous = oracle.acceptable_hardware(f, tolerance_seconds=1000.0)
-        assert strict <= generous
-        assert generous == set(ndp.names)
-
-    def test_acceptable_hardware_rejects_negative_tolerance(self, ndp, workload):
-        with pytest.raises(ValueError):
-            GroundTruthOracle(workload, ndp).acceptable_hardware({"x": 1.0, "y": 0.0}, -1.0)
-
-
-class TestRandomAndFixed:
-    def test_random_recommender_uniform(self, ndp):
-        rec = RandomRecommender(ndp, seed=0)
-        counts = {}
-        for _ in range(300):
-            counts[rec.recommend({}).name] = counts.get(rec.recommend({}).name, 0) + 1
-        assert len(counts) == 3
-        assert rec.expected_accuracy == pytest.approx(1 / 3)
-
-    def test_random_recommender_observe_is_noop(self, ndp):
-        RandomRecommender(ndp).observe({}, "H0", 1.0)
-
-    def test_best_fixed_requires_fit(self, ndp):
-        with pytest.raises(RuntimeError):
-            BestFixedHardwareRecommender(ndp).recommend({})
-
-    def test_best_fixed_picks_lowest_mean(self, ndp, history):
-        rec = BestFixedHardwareRecommender(ndp).fit(history)
-        means = rec.mean_runtimes
-        assert rec.recommend({}).name == min(means, key=means.get)
-
-    def test_best_fixed_missing_columns(self, ndp):
-        with pytest.raises(KeyError):
-            BestFixedHardwareRecommender(ndp).fit(DataFrame({"x": [1.0]}))
-
-    def test_best_fixed_no_matching_hardware(self, ndp):
-        frame = DataFrame({"hardware": ["H9"], "runtime_seconds": [1.0]})
-        with pytest.raises(ValueError):
-            BestFixedHardwareRecommender(ndp).fit(frame)

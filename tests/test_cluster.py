@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import (
     BackfillScheduler,
-    BestFitScheduler,
+    BestFit,
     ClusterSimulator,
     EventQueue,
     FIFOScheduler,
@@ -48,13 +48,6 @@ class TestEventQueue:
         q.push(3.0, "x")
         q.pop()
         assert q.now == 3.0
-
-    def test_push_in_is_relative(self):
-        q = EventQueue()
-        q.push(2.0, "x")
-        q.pop()
-        q.push_in(1.5, "y")
-        assert q.peek_time() == 3.5
 
     def test_cannot_schedule_in_the_past(self):
         q = EventQueue()
@@ -283,7 +276,6 @@ class TestPodLifecycle:
         assert pod.phase is PodPhase.SUCCEEDED
         assert pod.queue_seconds == 5.0
         assert pod.runtime_seconds == 20.0
-        assert pod.is_terminal
 
     def test_cannot_finish_before_running(self, request_small):
         pod = Pod("p", request_small)
@@ -307,12 +299,12 @@ class TestPodLifecycle:
     def test_only_succeeded_is_terminal(self, request_small):
         assert {phase.value for phase in PodPhase} == {"Pending", "Running", "Succeeded"}
         pod = Pod("p", request_small)
-        assert not pod.is_terminal
+        assert pod.phase is PodPhase.PENDING
         pod.mark_submitted(0.0)
         pod.mark_running(0.0, "n")
-        assert not pod.is_terminal
+        assert pod.phase is PodPhase.RUNNING
         pod.mark_finished(1.0)
-        assert pod.phase is PodPhase.SUCCEEDED and pod.is_terminal
+        assert pod.phase is PodPhase.SUCCEEDED
         with pytest.raises(RuntimeError):
             pod.mark_finished(2.0)
 
@@ -337,19 +329,18 @@ class TestSchedulers:
 
     def test_best_fit_prefers_tightest_node(self, request_small):
         nodes = [Node("roomy", cpus=32, memory_gb=128), Node("tight", cpus=2, memory_gb=16)]
-        decision = BestFitScheduler().schedule(Pod("p", request_small), nodes)
+        decision = BackfillScheduler(placement=BestFit()).schedule(Pod("p", request_small), nodes)
         assert decision.node_name == "tight"
 
     def test_best_fit_no_capacity(self, request_large):
         nodes = [Node("a", cpus=2, memory_gb=8)]
-        decision = BestFitScheduler().select_node(Pod("p", request_large), nodes)
+        decision = BackfillScheduler(placement=BestFit()).select_node(Pod("p", request_large), nodes)
         assert decision.node_name is None
 
     def test_queue_disciplines(self):
-        # FIFO preserves strict service order; backfill and best-fit skip ahead.
+        # FIFO preserves strict service order; backfill skips ahead.
         assert FIFOScheduler().head_of_line_blocking
         assert not BackfillScheduler().head_of_line_blocking
-        assert not BestFitScheduler().head_of_line_blocking
 
     def test_backfill_places_like_fifo(self, request_small):
         nodes = [Node("a", cpus=1, memory_gb=4), Node("b", cpus=8, memory_gb=32)]
@@ -571,7 +562,7 @@ class TestRunWorkloadFeasibility:
     def test_best_fit_reports_its_own_node_choice(self):
         sim = self._cluster(
             [Node("roomy", cpus=32, memory_gb=128), Node("tight", cpus=2, memory_gb=16)],
-            scheduler=BestFitScheduler(),
+            scheduler=BackfillScheduler(placement=BestFit()),
         )
         run = sim.run_workload({"num_tasks": 100}, "H0")  # H0 needs 2 CPUs
         assert run.node == "tight"

@@ -363,7 +363,7 @@ def _audited_sim(case) -> AuditedSimulator:
             Node(f"n{i}", cpus=cpus, memory_gb=memory_gb, gpus=gpus, interference_class=tier)
             for i, (cpus, memory_gb, gpus, tier) in enumerate(case["nodes"])
         ],
-        scheduler=PriorityScheduler(preemption=True, placement=case["placement"]()),
+        scheduler=PriorityScheduler(placement=case["placement"]()),
         seed=case["seed"],
         interference=case["interference"],
     )

@@ -429,7 +429,7 @@ class TestDrawAtSubmitDeterminism:
         # with preemption): the draws must be identical pod for pod.
         fifo = _cluster(workload=_noisy_workload(), scheduler=FIFOScheduler(),
                         nodes=[Node("n", cpus=4, memory_gb=32)])
-        prio = _cluster(workload=_noisy_workload(), scheduler=PriorityScheduler(preemption=True),
+        prio = _cluster(workload=_noisy_workload(), scheduler=PriorityScheduler(),
                         nodes=[Node("n", cpus=4, memory_gb=32)])
         priorities = [0, 5, 10, 0, 7]
         fifo_pods = self._submissions(fifo, priorities)
@@ -440,7 +440,7 @@ class TestDrawAtSubmitDeterminism:
         # The preempted pod restarts with the SAME drawn runtime, and later
         # pods' draws are unaffected by the restart.
         sim = _cluster(workload=_noisy_workload(),
-                       scheduler=PriorityScheduler(preemption=True),
+                       scheduler=PriorityScheduler(),
                        nodes=[Node("n", cpus=4, memory_gb=32)])
         low = sim.submit({"x": 0.5}, "big", at_time=0.0, priority=0)
         drawn = low.work_seconds
@@ -482,7 +482,7 @@ class TestWorkConservation:
             workload=workload,
             catalog=_CATALOG,
             nodes=[Node("base", cpus=4, memory_gb=16)],
-            scheduler=PriorityScheduler(preemption=True),
+            scheduler=PriorityScheduler(),
             seed=seed,
             autoscaler=AutoscalingNodePool(
                 node_cpus=4,
@@ -526,7 +526,7 @@ class TestWorkConservation:
             workload=_constant_workload({"small": 30.0, "big": 30.0}),
             catalog=_CATALOG,
             nodes=[Node("n", cpus=6, memory_gb=32)],
-            scheduler=PriorityScheduler(preemption=True),
+            scheduler=PriorityScheduler(),
             seed=0,
             interference=LinearSlowdown(1.3),
         )

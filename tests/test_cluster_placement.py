@@ -18,7 +18,6 @@ from repro.cluster import (
     AutoscalingNodePool,
     BackfillScheduler,
     BestFit,
-    BestFitScheduler,
     ClusterSimulator,
     FIFOScheduler,
     FirstFit,
@@ -191,7 +190,7 @@ class TestDeterministicBestFitTieBreak:
         assert choices == {"n-a"}
 
     def test_scheduler_inherits_the_tie_break(self):
-        scheduler = BestFitScheduler()
+        scheduler = BackfillScheduler(placement=BestFit())
         decision = scheduler.select_node(_pod(), self._equal_nodes("zz", "aa"))
         assert decision.node_name == "aa"
         assert decision.reason == "best-fit on remaining CPU"
@@ -208,15 +207,14 @@ class TestSchedulerComposition:
         assert isinstance(FIFOScheduler().placement, FirstFit)
         assert isinstance(BackfillScheduler().placement, FirstFit)
         assert isinstance(PriorityScheduler().placement, FirstFit)
-        assert isinstance(BestFitScheduler().placement, BestFit)
 
     def test_any_scheduler_composes_with_any_placement(self):
         nodes = [Node("n1", cpus=8, memory_gb=32), Node("n2", cpus=8, memory_gb=32)]
         _allocate(nodes[0], 2)
-        for scheduler_cls in (FIFOScheduler, BackfillScheduler, BestFitScheduler):
+        for scheduler_cls in (FIFOScheduler, BackfillScheduler):
             scheduler = scheduler_cls(placement=WorstFit())
             assert scheduler.select_node(_pod(), nodes).node_name == "n2"
-        priority = PriorityScheduler(preemption=True, placement=Pack())
+        priority = PriorityScheduler(placement=Pack())
         assert priority.select_node(_pod(), nodes).node_name == "n1"
         assert priority.supports_preemption
 

@@ -15,7 +15,7 @@ from repro.cluster import (
     PodPhase,
     PriorityScheduler,
 )
-from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel
+from repro.hardware import HardwareCatalog, HardwareConfig, node_occupancy_cost, occupancy_cost
 from repro.utils.logging import EventLog
 
 from conftest import constant_workload as _constant_workload
@@ -43,21 +43,23 @@ def _cluster(scheduler=None, nodes=None, autoscaler=None, runtimes=None, log=Non
 class TestPrioritySchedulerInvariants:
     def test_higher_class_jumps_pending_queue(self):
         # One big pod occupies the node; a low then a high pod queue behind.
-        sim = _cluster(PriorityScheduler(preemption=False))
-        running = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=5)
+        sim = _cluster(PriorityScheduler())
+        running = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=10)
         low = sim.submit({"x": 0.0}, "big", at_time=1.0, priority=0)
-        high = sim.submit({"x": 0.0}, "big", at_time=2.0, priority=10)
+        high = sim.submit({"x": 0.0}, "big", at_time=2.0, priority=5)
         sim.run_until_idle()
-        # Without preemption the running pod finishes first, then the high
-        # class starts before the earlier-submitted low class.
+        # The running pod outranks both, so it is no victim and finishes
+        # first; then the high class starts before the earlier-submitted low
+        # class.
         assert running.start_time == pytest.approx(0.0)
         assert high.start_time == pytest.approx(10.0)
         assert low.start_time == pytest.approx(20.0)
 
     def test_head_of_line_preserved_within_class(self):
         # Three same-class pods: strict FIFO within the class even when a
-        # later pod would fit sooner.
-        sim = _cluster(PriorityScheduler(preemption=False))
+        # later pod would fit sooner.  No pod outranks another, so none is a
+        # preemption victim.
+        sim = _cluster(PriorityScheduler())
         first = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=1)
         second = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=1)
         blocked_big = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=1)
@@ -72,10 +74,11 @@ class TestPrioritySchedulerInvariants:
 
     def test_no_starvation_of_high_class_under_low_stream(self):
         # A steady stream of low-priority smalls must not starve a pending
-        # high-priority big request.
-        sim = _cluster(PriorityScheduler(preemption=False))
-        sim.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
-        sim.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
+        # high-priority big request.  The two pods holding the node share the
+        # big request's class, so neither is a preemption victim.
+        sim = _cluster(PriorityScheduler())
+        sim.submit({"x": 0.0}, "small", at_time=0.0, priority=10)
+        sim.submit({"x": 0.0}, "small", at_time=0.0, priority=10)
         big = sim.submit({"x": 0.0}, "big", at_time=1.0, priority=10)
         for k in range(8):
             sim.submit({"x": 0.0}, "small", at_time=2.0 + k, priority=0)
@@ -84,7 +87,7 @@ class TestPrioritySchedulerInvariants:
 
     def test_preemption_evicts_lowest_class_first(self):
         sim = _cluster(
-            PriorityScheduler(preemption=True), nodes=[Node("n", cpus=4, memory_gb=32)]
+            PriorityScheduler(), nodes=[Node("n", cpus=4, memory_gb=32)]
         )
         mid = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=5)
         low = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=1)
@@ -95,7 +98,7 @@ class TestPrioritySchedulerInvariants:
         assert mid.preemptions == 0
 
     def test_preempted_pod_restarts_from_scratch(self):
-        sim = _cluster(PriorityScheduler(preemption=True))
+        sim = _cluster(PriorityScheduler())
         low = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=0)
         high = sim.submit({"x": 0.0}, "big", at_time=4.0, priority=10)
         sim.run_until_idle()
@@ -112,23 +115,22 @@ class TestPrioritySchedulerInvariants:
     def test_preemption_accounting_sums_to_occupancy(self):
         # Useful + wasted run time equals the total time the pod occupied
         # capacity, so the resource-second accounting is conserved.
-        sim = _cluster(PriorityScheduler(preemption=True))
+        sim = _cluster(PriorityScheduler())
         low = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=0)
         sim.submit({"x": 0.0}, "big", at_time=6.0, priority=10)
         (run_low,) = [r for r in sim.run_until_idle() if r.pod_name == low.name]
-        cost_model = ResourceCostModel()
         config = _CATALOG["big"]
         occupied_seconds = run_low.record.runtime_seconds + run_low.wasted_runtime_seconds
-        assert cost_model.occupancy_cost(config, run_low.record.runtime_seconds) + (
-            cost_model.occupancy_cost(config, run_low.wasted_runtime_seconds)
-        ) == pytest.approx(cost_model.occupancy_cost(config, occupied_seconds))
+        assert occupancy_cost(config, run_low.record.runtime_seconds) + (
+            occupancy_cost(config, run_low.wasted_runtime_seconds)
+        ) == pytest.approx(occupancy_cost(config, occupied_seconds))
         assert run_low.wasted_runtime_seconds == pytest.approx(6.0)
         assert run_low.preemptions == 1
 
     def test_multi_victim_preemption_preserves_class_fifo(self):
         # Regression: evicting two same-class pods at once must requeue them
         # in submission order, not most-recently-started-first.
-        sim = _cluster(PriorityScheduler(preemption=True))
+        sim = _cluster(PriorityScheduler())
         first = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
         second = sim.submit({"x": 0.0}, "small", at_time=1.0, priority=0)
         sim.submit({"x": 0.0}, "big", at_time=3.0, priority=10)  # evicts both
@@ -139,7 +141,7 @@ class TestPrioritySchedulerInvariants:
         # the ordering shows in the event log's scheduling order).
         assert first.start_time <= second.start_time
         sim2 = _cluster(
-            PriorityScheduler(preemption=True), nodes=[Node("n", cpus=2, memory_gb=32)]
+            PriorityScheduler(), nodes=[Node("n", cpus=2, memory_gb=32)]
         )
         a = sim2.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
         b = sim2.submit({"x": 0.0}, "small", at_time=5.0, priority=0)
@@ -156,7 +158,7 @@ class TestPrioritySchedulerInvariants:
         # preemptor needs, the victim must rejoin the queue *before* later
         # pods of lower classes compete for the leftovers.
         sim = _cluster(
-            PriorityScheduler(preemption=True), nodes=[Node("n", cpus=8, memory_gb=32)]
+            PriorityScheduler(), nodes=[Node("n", cpus=8, memory_gb=32)]
         )
         victim = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=5)  # 4 CPUs
         # Fill the rest of the node so the preemptor cannot fit without evicting.
@@ -178,7 +180,7 @@ class TestPrioritySchedulerInvariants:
         assert filler.preemptions == 0
 
     def test_equal_priority_never_preempts(self):
-        sim = _cluster(PriorityScheduler(preemption=True))
+        sim = _cluster(PriorityScheduler())
         first = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=5)
         second = sim.submit({"x": 0.0}, "big", at_time=1.0, priority=5)
         sim.run_until_idle()
@@ -188,7 +190,7 @@ class TestPrioritySchedulerInvariants:
     def test_stale_finish_event_is_ignored(self):
         # The preempted pod's original completion event must not fire: the
         # pod completes exactly once, after its restart.
-        sim = _cluster(PriorityScheduler(preemption=True))
+        sim = _cluster(PriorityScheduler())
         low = sim.submit({"x": 0.0}, "big", at_time=0.0, priority=0)
         sim.submit({"x": 0.0}, "big", at_time=2.0, priority=10)
         runs = sim.run_until_idle()
@@ -220,7 +222,7 @@ class TestPendingQueue:
         # Two same-class pods evicted together restart at the same instant;
         # the earlier-submitted one must be scheduled first.
         log = EventLog()
-        sim = _cluster(PriorityScheduler(preemption=True), log=log)
+        sim = _cluster(PriorityScheduler(), log=log)
         first = sim.submit({"x": 0.0}, "small", at_time=0.0, priority=0)
         second = sim.submit({"x": 0.0}, "small", at_time=1.0, priority=0)
         sim.submit({"x": 0.0}, "big", at_time=3.0, priority=10)  # evicts both
@@ -234,7 +236,7 @@ class TestPendingQueue:
         # A deep three-class backlog on one node: the queue is kept in
         # service order as pods arrive and requeue, so each enqueue costs
         # one binary search, never a re-sort of the whole backlog per pass.
-        scheduler = _CountingPriorityScheduler(preemption=True)
+        scheduler = _CountingPriorityScheduler()
         sim = _cluster(scheduler, nodes=[Node("n", cpus=8, memory_gb=32)])
         n_pods = 360
         pods = [
@@ -374,9 +376,8 @@ class TestAutoscalingNodePool:
             assert end > start >= 30.0 - 1e-9
 
     def test_node_cost_hook_prices_lifetimes(self):
-        cost_model = ResourceCostModel()
-        assert cost_model.node_occupancy_cost(4, 32, 10.0) == pytest.approx(
+        assert node_occupancy_cost(4, 32, 10.0) == pytest.approx(
             (4 * 1.0 + 32 * 0.125) * 10.0
         )
         with pytest.raises(ValueError):
-            cost_model.node_occupancy_cost(4, 32, -1.0)
+            node_occupancy_cost(4, 32, -1.0)

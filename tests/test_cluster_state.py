@@ -354,7 +354,7 @@ class TestPlainObjects:
         node.release(pod.name)
         pod.mark_finished(4.0)
         assert (pod.phase, pod.node) == (PodPhase.SUCCEEDED, "n")
-        assert pod.is_terminal and pod.preemptions == 1
+        assert pod.preemptions == 1
 
     def test_node_totals_and_resident_order_follow_allocations(self):
         node = Node("n", cpus=8, memory_gb=32, gpus=2)
@@ -362,7 +362,7 @@ class TestPlainObjects:
         for pod in pods:
             node.allocate(pod.name, pod.request)
         assert node.allocated_cpus == sum(r.cpus for r in node.allocations.values()) == 4
-        assert node.allocated_gpus == 2 and node.free_memory_gb == 16.0
+        assert node.free_gpus == 0 and node.free_memory_gb == 16.0
         # Residents are listed in allocation order.
         assert node.resident_pods == ["p0", "p1"]
         node.release("p0")

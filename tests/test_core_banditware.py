@@ -11,7 +11,6 @@ from repro.core import (
     RidgeModel,
     RoundOutcome,
     ToleranceConfig,
-    runtime_to_reward,
 )
 from repro.dataframe import DataFrame
 from repro.hardware import ndp_catalog
@@ -216,18 +215,6 @@ class TestWarmStart:
 
 
 class TestRewardsAndRegret:
-    def test_runtime_to_reward_is_monotone(self):
-        assert runtime_to_reward(10.0) > runtime_to_reward(20.0)
-
-    def test_runtime_to_reward_scale(self):
-        assert runtime_to_reward(10.0, scale=10.0) == -1.0
-
-    def test_runtime_to_reward_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            runtime_to_reward(-1.0)
-        with pytest.raises(ValueError):
-            runtime_to_reward(1.0, scale=0.0)
-
     def _outcome(self, i, chosen, best, runtime, best_runtime, chosen_runtime, explored=False):
         return RoundOutcome(
             round_index=i,
@@ -360,6 +347,17 @@ class TestSlowdownAwareObservations:
             RewardConfig(mode="slowdown_inclusive", slowdown_weight=-1.0)
         with pytest.raises(ValueError, match="reward mode"):
             RewardConfig(mode="interference")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "mode, field",
+        [("queue_inclusive", "queue_weight"), ("slowdown_inclusive", "slowdown_weight")],
+    )
+    def test_reward_weights_must_be_finite(self, mode, field, value):
+        from repro.core import RewardConfig
+
+        with pytest.raises(ValueError, match=field):
+            RewardConfig(mode=mode, **{field: value})
 
     def test_effective_runtime_charges_interference_seconds(self):
         from repro.core import RewardConfig

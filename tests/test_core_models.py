@@ -78,19 +78,6 @@ class TestLeastSquaresModel:
         with pytest.raises(ValueError):
             LeastSquaresModel(1).fit([[1.0], [2.0]], [1.0])
 
-    def test_uncertainty_inf_until_overdetermined(self):
-        model = LeastSquaresModel(2)
-        model.update_vector(np.array([1.0, 0.0]), 1.0)
-        assert model.uncertainty(np.array([1.0, 0.0])) == float("inf")
-
-    def test_uncertainty_shrinks_with_data(self, rng):
-        X, y = _generate_linear_data(rng, n=10, noise=0.5)
-        few = LeastSquaresModel(2).fit(X, y)
-        X2, y2 = _generate_linear_data(rng, n=200, noise=0.5)
-        many = LeastSquaresModel(2).fit(X2, y2)
-        q = np.array([5.0, 5.0])
-        assert many.uncertainty(q) < few.uncertainty(q)
-
     def test_coefficient_dict(self, rng):
         X, y = _generate_linear_data(rng)
         model = LeastSquaresModel(2).fit(X, y)
@@ -205,17 +192,6 @@ class TestRidgeModel:
         model = RidgeModel(5, alpha=1.0)
         model.update_vector(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 10.0)
         assert np.isfinite(model.predict([1, 2, 3, 4, 5]))
-
-    def test_uncertainty_decreases_with_data(self, rng):
-        model = RidgeModel(2, alpha=1.0)
-        q = np.array([1.0, 1.0])
-        assert model.uncertainty(q) == float("inf")
-        X, y = _generate_linear_data(rng, n=100)
-        model.fit(X, y)
-        first = model.uncertainty(q)
-        X2, y2 = _generate_linear_data(rng, n=100)
-        model.update_rows(X2, y2)
-        assert model.uncertainty(q) < first
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -401,7 +377,7 @@ class TestCheckedOnce:
         model = Recorder(2)
         model.update_rows(np.asarray(_GOOD_X), [4.0, 5.0, 6.0])
         assert model.seen == [(row, value) for row, value in zip(_GOOD_X, [4.0, 5.0, 6.0])]
-        assert model.uncertainty(np.array([1.0, 1.0])) == 0.0
+        assert not hasattr(model, "uncertainty")
         # The inherited checked door hands predict_vector a checked context.
         assert model.predict([1.0, 2.0]) == 3.0
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel
+from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
 from repro.core.policies import (
     DecayingEpsilonGreedyPolicy,
     GreedyPolicy,
@@ -266,11 +266,9 @@ class TestThompsonSamplingPolicy:
         picks = {policy.select(np.array([1.0]), models, catalog, rng).arm_index for _ in range(60)}
         assert len(picks) == 3
 
-    def test_works_with_ols_models_via_fallback(self, catalog, models, rng):
-        decision = ThompsonSamplingPolicy().select(np.array([5.0]), models, catalog, rng)
-        assert decision.hardware.name in catalog.names
-
-    def test_detail_contains_samples(self, catalog, models, rng):
+    def test_detail_contains_samples(self, catalog, rng):
+        models = [RecursiveLeastSquaresModel(1) for _ in catalog]
+        models[1].update_vector(np.array([5.0]), 10.0)
         decision = ThompsonSamplingPolicy().select(np.array([5.0]), models, catalog, rng)
         assert any(key.startswith("sample_") for key in decision.detail)
 
@@ -281,3 +279,15 @@ class TestThompsonSamplingPolicy:
     def test_model_count_mismatch(self, catalog, models, rng):
         with pytest.raises(ValueError):
             ThompsonSamplingPolicy().select(np.array([5.0]), models[:1], catalog, rng)
+
+
+@pytest.mark.parametrize("policy", [LinUCBPolicy(), ThompsonSamplingPolicy()], ids=lambda p: p.name)
+@pytest.mark.parametrize("arm", [LeastSquaresModel, RidgeModel])
+def test_posterior_policies_refuse_arms_without_one(catalog, policy, arm):
+    # Only RLS keeps a posterior; any other arm is refused before any draw.
+    models = [RecursiveLeastSquaresModel(1), arm(1), RecursiveLeastSquaresModel(1)]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match=arm.__name__):
+        policy.select(np.array([5.0]), models, catalog, rng)
+    assert rng.bit_generator.state == state

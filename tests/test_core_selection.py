@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.selection import SelectionOutcome, ToleranceConfig, TolerantSelector
-from repro.hardware import HardwareCatalog, HardwareConfig, ResourceCostModel, ndp_catalog
+from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
 
 
 class TestToleranceConfig:
@@ -97,7 +97,9 @@ class TestTolerantSelector:
     def test_traded_runtime(self, ndp):
         selector = TolerantSelector(ToleranceConfig(seconds=30.0))
         outcome = selector.select(ndp, {"H0": 120.0, "H1": 140.0, "H2": 100.0})
-        assert outcome.traded_runtime == pytest.approx(20.0)
+        assert (outcome.fastest.name, outcome.chosen.name) == ("H2", "H0")
+        traded = outcome.estimates[outcome.chosen.name] - outcome.estimates[outcome.fastest.name]
+        assert traded == pytest.approx(20.0)
 
     def test_missing_estimate_rejected(self, ndp):
         with pytest.raises(KeyError):
@@ -116,15 +118,6 @@ class TestTolerantSelector:
         outcome_a = selector.select(ndp, {"H0": 100.0, "H1": 100.0, "H2": 100.0})
         outcome_b = selector.select(ndp, {"H0": 100.0, "H1": 100.0, "H2": 100.0})
         assert outcome_a.chosen.name == outcome_b.chosen.name == "H0"
-
-    def test_custom_cost_model_changes_choice(self, ndp):
-        # Weight memory heavily: H2=(4,16) becomes more efficient than H1=(3,24).
-        selector = TolerantSelector(
-            ToleranceConfig(seconds=1000.0),
-            cost_model=ResourceCostModel(cpu_weight=0.0, memory_weight=1.0),
-        )
-        outcome = selector.select(ndp, {"H0": 500.0, "H1": 100.0, "H2": 100.0})
-        assert outcome.chosen.name in ("H0", "H2")
 
     def test_negative_estimates_allowed(self, ndp):
         """Linear models can extrapolate below zero early on; selection must cope."""

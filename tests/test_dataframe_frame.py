@@ -112,16 +112,6 @@ class TestColumnAccess:
         df["slow"] = Series(df["runtime"] > 2.5)
         assert df["slow"].to_list() == [False, False, True, True]
 
-    def test_drop(self, df):
-        out = df.drop("hardware")
-        assert "hardware" not in out
-        assert "hardware" in df  # original untouched
-        assert df.drop(["size", "hardware"]).columns == ["runtime"]
-
-    def test_drop_missing(self, df):
-        with pytest.raises(KeyError):
-            df.drop("nope")
-
     def test_contains(self, df):
         assert "size" in df
         assert "nope" not in df

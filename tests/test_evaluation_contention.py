@@ -13,13 +13,13 @@ from repro.evaluation import (
     build_scenario,
     format_contention_report,
     run_scenario,
-    run_synchronous,
 )
 from repro.hardware import HardwareCatalog, HardwareConfig, ndp_catalog
 from repro.integration import RecommendationService
 from repro.workloads import BurstyArrivals, ClosedLoopArrivals, PoissonArrivals
 
 from conftest import constant_workload as _constant_workload
+from conftest import synchronous_run
 
 
 class TestArrivalProcesses:
@@ -134,6 +134,27 @@ class TestScenarioRegistry:
                 features=[{"x": 0.0}],
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_workflows", True), ("n_workflows", 2.5), ("warm_start_runs", 1.5), ("warm_start_runs", True)],
+    )
+    def test_tenant_counts_must_be_integers(self, field, value):
+        catalog = ndp_catalog()
+        workload = _constant_workload({"H0": 1.0, "H1": 1.0, "H2": 1.0})
+        spec = dict(n_workflows=2, warm_start_runs=0)
+        spec[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TenantSpec("t", workload, catalog, ClosedLoopArrivals(), **spec)
+
+    @pytest.mark.parametrize("priority", [1.5, True])
+    def test_tenant_priority_must_be_an_integer(self, priority):
+        catalog = ndp_catalog()
+        workload = _constant_workload({"H0": 1.0, "H1": 1.0, "H2": 1.0})
+        with pytest.raises(TypeError):
+            TenantSpec(
+                "t", workload, catalog, ClosedLoopArrivals(), n_workflows=1, priority=priority
+            )
+
     def test_duplicate_applications_rejected(self):
         catalog = ndp_catalog()
         workload = _constant_workload({"H0": 1.0, "H1": 1.0, "H2": 1.0})
@@ -165,18 +186,17 @@ class TestScenarioRegistry:
 
 
 class TestZeroContentionParity:
-    """The queued path must reproduce the synchronous loop exactly."""
+    """The queued path must reproduce the paper's synchronous loop exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_decisions_and_runtimes_identical(self, seed):
         queued = run_scenario(build_scenario("zero-contention", seed=seed))
-        synchronous = run_synchronous(build_scenario("zero-contention", seed=seed))
-        q, s = queued.tenants["solo"], synchronous.tenants["solo"]
-        assert q.decisions == s.decisions
-        assert q.runtimes == s.runtimes
-        q_rounds, s_rounds = q.ledger.rounds, s.ledger.rounds
-        assert [r.chosen_hardware for r in q_rounds] == [r.chosen_hardware for r in s_rounds]
-        assert [r.explored for r in q_rounds] == [r.explored for r in s_rounds]
+        reference = synchronous_run(build_scenario("zero-contention", seed=seed))
+        q = queued.tenants["solo"]
+        assert q.decisions == reference["decisions"]
+        assert q.runtimes == reference["runtimes"]
+        assert [r.chosen_hardware for r in q.ledger.rounds] == reference["hardware"]
+        assert [r.explored for r in q.ledger.rounds] == reference["explored"]
 
     def test_zero_contention_really_has_no_queueing(self):
         result = run_scenario(build_scenario("zero-contention", seed=0))
@@ -185,10 +205,6 @@ class TestZeroContentionParity:
         assert summary["queue_inclusive_regret"] == pytest.approx(
             summary["cumulative_regret"]
         )
-
-    def test_synchronous_reference_requires_single_tenant(self):
-        with pytest.raises(ValueError, match="one tenant"):
-            run_synchronous(build_scenario("light", seed=0))
 
 
 class TestSaturatedAccounting:
@@ -218,13 +234,6 @@ class TestSaturatedAccounting:
         assert result.total_occupancy_cost == pytest.approx(
             sum(row["occupancy_cost"] for row in result.rows)
         )
-
-    def test_to_frame_round_trips_rows(self):
-        result = run_scenario(build_scenario("saturated", seed=0))
-        frame = result.to_frame()
-        assert frame.shape[0] == len(result.rows)
-        assert "queue_seconds" in frame
-        assert "queue_inclusive_regret" in frame
 
 
 class TestScenarioSuite:

@@ -17,14 +17,13 @@ from repro.evaluation import (
     build_scenario,
     run_scenario,
     run_scenario_sweep,
-    run_synchronous,
 )
 from repro.evaluation import engine
 from repro.evaluation.engine import (
     replication_sequences,
     stream_rng,
 )
-from repro.hardware import ResourceCostModel
+from repro.hardware import occupancy_cost
 
 
 class TestSeedingDiscipline:
@@ -51,18 +50,13 @@ class TestSeedingDiscipline:
 
 
 class TestEngineFrontendParity:
-    """run_scenario/run_synchronous are thin wrappers over the engine."""
+    """run_scenario is a thin wrapper over the engine."""
 
     def test_run_scenario_equals_engine_run(self):
         direct = ExperimentEngine(build_scenario("saturated", seed=3)).run()
         wrapped = run_scenario(build_scenario("saturated", seed=3))
         assert direct.summary() == wrapped.summary()
         assert direct.rows == wrapped.rows
-
-    def test_run_synchronous_equals_engine_run_synchronous(self):
-        direct = ExperimentEngine(build_scenario("zero-contention", seed=3)).run_synchronous()
-        wrapped = run_synchronous(build_scenario("zero-contention", seed=3))
-        assert direct.summary() == wrapped.summary()
 
 
 class TestScenarioPickling:
@@ -96,9 +90,10 @@ class TestScenarioSweep:
         parallel = [r.summary() for r in run_scenario_sweep(scenarios, n_workers=2)]
         assert serial == parallel
 
-    def test_rejects_bad_worker_count(self):
+    @pytest.mark.parametrize("n_workers", [0, 1.5, True])
+    def test_rejects_bad_worker_count(self, n_workers):
         with pytest.raises(ValueError):
-            run_scenario_sweep([], n_workers=0)
+            run_scenario_sweep([], n_workers=n_workers)
 
 
 class TestLazyPoolImport:
@@ -140,7 +135,6 @@ class TestPriorityTiersScenario:
         # Row-level wasted occupancy sums to the scenario total, and each
         # row's useful+wasted cost equals the footprint of its total
         # occupied time -- the conservation the preemption accounting pins.
-        cost_model = ResourceCostModel()
         catalog = build_scenario("priority-tiers", seed=0).union_catalog()
         total_wasted = 0.0
         for row in result.rows:
@@ -149,7 +143,7 @@ class TestPriorityTiersScenario:
             total_wasted += wasted
             occupied = float(row["runtime_seconds"]) + float(row["wasted_seconds"])
             assert float(row["occupancy_cost"]) + wasted == pytest.approx(
-                cost_model.occupancy_cost(config, occupied)
+                occupancy_cost(config, occupied)
             )
         assert total_wasted == pytest.approx(summary["wasted_occupancy_cost"])
 
@@ -322,8 +316,9 @@ class TestScenarioReplications:
         assert "q_regret_mean" in text
         assert "±" in text
 
-    def test_rejects_bad_replication_count(self):
+    @pytest.mark.parametrize("n_replications", [0, True, 2.5])
+    def test_rejects_bad_replication_count(self, n_replications):
         from repro.evaluation import run_scenario_replications
 
-        with pytest.raises(ValueError):
-            run_scenario_replications(build_scenario("saturated", seed=0), 0)
+        with pytest.raises(ValueError, match="n_replications"):
+            run_scenario_replications(build_scenario("saturated", seed=0), n_replications)

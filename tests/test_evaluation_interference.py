@@ -10,8 +10,9 @@ from repro.evaluation import (
     build_scenario,
     format_contention_report,
     run_scenario,
-    run_synchronous,
 )
+
+from conftest import synchronous_run
 
 
 class TestNoInterferenceExactParity:
@@ -81,9 +82,9 @@ class TestNoInterferenceExactParity:
             NoInterference()
         )
         queued = run_scenario(scenario)
-        synchronous = run_synchronous(build_scenario("zero-contention", seed=2))
-        assert queued.tenants["solo"].decisions == synchronous.tenants["solo"].decisions
-        assert queued.tenants["solo"].runtimes == synchronous.tenants["solo"].runtimes
+        reference = synchronous_run(build_scenario("zero-contention", seed=2))
+        assert queued.tenants["solo"].decisions == reference["decisions"]
+        assert queued.tenants["solo"].runtimes == reference["runtimes"]
 
 
 class TestInterferenceScenarios:

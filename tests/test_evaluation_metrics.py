@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.evaluation import (
-    accuracy_score,
-    format_metric_table,
-    format_summary,
-    mae,
-    mape,
-    r2_score,
-    rmse,
-    selection_accuracy,
-)
+from repro.evaluation import format_metric_table, format_summary, r2_score, rmse
 from repro.evaluation.reporting import format_histogram
 
 
@@ -26,15 +17,6 @@ class TestRegressionMetrics:
     def test_rmse_is_symmetric(self):
         a, b = [1.0, 5.0, 2.0], [2.0, 3.0, 2.0]
         assert rmse(a, b) == rmse(b, a)
-
-    def test_mae_known_value(self):
-        assert mae([1.0, 2.0], [2.0, 4.0]) == 1.5
-
-    def test_mape_known_value(self):
-        assert mape([10.0, 20.0], [11.0, 18.0]) == pytest.approx((0.1 + 0.1) / 2)
-
-    def test_mape_zero_actual_guarded(self):
-        assert np.isfinite(mape([0.0], [1.0]))
 
     def test_r2_perfect(self):
         assert r2_score([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
@@ -61,30 +43,6 @@ class TestRegressionMetrics:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             r2_score([1.0, np.nan], [1.0, 2.0])
-
-
-class TestSelectionMetrics:
-    def test_accuracy_score(self):
-        assert accuracy_score([True, False, True, True]) == 0.75
-
-    def test_accuracy_score_empty(self):
-        with pytest.raises(ValueError):
-            accuracy_score([])
-
-    def test_selection_accuracy_with_single_answers(self):
-        assert selection_accuracy(["H0", "H1"], ["H0", "H0"]) == 0.5
-
-    def test_selection_accuracy_with_sets(self):
-        acceptable = [{"H0", "H1"}, {"H2"}]
-        assert selection_accuracy(["H1", "H1"], acceptable) == 0.5
-
-    def test_selection_accuracy_length_mismatch(self):
-        with pytest.raises(ValueError):
-            selection_accuracy(["H0"], ["H0", "H1"])
-
-    def test_selection_accuracy_empty(self):
-        with pytest.raises(ValueError):
-            selection_accuracy([], [])
 
 
 class TestReportingHelpers:

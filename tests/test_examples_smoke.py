@@ -48,12 +48,6 @@ def test_autoscale_priority_example_shows_improvement(capsys):
     assert "preempted workflows" in output
 
 
-def test_contention_example_parity_line(capsys):
-    runpy.run_path(str(EXAMPLES_DIR / "contention_scenarios.py"), run_name="__main__")
-    output = capsys.readouterr().out
-    assert "parity with the synchronous loop: True" in output
-
-
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs_to_completion(script, capsys):
     path = EXAMPLES_DIR / script

@@ -6,13 +6,12 @@ import pytest
 from repro.hardware import (
     HardwareCatalog,
     HardwareConfig,
-    ResourceCostModel,
+    footprint,
     matmul_catalog,
     ndp_catalog,
+    occupancy_cost,
     rank_by_efficiency,
-    resource_footprint,
     synthetic_catalog,
-    uniform_scaling_catalog,
 )
 
 
@@ -155,51 +154,24 @@ class TestHardwareCatalog:
         back = HardwareCatalog.from_records(catalog.to_records())
         assert back == catalog
 
-    def test_uniform_scaling_catalog(self):
-        catalog = uniform_scaling_catalog(3, base_cpus=2, cpu_step=4)
-        assert [hw.cpus for hw in catalog] == [2, 6, 10]
-
-    def test_uniform_scaling_invalid(self):
-        with pytest.raises(ValueError):
-            uniform_scaling_catalog(0)
-
 
 class TestResourceCost:
     def test_footprint_increases_with_cpus(self):
-        small = HardwareConfig("s", cpus=2, memory_gb=16)
-        big = HardwareConfig("b", cpus=4, memory_gb=16)
-        assert resource_footprint(big) > resource_footprint(small)
+        assert footprint(4, 16, 0) > footprint(2, 16, 0)
+
+    def test_footprint_weights(self):
+        # 8 GiB of memory counts as one CPU, a GPU as eight.
+        assert footprint(3, 24, 1) == 3.0 + 3.0 + 8.0
 
     def test_ndp_efficiency_order(self):
         # H0=(2,16) is lightest, then H1=(3,24), then H2=(4,16) by CPU weight.
         ranked = rank_by_efficiency(ndp_catalog())
         assert [hw.name for hw in ranked] == ["H0", "H1", "H2"]
 
-    def test_most_efficient(self):
-        model = ResourceCostModel()
-        catalog = ndp_catalog()
-        assert model.most_efficient(list(catalog)).name == "H0"
-
-    def test_most_efficient_empty(self):
-        with pytest.raises(ValueError):
-            ResourceCostModel().most_efficient([])
-
     def test_occupancy_cost_scales_with_time(self):
-        model = ResourceCostModel()
         hw = HardwareConfig("h", cpus=2, memory_gb=16)
-        assert model.occupancy_cost(hw, 10) == pytest.approx(10 * model.footprint(hw))
+        assert occupancy_cost(hw, 10) == pytest.approx(10 * footprint(2, 16, 0))
 
     def test_occupancy_cost_negative_time(self):
         with pytest.raises(ValueError):
-            ResourceCostModel().occupancy_cost(HardwareConfig("h", 1, 1), -1)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceCostModel(cpu_weight=-1)
-
-    def test_memory_only_weighting(self):
-        model = ResourceCostModel(cpu_weight=0.0, memory_weight=1.0)
-        catalog = ndp_catalog()
-        ranked = model.rank(catalog)
-        assert ranked[0].name in ("H0", "H2")  # both have 16 GiB
-        assert ranked[-1].name == "H1"
+            occupancy_cost(HardwareConfig("h", 1, 1), -1)

@@ -36,12 +36,6 @@ class TestApplicationRegistry:
         with pytest.raises(ValueError):
             ApplicationRegistry().register("app", "alice", [])
 
-    def test_list_applications_sorted(self):
-        registry = ApplicationRegistry()
-        registry.register("zeta", "a", ["x"])
-        registry.register("alpha", "a", ["x"])
-        assert [a.name for a in registry.list_applications()] == ["alpha", "zeta"]
-
 
 class TestRunHistoryStore:
     def _record(self, app="cycles", hw="H0", runtime=10.0):

@@ -11,9 +11,10 @@ from repro.core import BanditWare
 from repro.hardware import (
     HardwareCatalog,
     HardwareConfig,
-    ResourceCostModel,
+    footprint,
     matmul_catalog,
     ndp_catalog,
+    rank_by_efficiency,
 )
 
 finite_floats = st.floats(min_value=0.0, max_value=1e5, allow_nan=False, allow_infinity=False)
@@ -66,10 +67,10 @@ class TestTolerantSelectionProperties:
         estimates = {
             name: data.draw(finite_floats, label=f"estimate_{name}") for name in catalog.names
         }
-        cost = ResourceCostModel()
-        narrow = TolerantSelector(ToleranceConfig(seconds=0.0), cost_model=cost).select(catalog, estimates)
-        wide = TolerantSelector(ToleranceConfig(seconds=seconds), cost_model=cost).select(catalog, estimates)
-        assert cost.footprint(wide.chosen) <= cost.footprint(narrow.chosen) + 1e-12
+        narrow = TolerantSelector(ToleranceConfig(seconds=0.0)).select(catalog, estimates)
+        wide = TolerantSelector(ToleranceConfig(seconds=seconds)).select(catalog, estimates)
+        cost = {hw.name: footprint(hw.cpus, hw.memory_gb, hw.gpus) for hw in catalog}
+        assert cost[wide.chosen.name] <= cost[narrow.chosen.name] + 1e-12
 
 
 #: Estimates that tie often: a small pool of repeated values (zeros of both
@@ -109,7 +110,7 @@ class TestOneSelectionRule:
         candidates = [hw for hw, value in zip(catalog, values) if value <= reference_limit]
         assert fastest == first_fastest
         assert limit == reference_limit
-        assert outcome.chosen == ResourceCostModel().most_efficient(candidates)
+        assert outcome.chosen == rank_by_efficiency(candidates)[0]
         assert n_candidates == len(candidates)
 
 

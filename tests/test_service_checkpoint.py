@@ -89,7 +89,7 @@ class TestCheckpointRoundTrip:
         service, workloads = build_reference_service(n_shards=2)
         _drive(service, workloads, 18)
         path = tmp_path / "service.ckpt"
-        service.save_checkpoint(path)
+        service.checkpoint().save(path)
         loaded = ServiceCheckpoint.load(path)
         assert loaded.version == CHECKPOINT_VERSION
         restored = restore_service(loaded)
@@ -100,7 +100,7 @@ class TestCheckpointRoundTrip:
         service, workloads = build_reference_service(n_shards=2)
         _drive(service, workloads, 10)
         path = tmp_path / "service.ckpt"
-        service.save_checkpoint(path)
+        service.checkpoint().save(path)
         restored = RecommendationService.restore(path)
         assert restored.n_shards == 2
         assert len(restored.history) == len(service.history)
@@ -220,7 +220,7 @@ class TestCheckpointRejection:
         service, workloads = build_reference_service()
         _drive(service, workloads, 6)
         path = tmp_path / "service.ckpt"
-        service.save_checkpoint(path)
+        service.checkpoint().save(path)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))

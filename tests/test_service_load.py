@@ -121,7 +121,7 @@ class TestBuildLoadService:
         service, workloads = build_load_service(config)
         names = [f"app-{index:02d}" for index in range(12)]
         assert list(workloads) == names
-        assert [info.name for info in service.registry.list_applications()] == names
+        assert len(service.registry) == len(names)
         for name, workload in workloads.items():
             assert len(workload.feature_names) == 4
             assert service.registry.get(name).feature_names == tuple(workload.feature_names)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import SeedSequencePool, as_generator, spawn_generators
+from repro.utils.rng import SeedSequencePool, as_generator
 
 
 class TestAsGenerator:
@@ -36,34 +36,6 @@ class TestAsGenerator:
             as_generator("not-a-seed")
 
 
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(7, 5)
-        assert len(gens) == 5
-
-    def test_streams_are_independent(self):
-        gens = spawn_generators(7, 3)
-        values = [g.random() for g in gens]
-        assert len(set(values)) == 3
-
-    def test_reproducible_family(self):
-        a = [g.random() for g in spawn_generators(7, 3)]
-        b = [g.random() for g in spawn_generators(7, 3)]
-        assert a == b
-
-    def test_zero_children(self):
-        assert spawn_generators(7, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(7, -1)
-
-    def test_from_generator(self):
-        g = np.random.default_rng(3)
-        gens = spawn_generators(g, 2)
-        assert len(gens) == 2
-
-
 class TestSeedSequencePool:
     def test_same_index_same_stream(self):
         pool_a = SeedSequencePool(5)
@@ -78,7 +50,7 @@ class TestSeedSequencePool:
         pool_small = SeedSequencePool(5)
         first_small = pool_small.generator(0).random()
         pool_big = SeedSequencePool(5)
-        pool_big.generators(50)
+        pool_big.generator(49)  # grows the pool to 50 children
         first_big = pool_big.generator(0).random()
         assert first_small == first_big
 

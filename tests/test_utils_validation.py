@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_same_length,
 )
 
 
@@ -87,15 +86,3 @@ class TestFeatureMatrix:
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
             check_feature_matrix(np.zeros((2, 2, 2)))
-
-
-class TestSameLength:
-    def test_equal_lengths(self):
-        assert check_same_length(("a", [1, 2]), ("b", [3, 4])) == 2
-
-    def test_mismatch_raises_with_names(self):
-        with pytest.raises(ValueError, match="a=2"):
-            check_same_length(("a", [1, 2]), ("b", [3]))
-
-    def test_empty_call(self):
-        assert check_same_length() == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.evaluation import OnlineSimulation, SimulationConfig
 from repro.hardware import matmul_catalog, ndp_catalog, synthetic_catalog
 from repro.workloads import (
+    BP3D_FEATURE_DESCRIPTIONS,
     BP3D_FEATURES,
     BurnPro3DWorkload,
     CyclesWorkload,
@@ -24,15 +25,6 @@ class TestRunRecord:
     def test_negative_runtime_rejected(self):
         with pytest.raises(ValueError):
             RunRecord("r", "app", "H0", -1.0)
-
-    def test_feature_vector_ordering(self):
-        rec = RunRecord("r", "app", "H0", 1.0, features={"b": 2.0, "a": 1.0})
-        assert rec.feature_vector(["a", "b"]).tolist() == [1.0, 2.0]
-
-    def test_feature_vector_missing(self):
-        rec = RunRecord("r", "app", "H0", 1.0, features={"a": 1.0})
-        with pytest.raises(KeyError):
-            rec.feature_vector(["a", "z"])
 
     def test_to_row_flattens_features(self):
         rec = RunRecord("r", "app", "H0", 1.0, features={"x": 3.0})
@@ -104,9 +96,8 @@ class TestBurnPro3DWorkload:
         assert len(BP3D_FEATURES) == 7
 
     def test_feature_table_matches_table1(self):
-        rows = BurnPro3DWorkload.feature_table()
-        assert {r["feature"] for r in rows} == set(BP3D_FEATURES)
-        assert all(r["description"] for r in rows)
+        assert set(BP3D_FEATURE_DESCRIPTIONS) == set(BP3D_FEATURES)
+        assert all(BP3D_FEATURE_DESCRIPTIONS[name] for name in BP3D_FEATURES)
 
     def test_sampled_features_in_range(self, rng):
         workload = BurnPro3DWorkload()
@@ -218,14 +209,6 @@ class TestMatrixMultiplicationWorkload:
         runtimes = [workload.expected_runtime(f, hw) for hw in catalog]
         assert runtimes[0] > runtimes[-1]
 
-    def test_generate_matrix_respects_parameters(self, rng):
-        workload = MatrixMultiplicationWorkload()
-        features = {"size": 30, "sparsity": 0.5, "min_value": -5, "max_value": 5}
-        matrix = workload.generate_matrix(features, rng)
-        assert matrix.shape == (30, 30)
-        assert matrix.min() >= -5 and matrix.max() <= 5
-        assert (matrix == 0).mean() > 0.2
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             MatrixMultiplicationWorkload(size_range=(100, 50))
@@ -330,18 +313,8 @@ class TestWorkloadModelShared:
 
     def test_best_hardware_returns_minimum(self, cycles_workload, synthetic4):
         best = cycles_workload.best_hardware({"num_tasks": 500}, synthetic4)
-        table = cycles_workload.runtime_table({"num_tasks": 500}, synthetic4)
+        table = {hw.name: cycles_workload.expected_runtime({"num_tasks": 500}, hw) for hw in synthetic4}
         assert table[best.name] == min(table.values())
-
-    def test_feature_vector_order(self, bp3d_workload, rng):
-        f = bp3d_workload.sample_features(rng)
-        vec = bp3d_workload.feature_vector(f)
-        assert vec.shape == (len(BP3D_FEATURES),)
-        assert vec[-1] == f["area"]
-
-    def test_feature_vector_missing_raises(self, bp3d_workload):
-        with pytest.raises(KeyError):
-            bp3d_workload.feature_vector({"area": 1.0})
 
 
 #: Workloads whose noise scale grows with the expectation, with their catalogs.
