@@ -67,6 +67,34 @@ class TestOnlineLoop:
         with pytest.raises(KeyError, match="x1"):
             bandit.recommend({"x0": 1.0})
 
+
+class TestContextVector:
+    """``context_vector`` is the one place a features dict becomes ``x``."""
+
+    def test_orders_features_by_feature_names(self, ndp):
+        bandit = BanditWare(catalog=ndp, feature_names=["a", "b"], seed=0)
+        assert bandit.context_vector({"b": 2.0, "a": 1.0}).tolist() == [1.0, 2.0]
+
+    def test_missing_feature_named_in_error(self, ndp):
+        bandit = BanditWare(catalog=ndp, feature_names=["a", "z"], seed=0)
+        with pytest.raises(KeyError, match=r"\['z'\]"):
+            bandit.context_vector({"a": 1.0})
+
+    def test_extra_keys_ignored(self, bandit):
+        vec = bandit.context_vector({"x1": 4, "unused": 9.0, "x0": 3})
+        assert vec.dtype == float
+        assert vec.tolist() == [3.0, 4.0]
+
+    def test_bp3d_features_follow_declared_order(self, ndp, bp3d_workload, rng):
+        from repro.workloads import BP3D_FEATURES
+
+        bandit = BanditWare(catalog=ndp, feature_names=bp3d_workload.feature_names, seed=0)
+        f = bp3d_workload.sample_features(rng)
+        vec = bandit.context_vector(f)
+        assert vec.shape == (len(BP3D_FEATURES),)
+        assert vec.tolist() == [f[name] for name in BP3D_FEATURES]
+        assert vec[-1] == f["area"]
+
     def test_observe_updates_only_that_arm(self, bandit):
         bandit.observe({"x0": 1.0, "x1": 2.0}, "H1", 50.0)
         counts = bandit.observation_counts()
@@ -245,6 +273,25 @@ class TestRewardsAndRegret:
             )
         windowed = ledger.accuracy_curve(window=2)
         assert windowed.tolist() == [0.0, 0.0, 0.5, 1.0]
+
+    def test_ledger_final_accuracy_is_fraction_correct(self):
+        ledger = RegretLedger()
+        for i, chosen in enumerate(["H0", "H1", "H0", "H0"]):
+            ledger.record(self._outcome(i, chosen, "H0", 10.0, 10.0, 10.0))
+        assert ledger.accuracy_curve()[-1] == 0.75
+        assert ledger.summary()["accuracy"] == 0.75
+
+    def test_empty_ledger_curves_are_empty(self):
+        ledger = RegretLedger()
+        assert ledger.accuracy_curve().size == 0
+        assert ledger.accuracy_curve(window=3).size == 0
+        assert ledger.cumulative_runtime_regret().size == 0
+
+    def test_windowed_accuracy_rejects_non_positive_window(self):
+        ledger = RegretLedger()
+        ledger.record(self._outcome(0, "H0", "H0", 10.0, 10.0, 10.0))
+        with pytest.raises(ValueError, match="window"):
+            ledger.accuracy_curve(window=0)
 
     def test_ledger_rejects_out_of_order_rounds(self):
         ledger = RegretLedger()

@@ -231,6 +231,20 @@ class TestRecursiveLeastSquaresModel:
         assert model.n_observations == 10
         assert not hasattr(model, "_X")
 
+    def test_uncertainty_finite_before_any_observation(self):
+        # The λI prior gives a width of σ·sqrt(zᵀz/λ) from round 0.
+        model = RecursiveLeastSquaresModel(2, regularization=4.0, noise_std=2.0)
+        assert model.uncertainty(np.array([1.0, 1.0])) == pytest.approx(np.sqrt(3.0))
+
+    def test_uncertainty_scales_with_noise_std(self, rng):
+        X, y = _generate_linear_data(rng, n=20)
+        narrow = RecursiveLeastSquaresModel(2, noise_std=1.0)
+        wide = RecursiveLeastSquaresModel(2, noise_std=3.0)
+        narrow.update_rows(X, y)
+        wide.update_rows(X, y)
+        q = np.array([2.0, 3.0])
+        assert wide.uncertainty(q) == pytest.approx(3.0 * narrow.uncertainty(q))
+
     def test_uncertainty_shrinks_with_observations(self, rng):
         model = RecursiveLeastSquaresModel(2, noise_std=1.0)
         q = np.array([1.0, 1.0])

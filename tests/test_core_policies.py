@@ -228,6 +228,18 @@ class TestLinUCBPolicy:
         decision = LinUCBPolicy(alpha=5.0).select(np.array([5.0]), models, catalog, rng)
         assert decision.arm_index == 2
 
+    def test_ties_break_on_catalog_order_without_a_draw(self, catalog):
+        # Fresh RLS arms share one prior, so every score ties.
+        models = [RecursiveLeastSquaresModel(1) for _ in catalog]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        decisions = [
+            LinUCBPolicy().select(np.array([5.0]), models, catalog, rng) for _ in range(3)
+        ]
+        assert [d.arm_index for d in decisions] == [0, 0, 0]
+        assert all(d.explored for d in decisions)
+        assert rng.bit_generator.state == state
+
     def test_detail_exposes_scores(self, catalog, rng):
         models = self._rls_models(catalog, [1.0, 2.0, 3.0], 10)
         decision = LinUCBPolicy().select(np.array([5.0]), models, catalog, rng)

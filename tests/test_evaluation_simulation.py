@@ -85,6 +85,8 @@ class TestSimulationConfig:
             ("n_simulations", True),
             ("n_simulations", 2.5),
             ("n_workers", 1.5),
+            ("n_workers", True),
+            ("n_workers", 0),
             ("evaluation_subsample", 2.5),
             ("evaluation_subsample", True),
         ],

@@ -168,6 +168,30 @@ class TestResourceCost:
         ranked = rank_by_efficiency(ndp_catalog())
         assert [hw.name for hw in ranked] == ["H0", "H1", "H2"]
 
+    def test_rank_ignores_input_order(self):
+        shuffled = [ndp_catalog()[name] for name in ("H2", "H1", "H0")]
+        ranked = rank_by_efficiency(shuffled)
+        assert ranked[0].name == "H0"
+        assert [hw.name for hw in shuffled] == ["H2", "H1", "H0"]  # input untouched
+
+    def test_memory_breaks_equal_cpus(self):
+        light = HardwareConfig("light", cpus=4, memory_gb=8)
+        heavy = HardwareConfig("heavy", cpus=4, memory_gb=32)
+        assert [hw.name for hw in rank_by_efficiency([heavy, light])] == ["light", "heavy"]
+
+    def test_equal_footprint_prefers_fewer_cpus(self):
+        # (2, 16) and (3, 8) both score 4.0; fewer CPUs wins the tie before
+        # the name does.
+        fewer = HardwareConfig("b", cpus=2, memory_gb=16)
+        more = HardwareConfig("a", cpus=3, memory_gb=8)
+        assert footprint(2, 16, 0) == footprint(3, 8, 0)
+        assert [hw.name for hw in rank_by_efficiency([more, fewer])] == ["b", "a"]
+
+    def test_identical_shapes_break_on_name(self):
+        b = HardwareConfig("b", cpus=2, memory_gb=16)
+        a = HardwareConfig("a", cpus=2, memory_gb=16)
+        assert [hw.name for hw in rank_by_efficiency([b, a])] == ["a", "b"]
+
     def test_occupancy_cost_scales_with_time(self):
         hw = HardwareConfig("h", cpus=2, memory_gb=16)
         assert occupancy_cost(hw, 10) == pytest.approx(10 * footprint(2, 16, 0))

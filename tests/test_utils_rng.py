@@ -59,6 +59,28 @@ class TestSeedSequencePool:
         pool.generator(4)
         assert len(pool) >= 5
 
+    def test_pool_starts_empty(self):
+        assert len(SeedSequencePool(7)) == 0
+
+    def test_children_are_the_root_spawn(self):
+        pool = SeedSequencePool(7)
+        spawned = np.random.SeedSequence(7).spawn(3)
+        assert [pool.generator(i).random() for i in range(3)] == [
+            np.random.default_rng(child).random() for child in spawned
+        ]
+
+    def test_sequence_and_generator_share_a_stream(self):
+        # Worker processes get pool.sequence(i); the serial path uses pool.generator(i).
+        pool = SeedSequencePool(7)
+        assert np.random.default_rng(pool.sequence(2)).random() == pool.generator(2).random()
+
+    def test_seed_sequence_root_matches_integer_root(self):
+        from_sequence = SeedSequencePool(np.random.SeedSequence(7)).generator(0).random()
+        assert from_sequence == SeedSequencePool(7).generator(0).random()
+
+    def test_distinct_roots_give_distinct_streams(self):
+        assert SeedSequencePool(1).generator(0).random() != SeedSequencePool(2).generator(0).random()
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             SeedSequencePool(1).generator(-1)

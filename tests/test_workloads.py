@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation import OnlineSimulation, SimulationConfig
-from repro.hardware import matmul_catalog, ndp_catalog, synthetic_catalog
+from repro.hardware import HardwareCatalog, matmul_catalog, ndp_catalog, synthetic_catalog
 from repro.workloads import (
     BP3D_FEATURE_DESCRIPTIONS,
     BP3D_FEATURES,
@@ -315,6 +315,25 @@ class TestWorkloadModelShared:
         best = cycles_workload.best_hardware({"num_tasks": 500}, synthetic4)
         table = {hw.name: cycles_workload.expected_runtime({"num_tasks": 500}, hw) for hw in synthetic4}
         assert table[best.name] == min(table.values())
+
+    def test_best_hardware_is_ground_truth_fastest(self, ndp):
+        workload = LinearRuntimeWorkload(
+            feature_ranges={"x": (1.0, 10.0), "y": (0.0, 5.0)},
+            coefficients={
+                "H0": ({"x": 10.0, "y": 1.0}, 5.0),
+                "H1": ({"x": 2.0, "y": 1.0}, 5.0),
+                "H2": ({"x": 6.0, "y": 1.0}, 5.0),
+            },
+            noise_sigma=0.5,
+        )
+        assert workload.best_hardware({"x": 5.0, "y": 0.0}, ndp).name == "H1"
+
+    def test_best_hardware_ties_break_on_name(self, ndp):
+        from conftest import constant_workload
+
+        workload = constant_workload({"H0": 2.0, "H1": 1.0, "H2": 1.0})
+        reversed_catalog = HardwareCatalog([ndp["H2"], ndp["H1"], ndp["H0"]])
+        assert workload.best_hardware({"x": 0.0}, reversed_catalog).name == "H1"
 
 
 #: Workloads whose noise scale grows with the expectation, with their catalogs.
