@@ -15,21 +15,28 @@ stream through the service at 1..4 shards and requires the summary to
 match the file **exactly**; the checkpoint tests reuse
 ``build_reference_service``.
 
-The rule for regenerating it: run this script only with the parent
+``--checkpoint`` instead writes ``tests/data/reference_service_v2.ckpt``: a
+format-v2 checkpoint of the 2-shard reference service after rounds 0-19 of
+the stream.  ``tests/test_service_checkpoint.py`` restores that file and
+drives rounds 20-59, so a layout change that breaks checkpoints an earlier
+build wrote fails tier-1.
+
+The rule for regenerating either file: run this script only with the parent
 commit's engine, only to add a surface, never to absorb drift.  A change
 that moves the summary is a behaviour change, not a reason to re-capture.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/capture_service_parity.py
+    PYTHONPATH=src python benchmarks/capture_service_parity.py [--checkpoint]
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
+import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +46,11 @@ from repro.integration import RecommendationService, RunHistoryStore
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
 
 REFERENCE_PATH = Path(__file__).resolve().parent / "service_parity_reference.json"
+CHECKPOINT_PATH = (
+    Path(__file__).resolve().parent.parent / "tests" / "data" / "reference_service_v2.ckpt"
+)
+#: Rounds of the reference stream the checked-in checkpoint has seen.
+CHECKPOINT_ROUNDS = 20
 
 #: Applications in the reference stream: (name, owner, n_features, seed).
 _APPS = (
@@ -87,18 +99,24 @@ def drive_reference_stream(
     service: RecommendationService,
     workloads: Dict[str, LinearRuntimeWorkload],
     n_rounds: int = 60,
+    swap: Optional[Callable[[int, RecommendationService], RecommendationService]] = None,
 ) -> Dict:
     """Drive the deterministic reference stream; return the observable summary.
 
     Per-application RNG streams make the stream independent of how requests
     interleave internally: feature draws and runtime noise depend only on the
     per-application call order, which the service contract preserves.
+    ``swap(round_index, service)``, when given, runs before every round and
+    returns the service that plays it (the checkpoint tests swap in a
+    restored copy).
     """
     apps = [name for name, *_ in _APPS]
     feature_rng = {name: np.random.default_rng(100 + i) for i, name in enumerate(apps)}
     runtime_rng = {name: np.random.default_rng(200 + i) for i, name in enumerate(apps)}
     tickets_log = []
     for round_index in range(n_rounds):
+        if swap is not None:
+            service = swap(round_index, service)
         app = apps[round_index % len(apps)]
         workload = workloads[app]
         if round_index % 10 == 9:
@@ -183,7 +201,19 @@ def _current_commit() -> str:
         return "unknown"
 
 
+def capture_checkpoint() -> None:
+    """Write :data:`CHECKPOINT_PATH` after rounds 0-19 of the reference stream."""
+    service, workloads = build_reference_service(n_shards=2)
+    drive_reference_stream(service, workloads, n_rounds=CHECKPOINT_ROUNDS)
+    CHECKPOINT_PATH.parent.mkdir(exist_ok=True)
+    service.checkpoint().save(CHECKPOINT_PATH)
+    print(f"wrote {CHECKPOINT_PATH}")
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--checkpoint"]:
+        capture_checkpoint()
+        return 0
     reference = {
         "_comment": (
             "Facade parity reference for the sharded serving refactor: the "

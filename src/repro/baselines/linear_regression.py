@@ -10,8 +10,8 @@ experiment behind Figures 5 and 8.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class LinearRegressionRecommender:
         self._feature_std = np.ones(len(self.feature_names))
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
     def _context_matrix(self, frame: DataFrame) -> np.ndarray:
         raw = frame.to_numpy(self.feature_names, dtype=float)
         return (raw - self._feature_mean) / self._feature_std

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core import BanditWare, ToleranceConfig
 from repro.data import (

@@ -34,7 +34,8 @@ Components:
   the interference model's rate, every topology change re-integrates the
   node's residents, and each node keeps one live finish event at its
   earliest tentative finish.  :class:`KernelProfile` accounts where
-  simulation wall-time goes.  Pods and nodes are plain objects; the
+  simulation wall-time goes and reads its event counts from the queue.
+  Pods and nodes are plain objects; the
   simulator's node-name -> running-pods map is the one co-residency
   record.
 """

@@ -24,7 +24,7 @@ its full provisioned lifetime (from join to drain), whether busy or idle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.node import Node

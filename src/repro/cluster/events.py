@@ -10,9 +10,9 @@ surface a superseded time and never advance the clock past one.
 
 The queue keeps three monotonic counters -- :attr:`~EventQueue.pushed`,
 :attr:`~EventQueue.popped` (live events handled) and
-:attr:`~EventQueue.skipped` (cancelled entries discarded) -- which the
-simulator mirrors into :class:`~repro.cluster.simulator.KernelProfile` so
-event machinery regressions show up in ``run-contention --profile``.
+:attr:`~EventQueue.skipped` (cancelled entries discarded) -- which
+:class:`~repro.cluster.simulator.KernelProfile` reads, so event machinery
+regressions show up in ``run-contention --profile``.
 """
 
 from __future__ import annotations

@@ -200,13 +200,6 @@ class Pod:
         self.observed_runtime_seconds = self._running_wall_seconds + float(remaining_wall)
         return self.observed_runtime_seconds
 
-    @property
-    def slowdown(self) -> Optional[float]:
-        """Observed over contention-free runtime (>= 1 under interference)."""
-        if self.observed_runtime_seconds is None or not self.work_seconds:
-            return None
-        return self.observed_runtime_seconds / self.work_seconds
-
     # ------------------------------------------------------------------ #
     @property
     def queue_seconds(self) -> Optional[float]:
@@ -218,35 +211,6 @@ class Pod:
         if self.submit_time is None or self.start_time is None:
             return None
         return self._waited_seconds
-
-    @property
-    def runtime_seconds(self) -> Optional[float]:
-        """Execution time (start to finish), if the pod has finished."""
-        if self.start_time is None or self.finish_time is None:
-            return None
-        return self.finish_time - self.start_time
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Flatten into a serialisable dictionary."""
-        return {
-            "name": self.name,
-            "application": self.application,
-            "hardware": self.request.name,
-            "node": self.node,
-            "phase": self.phase.value,
-            "priority": self.priority,
-            "submit_time": self.submit_time,
-            "start_time": self.start_time,
-            "finish_time": self.finish_time,
-            "queue_seconds": self.queue_seconds,
-            "runtime_seconds": self.runtime_seconds,
-            "preemptions": self.preemptions,
-            "wasted_runtime_seconds": self.wasted_runtime_seconds,
-            "work_seconds": self.work_seconds,
-            "observed_runtime_seconds": self.observed_runtime_seconds,
-            "slowdown": self.slowdown,
-            **{f"feature_{k}": v for k, v in self.features.items()},
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -9,13 +9,16 @@ drawn from the workload model's noisy ground truth -- back to the caller.
 Two modes of use are supported:
 
 * **Synchronous** (:meth:`run_workload`): submit one workload on one hardware
-  configuration and immediately get its completed run.  This is what the
-  online recommendation loop uses (the paper schedules one workflow per
-  round).
-* **Batched / queued** (:meth:`submit` + :meth:`run_until_idle`): submit many
-  pods and let the event engine interleave them, exposing queueing delay when
-  the cluster is saturated.  Examples use this to show resource contention --
-  one of the misallocation costs the paper's introduction motivates.
+  configuration and immediately get its completed run.  Only
+  :meth:`~repro.integration.RecommendationService.run_workflow` uses it; the
+  paper's online loop (:class:`~repro.evaluation.simulation.OnlineSimulation`)
+  draws runtimes from the workload model without a cluster.
+* **Batched / queued** (:meth:`submit` + :meth:`run_until` /
+  :meth:`run_until_idle`): submit many pods and let the event engine
+  interleave them, exposing queueing delay when the cluster is saturated.
+  The contention engine (:class:`~repro.evaluation.engine.ExperimentEngine`)
+  and the examples use this to show resource contention -- one of the
+  misallocation costs the paper's introduction motivates.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
@@ -40,7 +43,7 @@ from repro.cluster.events import (
 from repro.cluster.interference import InterferenceModel, NoInterference
 from repro.cluster.node import InsufficientCapacityError, Node
 from repro.cluster.placement import PlacementContext
-from repro.cluster.pod import Pod, PodPhase
+from repro.cluster.pod import Pod
 from repro.cluster.scheduler import FIFOScheduler, Scheduler
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.utils.logging import EventLog, NullLog
@@ -64,6 +67,9 @@ class KernelProfile:
     at the policy, ``scheduling_seconds`` at the queue discipline.
     """
 
+    #: The simulator's event queue; the heap-traffic counters are read from
+    #: it whenever the profile is reported.
+    queue: EventQueue
     #: Seconds spent re-integrating progress / rescheduling tentative
     #: finishes on topology changes (:meth:`ClusterSimulator._reschedule_node`).
     reintegration_seconds: float = 0.0
@@ -73,19 +79,29 @@ class KernelProfile:
     #: Seconds spent inside placement decisions (``scheduler.schedule`` /
     #: ``select_node`` calls).
     placement_seconds: float = 0.0
-    events_processed: int = 0
     reschedule_calls: int = 0
     pods_rescheduled: int = 0
     schedule_passes: int = 0
     placement_calls: int = 0
-    #: Heap traffic, mirrored from :class:`~repro.cluster.events.EventQueue`:
-    #: total events scheduled, live events handled, and cancelled (superseded
-    #: frontier) entries discarded without handling.  Under the per-node
-    #: frontier protocol ``events_pushed`` stays O(completions +
-    #: topology-changes) instead of O(pods x topology-changes).
-    events_pushed: int = 0
-    events_popped: int = 0
-    events_skipped: int = 0
+
+    # Heap traffic: total events scheduled, live events handled, and
+    # cancelled (superseded frontier) entries discarded without handling.
+    # Under the per-node frontier protocol ``events_pushed`` stays
+    # O(completions + topology changes) instead of O(pods x topology changes).
+    @property
+    def events_pushed(self) -> int:
+        return self.queue.pushed
+
+    @property
+    def events_popped(self) -> int:
+        return self.queue.popped
+
+    #: Every handled event is a popped one.
+    events_processed = events_popped
+
+    @property
+    def events_skipped(self) -> int:
+        return self.queue.skipped
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -250,15 +266,6 @@ class ClusterSimulator:
         self._frontier: Dict[str, Event] = {}
         self._context_cache: Optional[PlacementContext] = None
         self._profile: Optional[KernelProfile] = None
-        # Queue-counter values already folded into the profile (delta sync,
-        # so per-run profiles can be merged across simulators).
-        self._synced_events = (0, 0, 0)
-        # Busy-time integrals per node ([cpu, memory, gpu] resource-seconds)
-        # and each node's activation time, for lifetime-prorated utilisation.
-        self._busy_seconds: Dict[str, List[float]] = {}
-        self._busy_since: Dict[str, float] = {n.name: 0.0 for n in self.nodes}
-        self._active_since: Dict[str, float] = {n.name: 0.0 for n in self.nodes}
-        self._busy_clock = 0.0  # clock value the integrals are current at
         # Feasibility verdicts per hardware name.  They are judged against
         # node *total* capacity, so the answers only change when the node set
         # itself changes -- which only the autoscaler does, and every
@@ -284,13 +291,8 @@ class ClusterSimulator:
         for the rest of the simulator's life.
         """
         if self._profile is None:
-            self._profile = KernelProfile()
+            self._profile = KernelProfile(self._events)
         return self._profile
-
-    @property
-    def pods(self) -> Dict[str, Pod]:
-        """All pods ever submitted, keyed by name."""
-        return dict(self._pods)
 
     def _resolve_hardware(self, hardware: HardwareConfig | str) -> HardwareConfig:
         if isinstance(hardware, HardwareConfig):
@@ -340,7 +342,7 @@ class ClusterSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    # Synchronous single-run interface (what the bandit loop uses)
+    # Synchronous single-run interface (RecommendationService.run_workflow)
     # ------------------------------------------------------------------ #
     def run_workload(
         self,
@@ -789,8 +791,6 @@ class ClusterSimulator:
         self.nodes.append(node)
         self._running[name] = []
         self._feasibility.clear()
-        self._busy_since[name] = float(event.time)
-        self._active_since[name] = float(event.time)
         state.in_flight -= 1
         state.alive += 1
         state.provisioned_at[name] = float(event.time)
@@ -829,9 +829,6 @@ class ClusterSimulator:
         self.nodes.remove(node)
         self._running.pop(name, None)
         self._feasibility.clear()
-        self._busy_since.pop(name, None)
-        self._busy_seconds.pop(name, None)
-        self._active_since.pop(name, None)
         state.alive -= 1
         state.idle_since.pop(name, None)
         started = state.provisioned_at.pop(name)
@@ -839,31 +836,6 @@ class ClusterSimulator:
         state.events.append(ScaleEvent(float(event.time), "node_drained", name))
         if self.log.enabled:
             self.log.record("autoscaler", "node_drained", time=event.time, node=name)
-
-    def _integrate_busy(self) -> None:
-        """Accumulate each node's allocated resource-seconds up to ``now``.
-
-        Allocations only change at event instants, so integrating before any
-        mutation (and at query time) with the pre-change amounts is exact.
-        Later events at the *same* instant contribute zero elapsed time, so
-        the node loop runs once per distinct timestamp, not once per event.
-        """
-        now = self._events.now
-        if now == self._busy_clock:
-            return
-        busy_since = self._busy_since
-        busy_seconds = self._busy_seconds
-        for node in self.nodes:
-            name = node.name
-            last = busy_since.get(name, now)
-            dt = now - last
-            if dt > 0:
-                acc = busy_seconds.setdefault(name, [0.0, 0.0, 0.0])
-                acc[0] += dt * node._alloc_cpus
-                acc[1] += dt * node._alloc_memory_gb
-                acc[2] += dt * node._alloc_gpus
-            busy_since[name] = now
-        self._busy_clock = now
 
     def _handle_node_finish(self, event) -> None:
         """Complete the finishing pod named by a fired frontier event.
@@ -925,9 +897,6 @@ class ClusterSimulator:
         self._try_schedule_pending()
 
     def _handle_event(self, event) -> None:
-        if self._profile is not None:
-            self._profile.events_processed += 1
-        self._integrate_busy()
         kind = event.kind
         # ``node_next_finish`` first: under the frontier protocol it is the
         # most frequent kind (one completion per firing), and the kinds are
@@ -962,7 +931,6 @@ class ClusterSimulator:
         while self._events and processed < max_events:
             self._handle_event(self._events.pop())
             processed += 1
-        self._sync_profile_events()
         if self._events:
             raise RuntimeError(f"event budget of {max_events} exhausted with events remaining")
         if self._pending:
@@ -996,7 +964,6 @@ class ClusterSimulator:
             raise ValueError(f"run_until needs a finite time (got {time!r})")
         before = len(self._completed)
         self._events.drain(self._handle_event, until=until)
-        self._sync_profile_events()
         return self._completed[before:]
 
     def peek_next_event_time(self) -> Optional[float]:
@@ -1025,18 +992,6 @@ class ClusterSimulator:
         q = self._events
         return {"pushed": q.pushed, "popped": q.popped, "skipped": q.skipped, "pending": len(q)}
 
-    def _sync_profile_events(self) -> None:
-        """Fold queue counter deltas into the kernel profile (if enabled)."""
-        profile = self._profile
-        if profile is None:
-            return
-        q = self._events
-        synced = self._synced_events
-        profile.events_pushed += q.pushed - synced[0]
-        profile.events_popped += q.popped - synced[1]
-        profile.events_skipped += q.skipped - synced[2]
-        self._synced_events = (q.pushed, q.popped, q.skipped)
-
     # ------------------------------------------------------------------ #
     # Autoscaler introspection
     # ------------------------------------------------------------------ #
@@ -1059,32 +1014,3 @@ class ClusterSimulator:
             for name, started in sorted(self._autoscaler.provisioned_at.items())
         )
         return done
-
-    # ------------------------------------------------------------------ #
-    def utilisation(self) -> Dict[str, Dict[str, float]]:
-        """Per-node utilisation: instantaneous shares plus busy fractions.
-
-        The ``cpus``/``memory_gb``/``gpus`` keys are the node's current
-        allocated fractions (as before).  The ``busy_*`` keys are the
-        fraction of the node's capacity-time that was actually allocated,
-        prorated over the node's *active window*: base nodes have existed
-        since time 0, but an autoscaled pool node is only accountable from
-        its provision time (its :meth:`pool_node_lifetimes` window) --
-        dividing by the full simulation duration would under-report a
-        mid-run node's busy fraction.
-        """
-        self._integrate_busy()
-        report: Dict[str, Dict[str, float]] = {}
-        for node in self.nodes:
-            stats = node.utilisation()
-            window = self.now - self._active_since.get(node.name, 0.0)
-            busy = self._busy_seconds.get(node.name, [0.0, 0.0, 0.0])
-            stats["busy_cpus"] = busy[0] / (node.cpus * window) if window > 0 else 0.0
-            stats["busy_memory_gb"] = (
-                busy[1] / (node.memory_gb * window) if window > 0 else 0.0
-            )
-            stats["busy_gpus"] = (
-                busy[2] / (node.gpus * window) if window > 0 and node.gpus else 0.0
-            )
-            report[node.name] = stats
-        return report

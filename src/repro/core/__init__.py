@@ -10,7 +10,8 @@ Sub-packages:
   (LinUCB, Thompson sampling).
 * :mod:`repro.core.selection` -- the tolerant selection step
   (``tolerance_ratio`` / ``tolerance_seconds``).
-* :mod:`repro.core.rewards` -- reward/regret accounting.
+* :mod:`repro.core.rewards` -- :class:`RewardConfig`, what each arm model
+  learns from a completion (regret is the contention engine's accounting).
 * :mod:`repro.core.banditware` -- the :class:`BanditWare` façade tying it all
   together.
 """
@@ -31,7 +32,7 @@ from repro.core.policies import (
     RandomPolicy,
     ThompsonSamplingPolicy,
 )
-from repro.core.rewards import RegretLedger, RewardConfig, RoundOutcome
+from repro.core.rewards import RewardConfig
 from repro.core.selection import SelectionOutcome, ToleranceConfig, TolerantSelector
 
 __all__ = [
@@ -52,7 +53,5 @@ __all__ = [
     "ToleranceConfig",
     "TolerantSelector",
     "SelectionOutcome",
-    "RegretLedger",
     "RewardConfig",
-    "RoundOutcome",
 ]

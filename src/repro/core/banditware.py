@@ -144,12 +144,10 @@ class BanditWare:
             raise ValueError(f"feature_names contains duplicates: {names}")
         self.catalog = catalog
         self.feature_names: List[str] = names
-        # The class itself is the default factory (not a lambda) so the
-        # recommender stays picklable for checkpoints and worker processes.
-        self._factory = arm_model_factory or LeastSquaresModel
+        factory = arm_model_factory or LeastSquaresModel
         self.policy = policy or DecayingEpsilonGreedyPolicy(tolerance=tolerance)
         self._rng = as_generator(seed)
-        self._models: List[ArmModel] = [self._factory(len(names)) for _ in catalog]
+        self._models: List[ArmModel] = [factory(len(names)) for _ in catalog]
         self._history: List[ObservationRecord] = []
         self.track_history = bool(track_history)
         self.reward = reward or RewardConfig()
@@ -174,15 +172,11 @@ class BanditWare:
 
     @property
     def version(self) -> int:
-        """Mutation counter: bumped by every observation and by :meth:`reset`.
+        """Mutation counter: bumped by every observation.
 
         Two reads with the same version saw the same per-arm models.
         """
         return self._version
-
-    def model_for(self, hardware: Union[str, HardwareConfig]) -> ArmModel:
-        """The runtime model of one hardware configuration."""
-        return self._models[self.catalog.index_of(hardware)]
 
     def coefficients(self) -> Dict[str, Dict[str, float]]:
         """Named coefficients of every arm: ``{hardware: {"w_<feat>": .., "b": ..}}``."""
@@ -479,11 +473,3 @@ class BanditWare:
             runtimes.append(float(row[runtime_column]))
         self.observe_batch(features_batch, hardware, runtimes)
         return len(runtimes)
-
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Forget everything: fresh arm models, reset policy state, empty history."""
-        self._models = [self._factory(self.n_features) for _ in self.catalog]
-        self.policy.reset()
-        self._history.clear()
-        self._version += 1

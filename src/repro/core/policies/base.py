@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class BanditPolicy(abc.ABC):
         Most policies keep no per-observation state (the arm models are
         updated by the façade); the default is a no-op.
         """
-
-    def reset(self) -> None:
-        """Reset any internal state (e.g. restore ε to its initial value)."""
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -83,15 +83,6 @@ class DecayingEpsilonGreedyPolicy(BanditPolicy):
         """The exploration probability that will be used for the next selection."""
         return self._epsilon
 
-    @property
-    def tolerance(self) -> ToleranceConfig:
-        return self.selector.tolerance
-
-    def reset(self) -> None:
-        self._epsilon = self.epsilon0
-        self._round = 0
-        self._all_seen = False
-
     # ------------------------------------------------------------------ #
     def select(
         self,

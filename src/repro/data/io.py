@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 from repro.data.datasets import DatasetBundle
 from repro.dataframe import DataFrame, read_csv, write_csv
@@ -43,10 +43,6 @@ class LoadedRunHistory:
     feature_names: List[str]
     frame: DataFrame
     catalog: HardwareCatalog
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.frame)
 
 
 def save_dataset(bundle: DatasetBundle, directory: Union[str, os.PathLike]) -> Path:

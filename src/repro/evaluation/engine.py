@@ -7,9 +7,9 @@ the machinery in this module.  The frontends describe *what* to evaluate
 (workloads, arrival streams, cluster shape, scoring); the engine owns *how*
 a run plays out:
 
-* **one round/outcome ledger** -- :class:`ScenarioAccountant` turns every
-  completion into a :class:`~repro.core.rewards.RoundOutcome`, a per-tenant
-  :class:`~repro.core.rewards.RegretLedger` entry and one accounting row;
+* **one record per completion** -- :class:`ScenarioAccountant` turns every
+  completion into one accounting row, regret included; each tenant's
+  :class:`TenantOutcome` holds its own rows, and every summary folds them;
 * **one completion → observe path** -- each tenant's
   :class:`~repro.core.BanditWare` gets one
   :meth:`~repro.core.BanditWare.observe_batch` call per event drain, rows in
@@ -57,7 +57,6 @@ import numpy as np
 from repro.cluster.simulator import ClusterSimulator, CompletedRun
 from repro.core.banditware import BanditWare, Recommendation
 from repro.core.models.linear import solve_least_squares
-from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.core.selection import TolerantSelector
 from repro.hardware import HardwareCatalog, node_occupancy_cost, occupancy_cost
 from repro.utils.logging import EventLog
@@ -121,18 +120,59 @@ def replication_sequences(seed: int, n: int) -> List[np.random.SeedSequence]:
 # --------------------------------------------------------------------- #
 @dataclass
 class TenantOutcome:
-    """Per-tenant ledger and decision stream of one scenario run."""
+    """Per-tenant accounting rows and decision stream of one scenario run."""
 
     tenant: str
     application: str
-    ledger: RegretLedger
+    #: This tenant's accounting rows in completion (event) order: the same
+    #: dicts :attr:`ContentionResult.rows` holds.
+    rows: List[Dict[str, object]] = field(default_factory=list)
     #: Hardware chosen per workflow, in submission order.
     decisions: List[str] = field(default_factory=list)
-    #: Observed runtime per workflow, in completion (event) order.
-    runtimes: List[float] = field(default_factory=list)
 
     def summary(self) -> Dict[str, float]:
-        return self.ledger.summary()
+        """Headline numbers for the per-tenant report table.
+
+        Totals are added left to right in completion order; the
+        interference-inclusive regret adds each row's runtime regret and
+        interference seconds before the total.
+        """
+        rows = self.rows
+        if not rows:
+            return {
+                "rounds": 0,
+                "accuracy": 0.0,
+                "cumulative_regret": 0.0,
+                "queue_inclusive_regret": 0.0,
+                "interference_inclusive_regret": 0.0,
+                "total_queue_seconds": 0.0,
+                "total_interference_seconds": 0.0,
+                "mean_slowdown": 1.0,
+                "exploration_fraction": 0.0,
+                "total_runtime": 0.0,
+            }
+        return {
+            "rounds": float(len(rows)),
+            "accuracy": sum(1 for row in rows if row["correct"]) / len(rows),
+            "cumulative_regret": float(ordered_sum(row["runtime_regret"] for row in rows)),
+            "queue_inclusive_regret": float(
+                ordered_sum(row["queue_inclusive_regret"] for row in rows)
+            ),
+            "interference_inclusive_regret": float(
+                ordered_sum(
+                    row["runtime_regret"] + row["interference_seconds"] for row in rows
+                )
+            ),
+            "total_queue_seconds": float(ordered_sum(row["queue_seconds"] for row in rows)),
+            "total_interference_seconds": float(
+                ordered_sum(row["interference_seconds"] for row in rows)
+            ),
+            "mean_slowdown": float(np.mean([row["slowdown"] for row in rows])),
+            "exploration_fraction": float(
+                np.mean([1.0 if row["explored"] else 0.0 for row in rows])
+            ),
+            "total_runtime": float(ordered_sum(row["runtime_seconds"] for row in rows)),
+        }
 
 
 @dataclass
@@ -169,26 +209,17 @@ class ContentionResult:
     def summary(self) -> Dict[str, float]:
         """Headline queue-aware numbers for reports and tests."""
         delays = self.queue_delays()
-        ledgers = [outcome.ledger for outcome in self.tenants.values()]
-        total_rounds = sum(len(ledger) for ledger in ledgers)
-        correct = sum(
-            sum(1 for r in ledger.rounds if r.correct) for ledger in ledgers
-        )
-        regret = ordered_sum(
-            float(ledger.cumulative_runtime_regret()[-1]) for ledger in ledgers if len(ledger)
-        )
-        queue_regret = ordered_sum(
-            float(ledger.cumulative_queue_inclusive_regret()[-1])
-            for ledger in ledgers
-            if len(ledger)
-        )
+        tenants = [outcome.summary() for outcome in self.tenants.values()]
+        played = [tenant for tenant in tenants if tenant["rounds"]]
+        total_rounds = len(self.rows)
+        correct = sum(1 for row in self.rows if row["correct"])
+        regret = ordered_sum(tenant["cumulative_regret"] for tenant in played)
+        queue_regret = ordered_sum(tenant["queue_inclusive_regret"] for tenant in played)
         interference_regret = ordered_sum(
-            float(ledger.cumulative_interference_inclusive_regret()[-1])
-            for ledger in ledgers
-            if len(ledger)
+            tenant["interference_inclusive_regret"] for tenant in played
         )
         interference_seconds = ordered_sum(
-            ledger.total_interference_seconds() for ledger in ledgers
+            tenant["total_interference_seconds"] for tenant in tenants
         )
         slowdowns = [float(row.get("slowdown", 1.0)) for row in self.rows]
         preemptions = sum(int(row.get("preemptions", 0)) for row in self.rows)
@@ -267,7 +298,7 @@ def oracle_runtimes(
 
 
 # --------------------------------------------------------------------- #
-# The round/outcome ledger
+# Accounting
 # --------------------------------------------------------------------- #
 class _TenantState:
     """Mutable per-tenant bookkeeping while a scenario plays."""
@@ -289,11 +320,7 @@ class _TenantState:
         #: completions handled in one event drain must not both enqueue the
         #: single remaining workflow.
         self.scheduled = 0
-        self.outcome = TenantOutcome(
-            tenant=spec.name,
-            application=spec.workload.name,
-            ledger=RegretLedger(),
-        )
+        self.outcome = TenantOutcome(tenant=spec.name, application=spec.workload.name)
 
     @property
     def fully_scheduled(self) -> bool:
@@ -313,11 +340,23 @@ class _InFlight:
 
 
 class ScenarioAccountant:
-    """The round/outcome ledger of a scenario run.
+    """The accounting rows of a scenario run, one per completed workflow.
 
-    Turns each completed run into a :class:`RoundOutcome` on the tenant's
-    regret ledger plus one accounting row, and integrates occupancy cost --
-    useful and (for preempted pods) wasted resource-seconds.
+    Each row records the run and its regret against the contention-free
+    oracle, which runs every workflow alone on its best hardware:
+
+    * ``runtime_regret`` -- expected runtime on the chosen hardware minus
+      the best expected runtime (never negative); ``correct`` says whether
+      the chosen hardware is the oracle-best one (the paper's accuracy);
+    * ``queue_inclusive_regret`` -- runtime regret plus the seconds the
+      workflow queued for capacity: on a shared cluster an over-sized
+      allocation makes everyone wait, and the oracle never waits;
+    * ``interference_seconds`` -- observed minus planned (contention-free)
+      runtime, never negative: the slowdown co-residents inflicted.  The
+      interference-inclusive regret is runtime regret plus these seconds.
+
+    The accountant also integrates occupancy cost -- useful and (for
+    preempted pods) wasted resource-seconds.
     """
 
     def __init__(self, catalog: HardwareCatalog):
@@ -333,58 +372,44 @@ class ScenarioAccountant:
         run: CompletedRun,
         explored: bool,
         finish_time: float,
-    ) -> RoundOutcome:
+    ) -> None:
         spec = state.spec
         best_name, best_runtime, table = oracle_runtimes(
             spec.workload, spec.catalog, features
         )
-        outcome = RoundOutcome(
-            round_index=len(state.outcome.ledger),
-            chosen_hardware=run.record.hardware,
-            best_hardware=best_name,
-            observed_runtime=run.record.runtime_seconds,
-            best_expected_runtime=best_runtime,
-            expected_runtime_on_chosen=table[run.record.hardware],
-            explored=explored,
-            queue_seconds=run.queue_seconds,
-            planned_runtime=run.planned_runtime_seconds,
-        )
-        state.outcome.ledger.record(outcome)
-        state.outcome.runtimes.append(run.record.runtime_seconds)
-        config = self.catalog[run.record.hardware]
-        occupancy = occupancy_cost(config, run.record.runtime_seconds)
+        hardware = run.record.hardware
+        observed = run.record.runtime_seconds
+        planned = run.planned_runtime_seconds
+        runtime_regret = max(table[hardware] - best_runtime, 0.0)
+        config = self.catalog[hardware]
+        occupancy = occupancy_cost(config, observed)
         wasted = occupancy_cost(config, run.wasted_runtime_seconds)
         self.total_occupancy += occupancy
         self.wasted_occupancy += wasted
-        self.rows.append(
-            {
-                "tenant": spec.name,
-                "application": run.record.application,
-                "round": outcome.round_index,
-                "finish_time": finish_time,
-                "hardware": run.record.hardware,
-                "node": run.node,
-                "priority": spec.priority,
-                "queue_seconds": run.queue_seconds,
-                "runtime_seconds": run.record.runtime_seconds,
-                "planned_seconds": (
-                    run.planned_runtime_seconds
-                    if run.planned_runtime_seconds is not None
-                    else run.record.runtime_seconds
-                ),
-                "slowdown": run.slowdown,
-                "occupancy_cost": occupancy,
-                "preemptions": run.preemptions,
-                "wasted_seconds": run.wasted_runtime_seconds,
-                "wasted_occupancy_cost": wasted,
-                "explored": outcome.explored,
-                "correct": outcome.correct,
-                "runtime_regret": outcome.runtime_regret,
-                "queue_inclusive_regret": outcome.queue_inclusive_regret,
-                "interference_seconds": outcome.interference_seconds,
-            }
-        )
-        return outcome
+        row = {
+            "tenant": spec.name,
+            "application": run.record.application,
+            "round": len(state.outcome.rows),
+            "finish_time": finish_time,
+            "hardware": hardware,
+            "node": run.node,
+            "priority": spec.priority,
+            "queue_seconds": run.queue_seconds,
+            "runtime_seconds": observed,
+            "planned_seconds": planned if planned is not None else observed,
+            "slowdown": run.slowdown,
+            "occupancy_cost": occupancy,
+            "preemptions": run.preemptions,
+            "wasted_seconds": run.wasted_runtime_seconds,
+            "wasted_occupancy_cost": wasted,
+            "explored": explored,
+            "correct": hardware == best_name,
+            "runtime_regret": runtime_regret,
+            "queue_inclusive_regret": runtime_regret + run.queue_seconds,
+            "interference_seconds": 0.0 if planned is None else max(observed - planned, 0.0),
+        }
+        self.rows.append(row)
+        state.outcome.rows.append(row)
 
 
 # --------------------------------------------------------------------- #

@@ -10,10 +10,8 @@ returns both the raw simulation result and the derived comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.data import (
     build_bp3d_dataset,

@@ -9,7 +9,7 @@ every figure's numbers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -44,8 +44,8 @@ not, and everything around it is batched:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
 
 from repro.hardware.config import HardwareConfig
 
@@ -70,25 +70,12 @@ class HardwareCatalog:
         """Configuration names in arm order."""
         return [c.name for c in self._configs]
 
-    @property
-    def configs(self) -> List[HardwareConfig]:
-        """Configurations in arm order (a copy of the internal list)."""
-        return list(self._configs)
-
     def index_of(self, item: Union[str, HardwareConfig]) -> int:
         """Return the arm index for a configuration or its name."""
         name = item.name if isinstance(item, HardwareConfig) else item
         if name not in self._by_name:
             raise KeyError(f"no hardware named {name!r}; available: {self.names}")
         return self._by_name[name]
-
-    def subset(self, names: Sequence[str]) -> "HardwareCatalog":
-        """A new catalog restricted to ``names`` (in the given order)."""
-        return HardwareCatalog([self[name] for name in names])
-
-    def add(self, config: HardwareConfig) -> "HardwareCatalog":
-        """A new catalog with ``config`` appended."""
-        return HardwareCatalog(self._configs + [config])
 
     def to_records(self) -> List[dict]:
         """Serialisable list of configuration dictionaries."""

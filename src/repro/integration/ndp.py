@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.dataframe import DataFrame
-from repro.hardware import HardwareCatalog
 from repro.utils.numeric import ordered_sum
 from repro.workloads.base import RunRecord, records_to_frame
 

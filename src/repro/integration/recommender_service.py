@@ -25,6 +25,7 @@ from repro.integration.ndp import ApplicationRegistry, RunHistoryStore
 from repro.integration.sharding import ShardMap
 from repro.utils.logging import EventLog, NullLog
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_priority
 from repro.workloads.base import RunRecord
 
 __all__ = ["WorkflowTicket", "RecommendationService"]
@@ -182,13 +183,17 @@ class RecommendationService:
         to the service-level settings.  ``reward`` selects the application's
         observation shaping (e.g. the queue-aware ``queue_inclusive`` mode);
         ``priority`` is the priority class stamped on the application's
-        workflow tickets for priority/preemption scheduling.
+        workflow tickets for priority/preemption scheduling: an integer, as
+        :meth:`~repro.cluster.ClusterSimulator.submit` requires (a ``bool``,
+        a float or a string raises ``TypeError``).
 
-        Registration is atomic: the recommender is built and warm-started
-        before the application is recorded, so a call that raises -- a
-        duplicate feature name, a history lacking a declared feature column,
-        a name already taken -- leaves the service as it was.
+        Registration is atomic: the priority is checked and the recommender
+        is built and warm-started before the application is recorded, so a
+        call that raises -- a priority that is not an integer, a duplicate
+        feature name, a history lacking a declared feature column, a name
+        already taken -- leaves the service as it was.
         """
+        priority = check_priority(priority)
         recommender = BanditWare(
             catalog=catalog if catalog is not None else self.catalog,
             feature_names=feature_names,
@@ -201,7 +206,7 @@ class RecommendationService:
             ingested = recommender.warm_start(self.history.frame_for(name))
         self.registry.register(name, owner, recommender.feature_names, description)
         self._applications[name] = _Application(
-            recommender, int(priority), self.shard_map.shard_for(name)
+            recommender, priority, self.shard_map.shard_for(name)
         )
         if self.log.enabled:
             if ingested is not None:

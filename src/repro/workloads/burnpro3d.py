@@ -21,7 +21,7 @@ factor within ±2 %, and adds heavy heteroscedastic noise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 

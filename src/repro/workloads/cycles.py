@@ -21,7 +21,7 @@ capacity.  The scale is calibrated so that a 500-task workflow takes roughly
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

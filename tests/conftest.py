@@ -39,6 +39,42 @@ def constant_workload(runtimes, name="const"):
     )
 
 
+def model_of(bandit, hardware):
+    """The runtime model ``bandit`` keeps for one hardware configuration."""
+    return bandit.models[bandit.catalog.index_of(hardware)]
+
+
+def accounted(completions, runtimes=None):
+    """One tenant's accounting for hand-made completions.
+
+    Plays ``completions`` -- ``(hardware, observed, planned, queue_seconds,
+    explored)`` tuples -- through a real
+    :class:`~repro.evaluation.engine.ScenarioAccountant` for a tenant whose
+    expected runtimes are ``runtimes`` (default ``H0`` 10 s, ``H1`` 14 s, so
+    ``H0`` is the oracle's pick).  Returns ``(accountant, tenant_outcome)``.
+    """
+    from types import SimpleNamespace
+
+    from repro.cluster.simulator import CompletedRun
+    from repro.evaluation.contention import TenantSpec
+    from repro.evaluation.engine import ScenarioAccountant, TenantOutcome
+    from repro.workloads import ClosedLoopArrivals, RunRecord
+
+    runtimes = runtimes or {"H0": 10.0, "H1": 14.0}
+    catalog = HardwareCatalog([HardwareConfig(name, 2, 8) for name in runtimes])
+    workload = constant_workload(runtimes)
+    spec = TenantSpec("t", workload, catalog, ClosedLoopArrivals(), n_workflows=1)
+    state = SimpleNamespace(spec=spec, outcome=TenantOutcome("t", workload.name))
+    accountant = ScenarioAccountant(catalog)
+    for i, (hardware, observed, planned, queue_seconds, explored) in enumerate(completions):
+        record = RunRecord(f"run-{i}", workload.name, hardware, observed, {"x": 0.0})
+        run = CompletedRun(
+            record, queue_seconds, node="n", planned_runtime_seconds=planned
+        )
+        accountant.record(state, {"x": 0.0}, run, explored=explored, finish_time=float(i))
+    return accountant, state.outcome
+
+
 def integrated_work(pod):
     """Integrate a finished pod's piecewise-constant progress rate.
 

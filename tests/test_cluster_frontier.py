@@ -45,6 +45,7 @@ from repro.evaluation.contention import (
     run_scenario,
     scenario_fingerprint,
 )
+from repro.evaluation.engine import ExperimentEngine
 from repro.hardware import HardwareCatalog, HardwareConfig
 from repro.workloads import LinearRuntimeWorkload
 
@@ -141,6 +142,56 @@ class TestEventBudget:
         assert profile.events_popped == stats["popped"]
         assert profile.events_skipped == stats["skipped"]
         assert profile.events_processed == profile.events_popped
+
+    def test_profile_enabled_mid_run_reports_every_event(self):
+        sim = _contended_sim()
+        for i in range(10):
+            sim.submit({"size": 2.0}, "s", at_time=float(i))
+        sim.run_until(4.5)
+        profile = sim.enable_profiling()
+        sim.run_until_idle()
+        stats = sim.event_stats
+        reported = profile.as_dict()
+        assert reported["events_processed"] == reported["events_popped"] == stats["popped"]
+        assert reported["events_pushed"] == stats["pushed"]
+        assert reported["events_skipped"] == stats["skipped"]
+
+
+#: ``run-contention --profile`` work counters at seed 0 -- reschedules, pod
+#: rate changes, schedule passes, placement decisions, and events pushed,
+#: handled and superseded -- captured while the profile still mirrored the
+#: event queue's counters into its own.
+PROFILE_KEYS = (
+    "reschedule_calls",
+    "pods_rescheduled",
+    "schedule_passes",
+    "placement_calls",
+    "events_pushed",
+    "events_popped",
+    "events_skipped",
+)
+PROFILE_COUNTERS = {
+    "autoscale-burst": (128, 64, 144, 163, 191, 189, 2),
+    "hetero-nodes": (64, 212, 64, 32, 95, 64, 31),
+    "interference-heavy": (96, 478, 96, 48, 143, 96, 47),
+    "interference-light": (100, 136, 100, 50, 131, 100, 31),
+    "light": (100, 50, 100, 50, 104, 100, 4),
+    "mixed-tenants": (96, 48, 96, 100, 111, 96, 15),
+    "noisy-neighbor": (100, 179, 100, 99, 140, 100, 40),
+    "priority-tiers": (82, 41, 77, 115, 79, 72, 7),
+    "queue-feedback": (128, 64, 144, 152, 189, 180, 9),
+    "saturated": (80, 40, 80, 116, 95, 80, 15),
+    "spread-vs-pack": (64, 212, 64, 32, 95, 64, 31),
+    "zero-contention": (80, 40, 80, 40, 80, 80, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTENTION_SCENARIOS))
+def test_profile_counters_are_pinned(name):
+    engine = ExperimentEngine(build_scenario(name, seed=0), profile=True)
+    profile = engine.run().kernel_profile
+    assert tuple(int(profile[key]) for key in PROFILE_KEYS) == PROFILE_COUNTERS[name]
+    assert profile["events_processed"] == profile["events_popped"]
 
 
 # --------------------------------------------------------------------- #
@@ -266,7 +317,7 @@ class TestFrontierMatchesBruteForce:
         assert len(runs) == 64
         assert frontier_audit["audits"] > 0
         for run in runs:
-            pod = sim.pods[run.pod_name]
+            pod = sim._pods[run.pod_name]
             assert integrated_work(pod) == pytest.approx(pod.work_seconds, rel=1e-9)
 
     def test_equal_finishes_complete_in_allocation_order(self):
@@ -381,7 +432,7 @@ class TestGeneratedClusters:
         assert len(runs) == len(case["stream"])
         assert sim.audits > 0
         for run in runs:
-            pod = sim.pods[run.pod_name]
+            pod = sim._pods[run.pod_name]
             assert integrated_work(pod) == pytest.approx(pod.work_seconds, rel=1e-9)
             if len(pod.progress_log) == 1 and pod.progress_log[0][1] == 1.0:
                 # Never slowed: the observed runtime is the drawn one, bit for bit.

@@ -303,6 +303,12 @@ class TestNodeSpeedsProperty:
             assert model.node_speeds(node, pods[:1]) == [1.0]
 
 
+def _run_of(runs, pod):
+    """The completed run of one submitted pod."""
+    (run,) = [run for run in runs if run.pod_name == pod.name]
+    return run
+
+
 class TestThirdPartyModel:
     """A model outside the library implements ``node_speeds`` alone."""
 
@@ -310,11 +316,11 @@ class TestThirdPartyModel:
         sim = _cluster(interference=_CrowdPenalty())
         a = sim.submit({"x": 0.0}, "small", at_time=0.0)
         b = sim.submit({"x": 0.0}, "small", at_time=0.0)
-        sim.run_until_idle()
+        runs = sim.run_until_idle()
         # Both 10 s pods share the node at 1/1.1 throughout.
         for pod in (a, b):
             assert pod.finish_time == pytest.approx(11.0)
-            assert pod.slowdown == pytest.approx(1.1)
+            assert _run_of(runs, pod).slowdown == pytest.approx(1.1)
 
     def test_least_slowdown_picks_the_quieter_node(self):
         busy = Node("busy", cpus=8, memory_gb=32)
@@ -354,8 +360,8 @@ class TestProgressExecution:
         # Second: progressed 10 work-seconds' worth at 0.8 over 12.5s, so
         # remaining 0 work... identical pods tie; both finish at 12.5.
         assert second.finish_time == pytest.approx(12.5)
-        assert a.slowdown == pytest.approx(1.25)
-        assert b.slowdown == pytest.approx(1.25)
+        assert _run_of(runs, a).slowdown == pytest.approx(1.25)
+        assert _run_of(runs, b).slowdown == pytest.approx(1.25)
 
     def test_departure_speeds_up_the_survivor(self):
         # A 5s pod and a 20s pod co-reside under alpha=1 (u=0.25 -> 0.8).
@@ -372,7 +378,7 @@ class TestProgressExecution:
         # remaining 14 run at full speed -> finishes at 21.5.
         assert long.finish_time == pytest.approx(21.5)
         assert long.observed_runtime_seconds == pytest.approx(21.5)
-        assert long.slowdown == pytest.approx(21.5 / 20.0)
+        assert _run_of(runs, long).slowdown == pytest.approx(21.5 / 20.0)
 
     def test_arrival_slows_down_a_running_pod(self):
         sim = _cluster(
@@ -381,11 +387,11 @@ class TestProgressExecution:
         )
         early = sim.submit({"x": 0.0}, "small", at_time=0.0)
         sim.submit({"x": 0.0}, "small", at_time=5.0)
-        sim.run_until_idle()
+        runs = sim.run_until_idle()
         # early ran alone for 5s (5 work done), then at 1/(1+2*0.25)=2/3:
         # remaining 5 work takes 7.5s -> finish at 12.5.
         assert early.finish_time == pytest.approx(12.5)
-        assert early.slowdown == pytest.approx(1.25)
+        assert _run_of(runs, early).slowdown == pytest.approx(1.25)
 
     def test_queueing_is_not_interference(self):
         # A pod waiting for capacity has zero progress and zero slowdown:
@@ -396,9 +402,9 @@ class TestProgressExecution:
         )
         sim.submit({"x": 0.0}, "small", at_time=0.0)
         waiting = sim.submit({"x": 0.0}, "small", at_time=0.0)
-        sim.run_until_idle()
+        runs = sim.run_until_idle()
         assert waiting.queue_seconds == pytest.approx(10.0)
-        assert waiting.slowdown == pytest.approx(1.0)  # it always ran alone
+        assert _run_of(runs, waiting).slowdown == pytest.approx(1.0)  # it always ran alone
 
     def test_completed_run_slowdown_property(self):
         sim = _cluster(interference=LinearSlowdown(alpha=1.0))
@@ -556,40 +562,3 @@ class TestWorkConservation:
         assert victim_run.preemptions == 1
         assert victim_run.planned_runtime_seconds == victim.work_seconds
         assert victim_run.record.runtime_seconds >= victim.work_seconds - 1e-9
-
-
-class TestProratedUtilisation:
-    def test_base_node_busy_fraction_integrates_over_time(self):
-        sim = _cluster(nodes=[Node("n", cpus=4, memory_gb=32)])
-        sim.submit({"x": 0.0}, "big", at_time=0.0)  # 4 CPUs for 10s
-        sim.run_until(10.0)
-        sim.run_until(20.0)
-        util = sim.utilisation()["n"]
-        assert util["cpus"] == 0.0  # instantaneous: idle now
-        assert util["busy_cpus"] == pytest.approx(0.5)  # 10 busy of 20s window
-
-    def test_pool_node_prorated_by_provision_window_not_full_duration(self):
-        # Pool node provisioned at t=30 runs a 10s pod then idles: at t=50
-        # its busy fraction is 10/20 over ITS window, not 10/50.
-        pool = AutoscalingNodePool(
-            node_cpus=4,
-            node_memory_gb=32,
-            max_nodes=1,
-            provision_delay_seconds=30.0,
-            scale_down_idle_seconds=100.0,
-        )
-        sim = _cluster(nodes=[Node("base", cpus=2, memory_gb=8)], autoscaler=pool)
-        sim.submit({"x": 0.0}, "small", at_time=0.0)   # occupies base 0..10
-        sim.submit({"x": 0.0}, "big", at_time=0.0)     # needs the pool node
-        sim.run_until(50.0)
-        (pool_name,) = [n.name for n in sim.nodes if n.name.startswith("autoscale-")]
-        util = sim.utilisation()[pool_name]
-        assert util["busy_cpus"] == pytest.approx(0.5)
-        # Base node: 2 CPUs busy for 10s of a 50s life.
-        assert sim.utilisation()["base"]["busy_cpus"] == pytest.approx(10.0 / 50.0)
-
-    def test_zero_window_reports_zero(self):
-        sim = _cluster()
-        util = sim.utilisation()["n"]
-        assert util["busy_cpus"] == 0.0
-        assert util["busy_memory_gb"] == 0.0

@@ -359,7 +359,7 @@ class TestFirstFitExactParity:
             assert (
                 default.tenants[tenant].decisions == explicit.tenants[tenant].decisions
             )
-            assert default.tenants[tenant].runtimes == explicit.tenants[tenant].runtimes
+            assert default.tenants[tenant].rows == explicit.tenants[tenant].rows
 
 
 # --------------------------------------------------------------------- #

@@ -219,14 +219,14 @@ class TestReintegrationEdgeCases:
     def test_zero_work_pods_complete_immediately(self):
         workload = constant_workload({"small": 0.0})
         sim = _single_node_sim(workload, interference=LinearSlowdown(alpha=0.5))
-        for i in range(6):
-            sim.submit({"x": 0.0}, "small", at_time=float(i % 2))
+        pods = [sim.submit({"x": 0.0}, "small", at_time=float(i % 2)) for i in range(6)]
+        pods = {pod.name: pod for pod in pods}
         runs = sim.run_until_idle()
         assert len(runs) == 6
         for run in runs:
             assert run.record.runtime_seconds == 0.0
             assert run.planned_runtime_seconds == 0.0
-            pod = sim.pods[run.pod_name]
+            pod = pods[run.pod_name]
             assert pod.phase is PodPhase.SUCCEEDED
             assert pod.finish_time == pod.start_time
             assert pod.observed_runtime_seconds == 0.0
@@ -237,8 +237,8 @@ class TestReintegrationEdgeCases:
         workload = constant_workload({"small": 100.0})
         sim = _single_node_sim(workload, interference=LinearSlowdown(alpha=0.5))
         # The node fits 4 of the 2-cpu requests: 8 pods -> two waves of 4.
-        for _ in range(8):
-            sim.submit({"x": 0.0}, "small", at_time=0.0)
+        pods = [sim.submit({"x": 0.0}, "small", at_time=0.0) for _ in range(8)]
+        pods = {pod.name: pod for pod in pods}
         runs = sim.run_until_idle()
         assert len(runs) == 8
         finish_times = sorted({run.finish_time for run in runs})
@@ -253,7 +253,7 @@ class TestReintegrationEdgeCases:
         assert len(observed) == 1
         assert all(r.slowdown > 1.0 for r in runs)
         for run in second_wave:
-            assert sim.pods[run.pod_name].start_time == finish_times[0]
+            assert pods[run.pod_name].start_time == finish_times[0]
 
     @pytest.mark.parametrize(
         "model",
@@ -287,13 +287,16 @@ class TestReintegrationEdgeCases:
             seed=seed,
             interference=model,
         )
-        for i in range(60):
+        pods = [
             sim.submit({"size": 1.0 + (i % 7)}, "small", at_time=float(i) * 3.0)
+            for i in range(60)
+        ]
+        pods = {pod.name: pod for pod in pods}
         runs = sim.run_until_idle()
         assert len(runs) == 60
         rate_changes = 0
         for run in runs:
-            pod = sim.pods[run.pod_name]
+            pod = pods[run.pod_name]
             rate_changes += len(pod.progress_log)
             integral = integrated_work(pod)
             assert integral == pytest.approx(pod.work_seconds, rel=1e-9, abs=1e-9)

@@ -1,4 +1,4 @@
-"""Tests for the BanditWare façade and reward/regret accounting."""
+"""Tests for the BanditWare façade and its reward shaping."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,14 @@ from repro.core import (
     BanditWare,
     DecayingEpsilonGreedyPolicy,
     GreedyPolicy,
-    RegretLedger,
     RidgeModel,
-    RoundOutcome,
     ToleranceConfig,
 )
 from repro.dataframe import DataFrame
 from repro.hardware import ndp_catalog
 from repro.workloads import LinearRuntimeWorkload, TraceGenerator
+
+from conftest import model_of
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestConstruction:
             feature_names=["x"],
             tolerance=ToleranceConfig(seconds=20.0),
         )
-        assert bandit.policy.tolerance.seconds == 20.0
+        assert bandit.policy.selector.tolerance.seconds == 20.0
 
 
 class TestOnlineLoop:
@@ -143,14 +143,6 @@ class TestContextVector:
         coeffs = bandit.coefficients()
         assert set(coeffs) == {"H0", "H1", "H2"}
         assert set(coeffs["H0"]) == {"w_x0", "w_x1", "b"}
-
-    def test_reset_clears_everything(self, bandit):
-        bandit.observe({"x0": 1.0, "x1": 2.0}, "H0", 5.0)
-        bandit.recommend({"x0": 1.0, "x1": 2.0})
-        bandit.reset()
-        assert bandit.observation_counts() == {"H0": 0, "H1": 0, "H2": 0}
-        assert bandit.history == []
-        assert bandit.policy.epsilon == bandit.policy.epsilon0
 
     def test_seeded_runs_are_reproducible(self, ndp, linear_workload):
         def run(seed):
@@ -242,74 +234,6 @@ class TestWarmStart:
                 assert predictions[name] == pytest.approx(truth[name], rel=0.2)
 
 
-class TestRewardsAndRegret:
-    def _outcome(self, i, chosen, best, runtime, best_runtime, chosen_runtime, explored=False):
-        return RoundOutcome(
-            round_index=i,
-            chosen_hardware=chosen,
-            best_hardware=best,
-            observed_runtime=runtime,
-            best_expected_runtime=best_runtime,
-            expected_runtime_on_chosen=chosen_runtime,
-            explored=explored,
-        )
-
-    def test_ledger_accuracy_and_regret(self):
-        ledger = RegretLedger()
-        ledger.record(self._outcome(0, "H0", "H0", 10.0, 10.0, 10.0))
-        ledger.record(self._outcome(1, "H1", "H0", 15.0, 10.0, 14.0, explored=True))
-        assert len(ledger) == 2
-        assert ledger.accuracy_curve().tolist() == [1.0, 0.5]
-        assert ledger.cumulative_runtime_regret().tolist() == [0.0, 4.0]
-        assert ledger.exploration_fraction() == 0.5
-        assert ledger.total_observed_runtime() == 25.0
-
-    def test_ledger_windowed_accuracy(self):
-        ledger = RegretLedger()
-        for i in range(4):
-            correct = i >= 2
-            ledger.record(
-                self._outcome(i, "H0" if correct else "H1", "H0", 10.0, 10.0, 12.0)
-            )
-        windowed = ledger.accuracy_curve(window=2)
-        assert windowed.tolist() == [0.0, 0.0, 0.5, 1.0]
-
-    def test_ledger_final_accuracy_is_fraction_correct(self):
-        ledger = RegretLedger()
-        for i, chosen in enumerate(["H0", "H1", "H0", "H0"]):
-            ledger.record(self._outcome(i, chosen, "H0", 10.0, 10.0, 10.0))
-        assert ledger.accuracy_curve()[-1] == 0.75
-        assert ledger.summary()["accuracy"] == 0.75
-
-    def test_empty_ledger_curves_are_empty(self):
-        ledger = RegretLedger()
-        assert ledger.accuracy_curve().size == 0
-        assert ledger.accuracy_curve(window=3).size == 0
-        assert ledger.cumulative_runtime_regret().size == 0
-
-    def test_windowed_accuracy_rejects_non_positive_window(self):
-        ledger = RegretLedger()
-        ledger.record(self._outcome(0, "H0", "H0", 10.0, 10.0, 10.0))
-        with pytest.raises(ValueError, match="window"):
-            ledger.accuracy_curve(window=0)
-
-    def test_ledger_rejects_out_of_order_rounds(self):
-        ledger = RegretLedger()
-        ledger.record(self._outcome(3, "H0", "H0", 1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            ledger.record(self._outcome(2, "H0", "H0", 1.0, 1.0, 1.0))
-
-    def test_empty_ledger_summary(self):
-        assert RegretLedger().summary()["rounds"] == 0
-
-    def test_summary_fields(self):
-        ledger = RegretLedger()
-        ledger.record(self._outcome(0, "H0", "H0", 10.0, 10.0, 10.0))
-        summary = ledger.summary()
-        assert summary["accuracy"] == 1.0
-        assert summary["cumulative_regret"] == 0.0
-
-
 class TestQueueAwareObservations:
     """Opt-in queue-inclusive reward shaping of BanditWare's learning signal."""
 
@@ -332,11 +256,11 @@ class TestQueueAwareObservations:
         for bandit in (plain, queued):
             bandit.observe({"x": 1.0}, "H0", 10.0, queue_seconds=500.0)
             bandit.observe({"x": 2.0}, "H0", 20.0, queue_seconds=500.0)
-        assert plain.model_for("H0").predict(np.asarray([3.0])) == pytest.approx(
-            queued.model_for("H0").predict(np.asarray([3.0]))
+        assert model_of(plain, "H0").predict(np.asarray([3.0])) == pytest.approx(
+            model_of(queued, "H0").predict(np.asarray([3.0]))
         )
         # Training target is the raw runtime: x=3 extrapolates to 30.
-        assert plain.model_for("H0").predict(np.asarray([3.0])) == pytest.approx(30.0)
+        assert model_of(plain, "H0").predict(np.asarray([3.0])) == pytest.approx(30.0)
 
     def test_queue_inclusive_mode_inflates_training_target(self):
         from repro.core import RewardConfig
@@ -345,7 +269,7 @@ class TestQueueAwareObservations:
         bandit.observe({"x": 1.0}, "H0", 10.0, queue_seconds=5.0)
         bandit.observe({"x": 2.0}, "H0", 20.0, queue_seconds=10.0)
         # Targets were 15 and 30, i.e. effective runtime = 15x.
-        assert bandit.model_for("H0").predict(np.asarray([3.0])) == pytest.approx(45.0)
+        assert model_of(bandit, "H0").predict(np.asarray([3.0])) == pytest.approx(45.0)
         # The history keeps the raw decomposition.
         assert [rec.queue_seconds for rec in bandit.history] == [5.0, 10.0]
         assert [rec.runtime_seconds for rec in bandit.history] == [10.0, 20.0]
@@ -361,8 +285,8 @@ class TestQueueAwareObservations:
         sequential.observe({"x": 1.0}, "H0", 10.0, queue_seconds=5.0)
         sequential.observe({"x": 2.0}, "H0", 20.0, queue_seconds=10.0)
         x = np.asarray([4.0])
-        assert batched.model_for("H0").predict(x) == pytest.approx(
-            sequential.model_for("H0").predict(x)
+        assert model_of(batched, "H0").predict(x) == pytest.approx(
+            model_of(sequential, "H0").predict(x)
         )
 
     def test_observe_batch_queue_length_mismatch(self):
@@ -433,7 +357,7 @@ class TestSlowdownAwareObservations:
         plain = self._bandit()
         plain.observe({"x": 1.0}, "H0", 10.0, slowdown=3.0)
         plain.observe({"x": 2.0}, "H0", 20.0, slowdown=3.0)
-        assert plain.model_for("H0").predict(np.asarray([3.0])) == pytest.approx(30.0)
+        assert model_of(plain, "H0").predict(np.asarray([3.0])) == pytest.approx(30.0)
         assert [rec.slowdown for rec in plain.history] == [3.0, 3.0]
 
     def test_slowdown_inclusive_mode_inflates_training_target(self):
@@ -443,7 +367,7 @@ class TestSlowdownAwareObservations:
         # observed 20/40 at slowdown 2.0: planned 10/20, targets 30/60 = 30x.
         bandit.observe({"x": 1.0}, "H0", 20.0, slowdown=2.0)
         bandit.observe({"x": 2.0}, "H0", 40.0, slowdown=2.0)
-        assert bandit.model_for("H0").predict(np.asarray([3.0])) == pytest.approx(90.0)
+        assert model_of(bandit, "H0").predict(np.asarray([3.0])) == pytest.approx(90.0)
         # The history keeps the raw decomposition.
         assert [rec.runtime_seconds for rec in bandit.history] == [20.0, 40.0]
         assert [rec.slowdown for rec in bandit.history] == [2.0, 2.0]
@@ -462,8 +386,8 @@ class TestSlowdownAwareObservations:
         sequential.observe({"x": 1.0}, "H0", 20.0, slowdown=2.0)
         sequential.observe({"x": 2.0}, "H0", 40.0)
         x = np.asarray([4.0])
-        assert batched.model_for("H0").predict(x) == pytest.approx(
-            sequential.model_for("H0").predict(x)
+        assert model_of(batched, "H0").predict(x) == pytest.approx(
+            model_of(sequential, "H0").predict(x)
         )
 
     def test_observe_batch_slowdown_length_mismatch(self):

@@ -44,12 +44,6 @@ class TestDecayingEpsilonGreedy:
             policy.select(np.array([5.0]), models, catalog, rng)
             assert policy.epsilon == pytest.approx(0.9**expected_rounds)
 
-    def test_reset_restores_epsilon(self, catalog, models, rng):
-        policy = DecayingEpsilonGreedyPolicy(epsilon0=0.8, decay=0.5)
-        policy.select(np.array([5.0]), models, catalog, rng)
-        policy.reset()
-        assert policy.epsilon == 0.8
-
     def test_zero_epsilon_exploits_fastest(self, catalog, models, rng):
         policy = DecayingEpsilonGreedyPolicy(epsilon0=0.0, decay=0.99)
         decision = policy.select(np.array([5.0]), models, catalog, rng)

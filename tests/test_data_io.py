@@ -19,7 +19,7 @@ class TestSaveLoadRoundtrip:
     def test_roundtrip_preserves_rows_and_catalog(self, tmp_path, cycles_bundle):
         path = save_dataset(cycles_bundle, tmp_path / "cycles")
         loaded = load_run_history(path)
-        assert loaded.n_runs == cycles_bundle.n_runs
+        assert len(loaded.frame) == cycles_bundle.n_runs
         assert loaded.catalog == cycles_bundle.catalog
         assert loaded.feature_names == cycles_bundle.feature_names
         assert loaded.application == cycles_bundle.workload.name
@@ -31,7 +31,7 @@ class TestSaveLoadRoundtrip:
         path = save_dataset(cycles_bundle, tmp_path / "cycles")
         loaded = load_run_history(path)
         bandit = BanditWare(catalog=loaded.catalog, feature_names=loaded.feature_names, seed=0)
-        assert bandit.warm_start(loaded.frame) == loaded.n_runs
+        assert bandit.warm_start(loaded.frame) == len(loaded.frame)
 
     def test_missing_file_raises(self, tmp_path, cycles_bundle):
         path = save_dataset(cycles_bundle, tmp_path / "cycles")
@@ -67,4 +67,4 @@ class TestSaveLoadRoundtrip:
         target = tmp_path / "cycles"
         save_dataset(cycles_bundle, target)
         save_dataset(cycles_bundle, target)  # overwrite in place
-        assert load_run_history(target).n_runs == cycles_bundle.n_runs
+        assert len(load_run_history(target).frame) == cycles_bundle.n_runs

@@ -247,7 +247,7 @@ class TestRewardConfig:
             build_scenario("zero-contention", seed=0).with_queue_feedback(1.0)
         )
         assert blind.tenants["solo"].decisions == aware.tenants["solo"].decisions
-        assert blind.tenants["solo"].runtimes == aware.tenants["solo"].runtimes
+        assert blind.tenants["solo"].rows == aware.tenants["solo"].rows
 
 
 class TestScenarioReplications:

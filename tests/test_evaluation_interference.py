@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import LinearSlowdown, NoInterference
-from repro.core.rewards import RegretLedger, RoundOutcome
 from repro.evaluation import (
     CONTENTION_SCENARIOS,
     build_scenario,
@@ -12,7 +11,11 @@ from repro.evaluation import (
     run_scenario,
 )
 
-from conftest import synchronous_run
+from conftest import accounted, synchronous_run
+
+
+def _runtimes(outcome):
+    return [row["runtime_seconds"] for row in outcome.rows]
 
 
 class TestNoInterferenceExactParity:
@@ -33,10 +36,11 @@ class TestNoInterferenceExactParity:
         result = run_scenario(build_scenario("saturated", seed=0))
         outcome = result.tenants["sweep-campaign"]
         assert outcome.decisions == self._SATURATED_DECISIONS
-        assert outcome.runtimes[0] == 6.086434041498685
-        assert outcome.runtimes[1] == 21.462081448462836
-        assert outcome.runtimes[2] == 444.45040960773684
-        assert outcome.runtimes[-1] == 142.87389111939873
+        runtimes = _runtimes(outcome)
+        assert runtimes[0] == 6.086434041498685
+        assert runtimes[1] == 21.462081448462836
+        assert runtimes[2] == 444.45040960773684
+        assert runtimes[-1] == 142.87389111939873
         summary = result.summary()
         assert summary["cumulative_regret"] == 1332.886106759458
         assert summary["queue_inclusive_regret"] == 47692.3650017132
@@ -45,8 +49,8 @@ class TestNoInterferenceExactParity:
     def test_zero_contention_seed1_is_bit_identical_to_fixed_finish_engine(self):
         result = run_scenario(build_scenario("zero-contention", seed=1))
         outcome = result.tenants["solo"]
-        assert outcome.runtimes[0] == 40.57114780721727
-        assert outcome.runtimes[-1] == 60.58739989639973
+        assert _runtimes(outcome)[0] == 40.57114780721727
+        assert _runtimes(outcome)[-1] == 60.58739989639973
         assert result.summary()["cumulative_regret"] == 364.36796220742525
         assert result.summary()["makespan_seconds"] == 2041.0988437892695
 
@@ -59,12 +63,9 @@ class TestNoInterferenceExactParity:
         assert default.tenants["sweep-campaign"].decisions == (
             explicit.tenants["sweep-campaign"].decisions
         )
-        assert default.tenants["sweep-campaign"].runtimes == (
-            explicit.tenants["sweep-campaign"].runtimes
+        assert default.tenants["sweep-campaign"].rows == (
+            explicit.tenants["sweep-campaign"].rows
         )
-        d_regret = default.tenants["sweep-campaign"].ledger.cumulative_runtime_regret()
-        e_regret = explicit.tenants["sweep-campaign"].ledger.cumulative_runtime_regret()
-        assert np.array_equal(d_regret, e_regret)
 
     def test_null_model_runs_report_unit_slowdown_everywhere(self):
         result = run_scenario(build_scenario("mixed-tenants", seed=0))
@@ -84,7 +85,7 @@ class TestNoInterferenceExactParity:
         queued = run_scenario(scenario)
         reference = synchronous_run(build_scenario("zero-contention", seed=2))
         assert queued.tenants["solo"].decisions == reference["decisions"]
-        assert queued.tenants["solo"].runtimes == reference["runtimes"]
+        assert _runtimes(queued.tenants["solo"]) == reference["runtimes"]
 
 
 class TestInterferenceScenarios:
@@ -109,9 +110,9 @@ class TestInterferenceScenarios:
         # ... and the regret columns carry the inflation.
         assert summary["interference_inclusive_regret"] > summary["cumulative_regret"]
         for outcome in result.tenants.values():
-            assert outcome.ledger.total_interference_seconds() > 0.0
-            curve = outcome.ledger.cumulative_interference_inclusive_regret()
-            assert curve[-1] > outcome.ledger.cumulative_runtime_regret()[-1]
+            tenant = outcome.summary()
+            assert tenant["total_interference_seconds"] > 0.0
+            assert tenant["interference_inclusive_regret"] > tenant["cumulative_regret"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_null_counterfactual_runs_at_full_speed(self, seed):
@@ -128,12 +129,10 @@ class TestInterferenceScenarios:
         # (inflated) runtimes, not the contention-free draws.
         result = run_scenario(build_scenario("interference-heavy", seed=0))
         for outcome in result.tenants.values():
-            observed = np.asarray(outcome.runtimes)
-            planned = np.asarray(
-                [row["planned_seconds"] for row in result.rows if row["tenant"] == outcome.tenant]
-            )
+            observed = np.asarray(_runtimes(outcome))
+            planned = np.asarray([row["planned_seconds"] for row in outcome.rows])
             assert np.all(observed > planned)
-            total = outcome.ledger.total_observed_runtime()
+            total = outcome.summary()["total_runtime"]
             assert total == pytest.approx(float(observed.sum()))
 
     def test_light_interference_is_lighter_than_heavy(self):
@@ -162,49 +161,16 @@ class TestInterferenceScenarios:
 
 
 class TestInterferenceRegretAccounting:
-    def _outcome(self, observed, planned, i=0):
-        return RoundOutcome(
-            round_index=i,
-            chosen_hardware="H1",
-            best_hardware="H0",
-            observed_runtime=observed,
-            best_expected_runtime=10.0,
-            expected_runtime_on_chosen=14.0,
-            explored=False,
-            planned_runtime=planned,
+    def test_interference_inclusive_regret_adds_each_rows_slowdown_seconds(self):
+        _, outcome = accounted(
+            [("H1", 18.0, 12.0, 0.0, False), ("H1", 12.0, 12.0, 0.0, False)]
         )
+        assert [row["interference_seconds"] for row in outcome.rows] == [6.0, 0.0]
+        summary = outcome.summary()
+        assert summary["interference_inclusive_regret"] == (4.0 + 6.0) + (4.0 + 0.0)
+        assert summary["total_interference_seconds"] == 6.0
+        assert summary["mean_slowdown"] == (1.5 + 1.0) / 2
 
-    def test_interference_seconds_and_slowdown(self):
-        outcome = self._outcome(observed=18.0, planned=12.0)
-        assert outcome.interference_seconds == 6.0
-        assert outcome.slowdown == pytest.approx(1.5)
-        assert outcome.interference_inclusive_regret == pytest.approx(4.0 + 6.0)
-
-    def test_defaults_to_no_interference(self):
-        outcome = RoundOutcome(0, "H0", "H0", 10.0, 10.0, 10.0, False)
-        assert outcome.planned_runtime is None
-        assert outcome.interference_seconds == 0.0
-        assert outcome.slowdown == 1.0
-        assert outcome.interference_inclusive_regret == outcome.runtime_regret
-
-    def test_negative_planned_rejected(self):
-        with pytest.raises(ValueError):
-            self._outcome(observed=10.0, planned=-1.0)
-
-    def test_ledger_accumulates_interference(self):
-        ledger = RegretLedger()
-        ledger.record(self._outcome(observed=18.0, planned=12.0, i=0))
-        ledger.record(self._outcome(observed=12.0, planned=12.0, i=1))
-        assert ledger.total_interference_seconds() == pytest.approx(6.0)
-        assert ledger.cumulative_interference_inclusive_regret().tolist() == [10.0, 14.0]
-        assert ledger.mean_slowdown() == pytest.approx((1.5 + 1.0) / 2)
-        summary = ledger.summary()
-        assert summary["interference_inclusive_regret"] == pytest.approx(14.0)
-        assert summary["total_interference_seconds"] == pytest.approx(6.0)
-        assert summary["mean_slowdown"] == pytest.approx(1.25)
-
-    def test_empty_ledger_has_interference_keys(self):
-        summary = RegretLedger().summary()
-        assert summary["interference_inclusive_regret"] == 0.0
-        assert summary["total_interference_seconds"] == 0.0
-        assert summary["mean_slowdown"] == 1.0
+    def test_run_faster_than_planned_adds_no_interference(self):
+        accountant, _ = accounted([("H0", 9.0, 10.0, 0.0, False)])
+        assert accountant.rows[0]["interference_seconds"] == 0.0

@@ -21,6 +21,7 @@ import pytest
 
 from benchmarks import capture_frontier_parity, capture_service_parity
 from conftest import EXPERIMENT_INPUT_DIGESTS, experiment_input_digest
+from test_evaluation_contention import TENANT_SUMMARY_PINS, tenant_summary_digest
 from test_regression_pins import PINS, regression_fits
 from repro.evaluation.contention import scenario_fingerprint
 
@@ -132,6 +133,10 @@ class TestPinsUnderCompensatedSum:
         assert observed["decisions"] == pinned["decisions"]
         assert observed["n_rows"] == pinned["n_rows"]
         assert observed["rows_sha256"] == pinned["rows_sha256"]
+
+    @pytest.mark.parametrize("seed", sorted(TENANT_SUMMARY_PINS))
+    def test_tenant_summaries(self, seed):
+        assert tenant_summary_digest(seed) == TENANT_SUMMARY_PINS[seed]
 
     def test_service_reference_stream(self):
         reference = json.loads(capture_service_parity.REFERENCE_PATH.read_text())

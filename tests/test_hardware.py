@@ -139,16 +139,6 @@ class TestHardwareCatalog:
         with pytest.raises(ValueError):
             HardwareCatalog([])
 
-    def test_subset_preserves_order(self):
-        sub = ndp_catalog().subset(["H2", "H0"])
-        assert sub.names == ["H2", "H0"]
-
-    def test_add_returns_new_catalog(self):
-        catalog = ndp_catalog()
-        bigger = catalog.add(HardwareConfig("H3", 8, 64))
-        assert len(bigger) == 4
-        assert len(catalog) == 3
-
     def test_records_roundtrip(self):
         catalog = ndp_catalog()
         back = HardwareCatalog.from_records(catalog.to_records())

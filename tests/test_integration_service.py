@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSimulator
-from repro.hardware import ndp_catalog
+from repro.hardware import HardwareCatalog, ndp_catalog
 from repro.integration import (
     ApplicationRegistry,
     RecommendationService,
@@ -12,6 +12,8 @@ from repro.integration import (
 )
 from repro.utils.logging import EventLog
 from repro.workloads import CyclesWorkload, LinearRuntimeWorkload, RunRecord, TraceGenerator
+
+from conftest import model_of
 
 
 class TestApplicationRegistry:
@@ -165,7 +167,7 @@ class TestRecommendationService:
             assert not service.ticket(ticket.ticket_id).completed
 
     def test_register_application_with_custom_catalog(self, ndp):
-        subset = ndp.subset(["H0", "H1"])
+        subset = HardwareCatalog([ndp["H0"], ndp["H1"]])
         service = RecommendationService(catalog=ndp, seed=0)
         recommender = service.register_application(
             "narrow", "alice", ["x"], catalog=subset
@@ -246,6 +248,22 @@ class TestAtomicRegistration:
         recommender = service.register_application("cycles", "alice", ["num_tasks"])
         assert service.recommender_for("cycles") is recommender
         assert service.submit_workflow("cycles", {"num_tasks": 1.0}).ticket_id == "wf-000001"
+
+    @pytest.mark.parametrize("priority", ["abc", 1.5, 2.0, True, "3"])
+    def test_priority_that_is_not_an_integer(self, priority):
+        log = EventLog()
+        service = RecommendationService(catalog=ndp_catalog(), seed=0, log=log)
+        with pytest.raises(TypeError, match="integer"):
+            service.register_application("cycles", "alice", ["num_tasks"], priority=priority)
+        self._assert_unregistered(service, log, "cycles", {"num_tasks": 1.0})
+        service.register_application("cycles", "alice", ["num_tasks"], priority=2)
+        assert service.priority_for("cycles") == 2
+
+    def test_numpy_integer_priority_is_accepted(self):
+        service = RecommendationService(catalog=ndp_catalog(), seed=0)
+        service.register_application("cycles", "alice", ["num_tasks"], priority=np.int64(3))
+        assert type(service.priority_for("cycles")) is int
+        assert service.submit_workflow("cycles", {"num_tasks": 1.0}).priority == 3
 
     def test_taken_name_keeps_the_registered_application(self):
         log = EventLog()
@@ -377,7 +395,7 @@ class TestQueueAwareServiceCompletions:
             [(first.ticket_id, 10.0, 5.0), (second.ticket_id, 20.0, 10.0)]
         )
         recommender = service.recommender_for("app")
-        arm_model = recommender.model_for(hardware)
+        arm_model = model_of(recommender, hardware)
         if second.recommendation.hardware.name == hardware:
             # Both landed on one arm: effective runtime is 15x.
             assert arm_model.predict(np.asarray([3.0])) == pytest.approx(45.0)
@@ -400,7 +418,7 @@ class TestQueueAwareServiceCompletions:
             [(first.ticket_id, 20.0, 0.0, 2.0), (second.ticket_id, 40.0, 0.0, 2.0)]
         )
         recommender = service.recommender_for("app")
-        arm_model = recommender.model_for(hardware)
+        arm_model = model_of(recommender, hardware)
         if second.recommendation.hardware.name == hardware:
             assert arm_model.predict(np.asarray([3.0])) == pytest.approx(90.0)
         else:
@@ -430,6 +448,6 @@ class TestQueueAwareServiceCompletions:
         single_service.complete_workflow(s2.ticket_id, 40.0, 0.0, 1.6)
         x = np.asarray([3.0])
         for hw in ("H0", "H1", "H2"):
-            assert batch_service.recommender_for("app").model_for(hw).predict(
+            assert model_of(batch_service.recommender_for("app"), hw).predict(
                 x
-            ) == pytest.approx(single_service.recommender_for("app").model_for(hw).predict(x))
+            ) == pytest.approx(model_of(single_service.recommender_for("app"), hw).predict(x))

@@ -225,66 +225,19 @@ class TestCrossShardPreflight:
 
 
 class TestCheckpointResumeAgainstReference:
-    """Checkpoint -> restore mid-stream continues bit-identically (satellite c)."""
+    """Checkpoint -> restore mid-stream continues bit-identically."""
 
     def test_restored_service_finishes_the_reference_stream_identically(self, reference):
-        # Drive the full stream on one service, and the same stream on a
-        # service that is checkpoint/restored at every 20-round boundary;
-        # the final summaries must match the pre-refactor reference exactly.
-        from repro.integration import RecommendationService
-
-        n_rounds = reference["n_rounds"]
-        expected = reference["summary"]
+        # Drive the stream on a service that is checkpoint/restored at every
+        # 20-round boundary; the final summary must match the pre-refactor
+        # reference exactly.
+        def roundtrip(round_index, service):
+            if round_index and round_index % 20 == 0:
+                return RecommendationService.restore(service.checkpoint())
+            return service
 
         service, workloads = build_reference_service(n_shards=2)
-        # drive_reference_stream derives all randomness from per-app RNGs it
-        # creates itself, so split the stream by replaying with a fresh
-        # service that round-trips through a checkpoint mid-way: rebuild the
-        # stream driver inline with the same constants.
-        summary = _drive_with_checkpoint_roundtrips(service, workloads, n_rounds, every=20)
-        assert json.loads(json.dumps(summary)) == expected
-
-
-def _drive_with_checkpoint_roundtrips(service, workloads, n_rounds, every):
-    """Replay ``drive_reference_stream`` but swap in a restored copy every N rounds."""
-    from benchmarks.capture_service_parity import _APPS, summarise_service
-    from repro.integration import RecommendationService
-
-    apps = [name for name, *_ in _APPS]
-    feature_rng = {name: np.random.default_rng(100 + i) for i, name in enumerate(apps)}
-    runtime_rng = {name: np.random.default_rng(200 + i) for i, name in enumerate(apps)}
-    tickets_log = []
-    for round_index in range(n_rounds):
-        if round_index and round_index % every == 0:
-            service = RecommendationService.restore(service.checkpoint())
-        app = apps[round_index % len(apps)]
-        workload = workloads[app]
-        if round_index % 10 == 9:
-            features = [workload.sample_features(feature_rng[app]) for _ in range(3)]
-            tickets = service.submit_workflows(app, features)
-        else:
-            tickets = [service.submit_workflow(app, workload.sample_features(feature_rng[app]))]
-        completions = []
-        for ticket in tickets:
-            runtime = workload.observed_runtime(
-                ticket.features, ticket.recommendation.hardware, runtime_rng[app]
-            )
-            tickets_log.append(
-                {
-                    "ticket_id": ticket.ticket_id,
-                    "application": app,
-                    "hardware": ticket.recommendation.hardware.name,
-                    "explored": bool(ticket.recommendation.explored),
-                }
-            )
-            completions.append(
-                (ticket.ticket_id, runtime, 0.1 * (round_index % 4), 1.0 + 0.05 * (round_index % 5))
-            )
-        if round_index % 13 == 7:
-            continue
-        if round_index % 2:
-            service.complete_workflows(completions)
-        else:
-            for ticket_id, runtime, queue, slowdown in completions:
-                service.complete_workflow(ticket_id, runtime, queue_seconds=queue, slowdown=slowdown)
-    return summarise_service(service, tickets_log)
+        summary = drive_reference_stream(
+            service, workloads, reference["n_rounds"], swap=roundtrip
+        )
+        assert json.loads(json.dumps(summary)) == reference["summary"]

@@ -8,12 +8,19 @@ rejected loudly instead of restoring garbage.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
-from benchmarks.capture_service_parity import build_reference_service
+from benchmarks.capture_service_parity import (
+    CHECKPOINT_PATH,
+    CHECKPOINT_ROUNDS,
+    REFERENCE_PATH,
+    build_reference_service,
+    drive_reference_stream,
+)
 from repro.hardware import ndp_catalog
 from repro.integration import (
     CHECKPOINT_VERSION,
@@ -126,6 +133,47 @@ def _decisions(tickets):
         (t.ticket_id, t.recommendation.hardware.name, t.recommendation.explored)
         for t in tickets
     ]
+
+
+class TestCheckpointWrittenByAnEarlierBuild:
+    """``tests/data/reference_service_v2.ckpt`` was written by an earlier build.
+
+    Every other restore test writes and reads with the same code, so a layout
+    change that breaks files already on disk passes them.  This one restores
+    a v2 file captured after rounds 0-19 of the reference stream (see
+    ``benchmarks/capture_service_parity.py --checkpoint``) and must finish
+    the stream exactly as ``service_parity_reference.json`` records.
+    """
+
+    def test_restored_file_finishes_the_reference_stream(self):
+        reference = json.loads(REFERENCE_PATH.read_text())
+
+        def restore_checked_in_file(round_index, service):
+            # Rounds 0-19 replay on a fresh service only to advance the
+            # driver's feature and runtime streams past the checkpoint.
+            if round_index == CHECKPOINT_ROUNDS:
+                return RecommendationService.restore(CHECKPOINT_PATH)
+            return service
+
+        service, workloads = build_reference_service(n_shards=2)
+        summary = drive_reference_stream(
+            service, workloads, reference["n_rounds"], swap=restore_checked_in_file
+        )
+        assert json.loads(json.dumps(summary)) == reference["summary"]
+
+    def test_file_holds_the_service_after_round_19(self):
+        restored = RecommendationService.restore(CHECKPOINT_PATH)
+        service, workloads = build_reference_service(n_shards=2)
+        drive_reference_stream(service, workloads, CHECKPOINT_ROUNDS)
+        assert restored.n_shards == 2
+        assert restored._next_ticket == service._next_ticket
+        assert [t.ticket_id for t in restored.pending_tickets()] == [
+            t.ticket_id for t in service.pending_tickets()
+        ]
+        for app in workloads:
+            assert restored.recommender_for(app).coefficients() == (
+                service.recommender_for(app).coefficients()
+            )
 
 
 class TestSharedGeneratorSeed:

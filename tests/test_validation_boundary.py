@@ -344,7 +344,7 @@ class TestClusterSimulatorEntries:
         sim = _simulator()
         with pytest.raises(error, match=fragment):
             call(sim)
-        assert sim.now == 100.0 and sim.pods == {}
+        assert sim.now == 100.0 and sim._pods == {}
 
     def test_next_pod_after_rejections_matches_a_fresh_simulator(self):
         sim = _simulator()
