@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per table/figure of the paper (see DESIGN.md)."""
+"""Benchmark suite: one module per table/figure of the paper (see README.md, "Substitutions")."""

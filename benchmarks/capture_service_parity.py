@@ -5,9 +5,10 @@ This file is one of the repo's two golden fingerprint files (the other is
 ``capture_frontier_parity.py``).  This script drives a deterministic
 multi-application request stream through the *public*
 ``RecommendationService`` API only -- registrations with every
-reward mode, warm starting, single and batched submissions, single and
-batched completions with queue delays and slowdowns, and tickets
-intentionally left pending -- and records everything observable: every
+reward mode, warm starting, one and three submissions per round through
+``submit_workflow``, completions with queue delays and slowdowns through
+``complete_workflow``, and tickets intentionally left pending -- and
+records everything observable: every
 ticket's id / hardware / explored flag, each recommender's final
 coefficients, observation counts and ε, the run-history ledger, and the
 pending set.  ``tests/test_integration_sharding.py`` replays the same
@@ -119,13 +120,11 @@ def drive_reference_stream(
             service = swap(round_index, service)
         app = apps[round_index % len(apps)]
         workload = workloads[app]
-        if round_index % 10 == 9:
-            features = [workload.sample_features(feature_rng[app]) for _ in range(3)]
-            tickets = service.submit_workflows(app, features)
-        else:
-            tickets = [
-                service.submit_workflow(app, workload.sample_features(feature_rng[app]))
-            ]
+        n_submissions = 3 if round_index % 10 == 9 else 1
+        tickets = [
+            service.submit_workflow(app, workload.sample_features(feature_rng[app]))
+            for _ in range(n_submissions)
+        ]
         completions = []
         for ticket in tickets:
             runtime = workload.observed_runtime(
@@ -149,13 +148,8 @@ def drive_reference_stream(
             )
         if round_index % 13 == 7:
             continue  # leave these tickets pending
-        if round_index % 2:
-            service.complete_workflows(completions)
-        else:
-            for ticket_id, runtime, queue, slowdown in completions:
-                service.complete_workflow(
-                    ticket_id, runtime, queue_seconds=queue, slowdown=slowdown
-                )
+        for ticket_id, runtime, queue, slowdown in completions:
+            service.complete_workflow(ticket_id, runtime, queue_seconds=queue, slowdown=slowdown)
     return summarise_service(service, tickets_log)
 
 

@@ -31,6 +31,7 @@ console script.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -201,6 +202,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The lower bound of every numeric flag, by argparse destination.  Counts
+#: start at 1, except ``--rows``, ``--sweep-seeds`` and ``--replications``,
+#: whose 0 means off; seeds start at 0; the (float) tolerances must also be
+#: finite.
+_FLAG_MINIMUM = {
+    "rounds": 1,
+    "simulations": 1,
+    "subsample": 1,
+    "every": 1,
+    "workers": 1,
+    "runs": 1,
+    "rows": 0,
+    "sweep_seeds": 0,
+    "replications": 0,
+    "seed": 0,
+    "tolerance_ratio": 0.0,
+    "tolerance_seconds": 0.0,
+}
+
+
+def _check_numeric_flags(args: argparse.Namespace) -> None:
+    """Refuse an out-of-range numeric flag with one line, before any work."""
+    for dest, minimum in _FLAG_MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is None or (math.isfinite(value) and value >= minimum):
+            continue
+        requirement = "positive" if minimum else "non-negative"
+        if isinstance(minimum, float):
+            requirement = "finite and " + requirement
+        raise SystemExit(f"--{dest.replace('_', '-')} must be {requirement}, got {value}")
+
+
 #: Sentinel: the user did not pass --interference (None means "no model").
 _KEEP_SCENARIO_INTERFERENCE = object()
 
@@ -269,20 +302,17 @@ def _cmd_list_scenarios(out) -> int:
 
 
 def _cmd_run_experiment(args, out) -> int:
-    for flag, value in (("--rounds", args.rounds), ("--simulations", args.simulations)):
-        if value is not None and value < 1:
-            raise SystemExit(f"{flag} must be positive, got {value}")
     definition = build_experiment(
         args.name,
         n_simulations=args.simulations,
         n_rounds=args.rounds,
         evaluation_subsample=args.subsample,
         seed=args.seed,
-        n_workers=max(args.workers, 1),
+        n_workers=args.workers,
     )
     print(f"running {definition.name}: {definition.description}", file=out)
     outcome = run_experiment(definition)
-    print(format_series(outcome.result, every=max(args.every, 1), title=definition.paper_reference), file=out)
+    print(format_series(outcome.result, every=args.every, title=definition.paper_reference), file=out)
     print("", file=out)
     print(format_summary(outcome.summary(), title="summary"), file=out)
     return 0
@@ -311,7 +341,7 @@ def _cmd_run_contention(args, out) -> int:
 
         seeds = range(args.seed, args.seed + args.sweep_seeds)
         scenarios = [_build(seed) for seed in seeds]
-        results = run_scenario_sweep(scenarios, n_workers=max(args.workers, 1))
+        results = run_scenario_sweep(scenarios, n_workers=args.workers)
         rows = []
         for seed, result in zip(seeds, results):
             summary = result.summary()
@@ -334,7 +364,7 @@ def _cmd_run_contention(args, out) -> int:
                 title=(
                     f"scenario {args.scenario!r} sweep over seeds "
                     f"{seeds.start}..{seeds.stop - 1} "
-                    f"({max(args.workers, 1)} workers)"
+                    f"({args.workers} workers)"
                 ),
             ),
             file=out,
@@ -353,7 +383,7 @@ def _cmd_run_contention(args, out) -> int:
         from repro.evaluation import run_scenario_replications
 
         summary = run_scenario_replications(
-            scenario, args.replications, n_workers=max(args.workers, 1)
+            scenario, args.replications, n_workers=args.workers
         )
         print(format_contention_report(summary.results[0], replications=summary), file=out)
         return 0
@@ -447,6 +477,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_numeric_flags(args)
     try:
         if args.command == "list-experiments":
             return _cmd_list_experiments(out)

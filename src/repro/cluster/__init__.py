@@ -3,7 +3,7 @@
 The paper schedules workflows on the National Data Platform's geo-distributed
 Kubernetes cluster; this package is the stand-in substrate that "executes"
 a workload on the hardware configuration BanditWare selected and reports the
-observed runtime back (see DESIGN.md, "Substitutions").
+observed runtime back (see README.md, "Substitutions").
 
 Components:
 

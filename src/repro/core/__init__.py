@@ -33,7 +33,7 @@ from repro.core.policies import (
     ThompsonSamplingPolicy,
 )
 from repro.core.rewards import RewardConfig
-from repro.core.selection import SelectionOutcome, ToleranceConfig, TolerantSelector
+from repro.core.selection import ToleranceConfig, TolerantSelector
 
 __all__ = [
     "BanditWare",
@@ -52,6 +52,5 @@ __all__ = [
     "ThompsonSamplingPolicy",
     "ToleranceConfig",
     "TolerantSelector",
-    "SelectionOutcome",
     "RewardConfig",
 ]

@@ -195,7 +195,7 @@ class BanditWare:
     # Each input is checked once, by the public entry it came through:
     # ``recommend_vector`` / ``observe_vector`` check contexts (``recommend``
     # / ``observe`` hand them the vector ``context_vector`` built), the
-    # ``observe*`` entries check runtimes, and the batch entries check every
+    # ``observe*`` entries check runtimes, and ``observe_batch`` checks every
     # row first.  The policy and the arm models behind them trust their inputs.
     # ------------------------------------------------------------------ #
     def context_vector(self, features: Dict[str, float]) -> np.ndarray:
@@ -254,19 +254,6 @@ class BanditWare:
     def _recommend(self, context: np.ndarray) -> Recommendation:
         decision = self.policy.select(context, self._models, self.catalog, self._rng)
         return Recommendation(hardware=decision.hardware, decision=decision)
-
-    def recommend_batch(self, features_batch: Sequence[Dict[str, float]]) -> List[Recommendation]:
-        """Recommend for a batch of incoming workflows.
-
-        Decisions are identical to calling :meth:`recommend` once per element
-        in order: the policy state (ε schedule, random stream) advances one
-        step per workflow, and no observation happens in between.  Every
-        context is checked before the first recommendation.
-        """
-        contexts = [
-            self._checked_context(self.context_vector(features)) for features in features_batch
-        ]
-        return [self._recommend(context) for context in contexts]
 
     def observe(
         self,
@@ -433,9 +420,8 @@ class BanditWare:
         self, features: Dict[str, float], tolerance: Optional[ToleranceConfig] = None
     ) -> HardwareConfig:
         """The hardware tolerant selection would pick right now (no exploration)."""
-        selector = TolerantSelector(tolerance=tolerance or ToleranceConfig())
-        outcome = selector.select(self.catalog, self.predict_runtimes(features))
-        return outcome.chosen
+        estimates = list(self.predict_runtimes(features).values())
+        return self.catalog[TolerantSelector(tolerance).select_index(self.catalog, estimates)[0]]
 
     # ------------------------------------------------------------------ #
     # Warm starting from historical data

@@ -129,10 +129,12 @@ class LeastSquaresModel(ArmModel):
         self._xty = np.zeros(p)
         # Stored data: rows of the augmented design [x | 1] in a
         # capacity-doubling buffer, so refits never re-stack Python lists.
+        # Zeroed, not empty: a checkpoint pickles the buffers whole, and
+        # unused rows must not carry stale memory into it.
         self._capacity = 8
-        self._design = np.empty((self._capacity, p))
-        self._targets = np.empty(self._capacity)
-        self._outer_buf = np.empty((p, p))
+        self._design = np.zeros((self._capacity, p))
+        self._targets = np.zeros(self._capacity)
+        self._outer_buf = np.zeros((p, p))
 
     # ------------------------------------------------------------------ #
     @property
@@ -149,8 +151,8 @@ class LeastSquaresModel(ArmModel):
             return
         while self._capacity < needed:
             self._capacity *= 2
-        design = np.empty((self._capacity, self.n_features + 1))
-        targets = np.empty(self._capacity)
+        design = np.zeros((self._capacity, self.n_features + 1))
+        targets = np.zeros(self._capacity)
         n = self._n_observations
         design[:n] = self._design[:n]
         targets[:n] = self._targets[:n]

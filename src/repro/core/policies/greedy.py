@@ -46,7 +46,8 @@ class GreedyPolicy(BanditPolicy):
             raise ValueError(
                 f"got {len(models)} models for {len(catalog)} hardware configurations"
             )
-        estimates = self.estimate_runtimes(context, models, catalog)
+        values = self.estimate_runtime_vector(context, models)
+        estimates = dict(zip(catalog.names, values.tolist()))
         unseen = [i for i, model in enumerate(models) if not model.is_fitted]
         if unseen:
             arm = int(unseen[0])
@@ -57,15 +58,11 @@ class GreedyPolicy(BanditPolicy):
                 estimates=estimates,
                 detail={"seeded_unseen_arm": 1.0},
             )
-        outcome = self.selector.select(catalog, estimates)
-        arm = catalog.index_of(outcome.chosen)
+        arm, _, limit, n_candidates = self.selector.select_index(catalog, values)
         return PolicyDecision(
             arm_index=arm,
             hardware=catalog[arm],
             explored=False,
             estimates=estimates,
-            detail={
-                "tolerance_limit": outcome.limit,
-                "n_candidates": float(len(outcome.candidates)),
-            },
+            detail={"tolerance_limit": limit, "n_candidates": float(n_candidates)},
         )

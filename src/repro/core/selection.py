@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.hardware import HardwareCatalog, HardwareConfig, rank_by_efficiency
+from repro.hardware import HardwareCatalog, rank_by_efficiency
 from repro.utils.validation import all_finite, check_non_negative
 
-__all__ = ["ToleranceConfig", "TolerantSelector", "SelectionOutcome"]
+__all__ = ["ToleranceConfig", "TolerantSelector"]
 
 
 @dataclass(frozen=True)
@@ -81,31 +81,6 @@ class ToleranceConfig:
         return self.ratio == 0.0 and self.seconds == 0.0
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """The result of one tolerant selection, with its full explanation.
-
-    Attributes
-    ----------
-    chosen:
-        The selected hardware configuration.
-    fastest:
-        The estimated-fastest configuration.
-    estimates:
-        ``{hardware_name: estimated runtime}`` used for the decision.
-    limit:
-        The tolerance threshold ``R_limit``.
-    candidates:
-        Names of configurations whose estimates fell within the threshold.
-    """
-
-    chosen: HardwareConfig
-    fastest: HardwareConfig
-    estimates: Dict[str, float]
-    limit: float
-    candidates: List[str]
-
-
 class TolerantSelector:
     """Implements the tolerant selection strategy of Algorithm 1.
 
@@ -124,25 +99,27 @@ class TolerantSelector:
 
     # ------------------------------------------------------------------ #
     def efficiency_order(self, catalog: HardwareCatalog) -> np.ndarray:
-        """Arm indices sorted most-efficient first (cached per catalog).
+        """Arm indices sorted most-efficient first (cached for the last catalog).
 
         The ordering (including tie-breaks) is exactly the one
         :func:`~repro.hardware.rank_by_efficiency` produces, so picking the
         first candidate in this order equals the first entry of
-        ``rank_by_efficiency`` over the candidate set.
+        ``rank_by_efficiency`` over the candidate set.  The cache holds the
+        catalog itself, not its ``id()``: a checkpoint pickles the cache, and
+        a memory address would make the same state pickle to other bytes.
         """
-        key = id(catalog)
-        cached = self._order_cache.get(key)
-        if cached is None or cached[0] is not catalog:
-            order = np.asarray(
-                [catalog.index_of(hw) for hw in rank_by_efficiency(catalog)],
-                dtype=np.intp,
-            )
-            cached = (catalog, order)
-            self._order_cache = {key: cached}
-        return cached[1]
+        cached = self._order_cache
+        if cached.get("catalog") is not catalog:
+            order = [catalog.index_of(hw) for hw in rank_by_efficiency(catalog)]
+            cached = self._order_cache = {
+                "catalog": catalog,
+                "order": np.asarray(order, dtype=np.intp),
+            }
+        return cached["order"]
 
-    def select_index(self, catalog: HardwareCatalog, values: np.ndarray) -> tuple:
+    def select_index(
+        self, catalog: HardwareCatalog, values: Sequence[float] | np.ndarray
+    ) -> tuple:
         """Tolerant selection over per-arm estimates: the one implementation of the rule.
 
         ``values`` are per-arm runtime estimates in catalog order (a 1-D
@@ -150,8 +127,9 @@ class TolerantSelector:
         limit, n_candidates)``: the fastest arm is the first minimum, the
         limit is :meth:`ToleranceConfig.limit` of its estimate, and the
         chosen arm is the first arm in :meth:`efficiency_order` whose
-        estimate is within the limit.  The ε-greedy policy calls this on
-        every exploitation round; :meth:`select` wraps it for the dict API.
+        estimate is within the limit.  It is the only selection API: the
+        ε-greedy and greedy policies call it on every exploitation round,
+        and :meth:`~repro.core.BanditWare.best_hardware` on its estimates.
 
         The rule runs on Python floats: for a handful of arms that is
         cheaper than the equivalent NumPy reductions, and it compares the
@@ -170,53 +148,3 @@ class TolerantSelector:
             arm for arm in self.efficiency_order(catalog).tolist() if est[arm] <= limit
         )
         return chosen, fastest, limit, len([v for v in est if v <= limit])
-
-    def select(
-        self,
-        catalog: HardwareCatalog,
-        estimates: Dict[str, float] | Sequence[float] | np.ndarray,
-    ) -> SelectionOutcome:
-        """Apply tolerant selection to runtime ``estimates``, with an audit trail.
-
-        Parameters
-        ----------
-        catalog:
-            The hardware configurations under consideration.
-        estimates:
-            Either a mapping ``{hardware_name: runtime}`` or a sequence whose
-            order matches the catalog's arm order.
-
-        Returns
-        -------
-        SelectionOutcome
-            The chosen configuration plus the decision's full audit trail.
-            The decision itself is :meth:`select_index`'s.
-        """
-        est = self._normalise_estimates(catalog, estimates)
-        chosen, fastest, limit, _ = self.select_index(catalog, list(est.values()))
-        return SelectionOutcome(
-            chosen=catalog[chosen],
-            fastest=catalog[fastest],
-            estimates=est,
-            limit=limit,
-            candidates=[name for name, value in est.items() if value <= limit],
-        )
-
-    @staticmethod
-    def _normalise_estimates(
-        catalog: HardwareCatalog,
-        estimates: Dict[str, float] | Sequence[float] | np.ndarray,
-    ) -> Dict[str, float]:
-        if isinstance(estimates, dict):
-            missing = [name for name in catalog.names if name not in estimates]
-            if missing:
-                raise KeyError(f"estimates missing hardware {missing}")
-            est = {name: float(estimates[name]) for name in catalog.names}
-        else:
-            values = np.asarray(estimates, dtype=float).ravel()
-            if values.shape[0] != len(catalog):
-                raise ValueError(
-                    f"expected {len(catalog)} estimates, got {values.shape[0]}"
-                )
-            est = {name: float(v) for name, v in zip(catalog.names, values)}
-        return est

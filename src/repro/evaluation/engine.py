@@ -608,11 +608,12 @@ def run_online_replication(
 
     This is the engine's sequential round driver behind
     :class:`~repro.evaluation.simulation.OnlineSimulation`: each round a
-    workflow arrives, the bandit recommends, the (noisy) runtime is observed
-    through the replay fast path or the workload model, and the observation
-    feeds back through the recommender.  Scoring is deferred: the per-round
-    coefficient matrices are recorded (only the observed arm's row changes
-    per round) and the whole series is scored in one batched pass at the end.
+    workflow is replayed from the evaluation pool, the bandit recommends,
+    the (noisy) runtime is drawn from the pool's precomputed expectations,
+    and the observation feeds back through the recommender.  Scoring is
+    deferred: the per-round coefficient matrices are recorded (only the
+    observed arm's row changes per round) and the whole series is scored in
+    one batched pass at the end.
     """
     cfg = simulation.config
     rng = np.random.default_rng(seed_seq)
@@ -627,46 +628,27 @@ def run_online_replication(
     models = bandit.models
     n_arms = len(simulation.catalog)
     n_pool = len(simulation._workflow_pool)
-    sample_from_frame = simulation.sample_from_frame
-    env_fast = simulation._env_fast
     truth = simulation._truth
     pool_sigma = simulation._pool_sigma
-    pool_contexts = simulation._pool_contexts
+    pool_contexts = simulation._X_eval
     recommend = bandit.recommend_vector
     observe = bandit.observe_vector
     W_hist = np.zeros((cfg.n_rounds, n_arms, len(simulation.feature_names)))
     b_hist = np.zeros((cfg.n_rounds, n_arms))
     for round_idx in range(cfg.n_rounds):
-        if sample_from_frame:
-            pool_idx = int(rng.integers(n_pool))
-            context = pool_contexts[pool_idx]
-        else:
-            features = simulation.workload.sample_features(rng)
-            context = np.asarray(
-                [
-                    (float(features[name]) - simulation._feature_mean[i])
-                    / simulation._feature_std[i]
-                    for i, name in enumerate(simulation.feature_names)
-                ]
-            )
+        pool_idx = int(rng.integers(n_pool))
+        context = pool_contexts[pool_idx]
         recommendation = recommend(context)
         arm = recommendation.decision.arm_index
-        if env_fast:
-            # Inlined WorkloadModel.observed_runtime on precomputed
-            # expectation/noise matrices (identical draws and clamping).
-            mean = truth[pool_idx, arm]
-            noise = pool_sigma[pool_idx, arm]
-            value = float(rng.normal(mean, noise)) if noise > 0 else mean
-            runtime = max(value, 0.01 * mean, 0.0)
-        else:
-            if sample_from_frame:
-                features = simulation._workflow_pool[pool_idx]
-            runtime = simulation.workload.observed_runtime(
-                features, recommendation.hardware, rng
-            )
-        # Contexts come from the validated evaluation arrays (or the
-        # workload sampler) and runtimes from observed_runtime's clamp,
-        # so the engine skips per-round re-validation.
+        # Inlined WorkloadModel.observed_runtime on precomputed
+        # expectation/noise matrices (identical draws and clamping).
+        mean = truth[pool_idx, arm]
+        noise = pool_sigma[pool_idx, arm]
+        value = float(rng.normal(mean, noise)) if noise > 0 else mean
+        runtime = max(value, 0.01 * mean, 0.0)
+        # Contexts come from the validated evaluation arrays and runtimes
+        # from observed_runtime's clamp, so the engine skips per-round
+        # re-validation.
         observe(context, arm, float(runtime), validate=False)
         if round_idx:
             W_hist[round_idx] = W_hist[round_idx - 1]
@@ -698,8 +680,7 @@ def run_online_block(
       per-replication state: the seed-every-arm rounds are the first ``K``
       for every replication and every later round decays it.
     * **per replication:** its own Generator's draws, in the reference order
-      (pool row or sampled features → ε draw → explore arm → runtime
-      noise); the LAPACK refit of the arm it updated; and its
+      (pool row → ε draw → explore arm → runtime noise); the LAPACK refit of the arm it updated; and its
       ``_score_series`` call.  Batched solvers take other LAPACK paths and
       OpenBLAS GEMM bits depend on the call shape, so stacking either would
       change the results.
@@ -715,13 +696,10 @@ def run_online_block(
             f"not policy={cfg.policy!r} with arm_model={cfg.arm_model!r}"
         )
     catalog = simulation.catalog
-    workload = simulation.workload
-    feature_names = simulation.feature_names
     n_reps, n_rounds = len(sequences), cfg.n_rounds
-    n_arms, n_features = len(catalog), len(feature_names)
+    n_arms, n_features = len(catalog), len(simulation.feature_names)
     n_params = n_features + 1
     n_pool = len(simulation._workflow_pool)
-    shift, scale = simulation._feature_mean, simulation._feature_std
     rngs = [np.random.default_rng(seq) for seq in sequences]
     tolerance = cfg.tolerance
     order = TolerantSelector(tolerance).efficiency_order(catalog)
@@ -745,19 +723,10 @@ def run_online_block(
 
     for t in range(n_rounds):
         # Each phase draws once from every replication's stream, so every
-        # stream sees the reference order: pool row (or sampled features),
-        # ε draw, explore arm, runtime noise.
-        if simulation.sample_from_frame:
-            pool_idx = np.array([rng.integers(n_pool) for rng in rngs], dtype=np.intp)
-            contexts = simulation._pool_contexts[pool_idx]
-        else:
-            features = [workload.sample_features(rng) for rng in rngs]
-            contexts = np.array(
-                [
-                    [(float(f[name]) - shift[i]) / scale[i] for i, name in enumerate(feature_names)]
-                    for f in features
-                ]
-            )
+        # stream sees the reference order: pool row, ε draw, explore arm,
+        # runtime noise.
+        pool_idx = np.array([rng.integers(n_pool) for rng in rngs], dtype=np.intp)
+        contexts = simulation._X_eval[pool_idx]
         if t < n_arms:
             # Every arm is seeded once, in arm order, before any ε draw.
             chosen = np.full(n_reps, t, dtype=np.intp)
@@ -775,24 +744,13 @@ def run_online_block(
                 chosen[r] = rngs[r].integers(n_arms)
             epsilon *= cfg.decay
 
-        if simulation._env_fast:
-            means = simulation._truth[pool_idx, chosen]
-            sigmas = simulation._pool_sigma[pool_idx, chosen]
-            draws = [
-                rng.normal(mean, sigma) if sigma > 0 else mean
-                for rng, mean, sigma in zip(rngs, means.tolist(), sigmas.tolist())
-            ]
-            runtimes = np.maximum(np.maximum(draws, 0.01 * means), 0.0)
-        else:
-            if simulation.sample_from_frame:
-                features = [simulation._workflow_pool[i] for i in pool_idx.tolist()]
-            runtimes = np.array(
-                [
-                    workload.observed_runtime(f, catalog[arm], rng)
-                    for f, arm, rng in zip(features, chosen.tolist(), rngs)
-                ],
-                dtype=float,
-            )
+        means = simulation._truth[pool_idx, chosen]
+        sigmas = simulation._pool_sigma[pool_idx, chosen]
+        draws = [
+            rng.normal(mean, sigma) if sigma > 0 else mean
+            for rng, mean, sigma in zip(rngs, means.tolist(), sigmas.tolist())
+        ]
+        runtimes = np.maximum(np.maximum(draws, 0.01 * means), 0.0)
 
         rows = design[:, t]
         rows[:, :n_features] = contexts
@@ -838,69 +796,65 @@ def _play_replications(
     return [run_online_replication(simulation, seq) for seq in sequences]
 
 
-# Process-pool plumbing.  The simulation object is shipped to each worker
-# once (via the initializer) instead of once per block.
-_WORKER_SIMULATION: Optional["OnlineSimulation"] = None
+# Process-pool plumbing.  The leading arguments (the simulation, for
+# replication blocks) are shipped to each worker once, through the
+# initializer, instead of once per item.
+_WORKER_CALL: Optional[tuple] = None
 
 
-def _replication_worker_init(simulation: "OnlineSimulation") -> None:
-    global _WORKER_SIMULATION
-    _WORKER_SIMULATION = simulation
+def _worker_init(fn, shared: tuple) -> None:
+    global _WORKER_CALL
+    _WORKER_CALL = (fn, shared)
 
 
-def _replication_worker_run(
-    block: Sequence[np.random.SeedSequence],
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    assert _WORKER_SIMULATION is not None, "worker used before initialisation"
-    return _play_replications(_WORKER_SIMULATION, block)
+def _worker_run(item):
+    assert _WORKER_CALL is not None, "worker used before initialisation"
+    fn, shared = _WORKER_CALL
+    return fn(*shared, item)
 
 
-def run_replications(
-    simulation: "OnlineSimulation",
-    sequences: Optional[Sequence[np.random.SeedSequence]] = None,
-    n_workers: Optional[int] = None,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _fan_out(fn, items: Sequence, n_workers: int, *shared) -> list:
+    """``[fn(*shared, item) for item in items]``, over up to ``n_workers`` processes.
+
+    Results come back in item order either way.  Process pools can be
+    unavailable (restricted sandboxes, exotic platforms), or an argument
+    unpicklable (custom workloads with closures on spawn-start platforms);
+    threads then preserve correctness, if not parallel speed.  A genuine bug
+    inside ``fn`` re-raises from the thread fallback.
+    """
+    n_workers = min(n_workers, len(items))
+    if n_workers <= 1:
+        return [fn(*shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_worker_init, initargs=(fn, shared)
+        ) as executor:
+            return list(executor.map(_worker_run, items))
+    except (OSError, PermissionError, ImportError, BrokenExecutor,
+            pickle.PicklingError, AttributeError, TypeError):
+        with ThreadPoolExecutor(max_workers=n_workers) as executor:
+            return list(executor.map(lambda item: fn(*shared, item), items))
+
+
+def run_replications(simulation: "OnlineSimulation") -> List[Tuple[np.ndarray, np.ndarray]]:
     """Run a simulation's replications (serial or process pool), in order.
 
     The paper's ε-greedy/OLS configuration plays in lockstep
     (:func:`run_online_block`); every other policy × model pair plays one
     replication at a time (:func:`run_online_replication`).  With
-    ``n_workers > 1`` each worker plays one contiguous block of
-    ``sequences``.  Results are ordered like ``sequences`` and each
-    replication owns an independent child seed, so the parallel path is
-    bit-identical to the serial one regardless of scheduling.
+    ``config.n_workers > 1`` each worker plays one contiguous block of the
+    replications.  Results are in replication order and each replication
+    owns an independent child seed, so the parallel path is bit-identical
+    to the serial one regardless of scheduling.
     """
     cfg = simulation.config
-    if sequences is None:
-        sequences = replication_sequences(cfg.seed, cfg.n_simulations)
-    sequences = list(sequences)
-    if n_workers is None:
-        n_workers = cfg.n_workers
-    n_workers = min(n_workers, len(sequences))
-    if n_workers <= 1:
-        return _play_replications(simulation, sequences)
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-    bounds = [len(sequences) * i // n_workers for i in range(n_workers + 1)]
+    sequences = replication_sequences(cfg.seed, cfg.n_simulations)
+    n_blocks = min(cfg.n_workers, len(sequences))
+    bounds = [len(sequences) * i // n_blocks for i in range(n_blocks + 1)]
     blocks = [sequences[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    try:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_replication_worker_init,
-            initargs=(simulation,),
-        ) as executor:
-            parts = list(executor.map(_replication_worker_run, blocks))
-    except (OSError, PermissionError, ImportError, BrokenExecutor,
-            pickle.PicklingError, AttributeError, TypeError):
-        # Process pools can be unavailable (restricted sandboxes, exotic
-        # platforms) or the simulation unpicklable (custom workloads with
-        # closures on spawn-start platforms); threads preserve correctness,
-        # if not parallel speed.  A genuine bug inside the replication loop
-        # re-raises from the thread fallback.
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            parts = list(
-                executor.map(lambda block: _play_replications(simulation, block), blocks)
-            )
+    parts = _fan_out(_play_replications, blocks, n_blocks, simulation)
     return [outcome for part in parts for outcome in part]
 
 
@@ -922,19 +876,7 @@ def run_scenario_sweep(
     construction, which the contention test-suite pins.
     """
     check_count(n_workers, "n_workers")
-    n_workers = min(n_workers, len(scenarios)) if scenarios else 1
-    if n_workers <= 1:
-        return [_sweep_worker(scenario) for scenario in scenarios]
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=n_workers) as executor:
-            return list(executor.map(_sweep_worker, scenarios))
-    except (OSError, PermissionError, ImportError, BrokenExecutor,
-            pickle.PicklingError, AttributeError, TypeError):
-        # Same fallback contract as run_replications.
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            return list(executor.map(_sweep_worker, scenarios))
+    return _fan_out(_sweep_worker, scenarios, n_workers)
 
 
 # --------------------------------------------------------------------- #

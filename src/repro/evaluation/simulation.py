@@ -1,10 +1,11 @@
 """The replicated online simulation behind every figure in the paper.
 
 One *simulation* plays Algorithm 1 for ``n_rounds`` rounds against a workload
-model: each round a workflow arrives, the bandit recommends a hardware
-configuration, the (noisy) runtime is observed, and the per-arm models are
-refit.  After every round, the bandit's current models are scored against a
-fixed evaluation dataset:
+model: each round a workflow is replayed from the evaluation dataset, the
+bandit recommends a hardware configuration, the workload model's (noisy)
+runtime is observed, and the per-arm models are refit.  After every round,
+the bandit's current models are scored against that fixed evaluation
+dataset:
 
 * **RMSE** -- each evaluation row's runtime is predicted with the bandit's
   model for the hardware the row actually ran on;
@@ -91,7 +92,6 @@ class SimulationConfig:
     policy: str = "epsilon_greedy"
     arm_model: str = "ols"
     evaluation_subsample: Optional[int] = None
-    normalize_features: bool = True
     seed: int = 0
     #: Number of worker processes for the replication loop.  ``1`` (default)
     #: runs serially in-process; ``n`` splits the replications into ``n``
@@ -267,12 +267,15 @@ class OnlineSimulation:
     feature_names:
         Context features to use; defaults to all of the workload's features.
         Experiment 3 uses only ``size`` and Figure 6 uses only ``area``.
-    sample_from_frame:
-        When true (the default), each round's incoming workflow is a row drawn
-        uniformly from the evaluation dataset -- the paper replays its
-        historical datasets, and this also keeps the subset experiments
-        (Experiment 3) training on the truncated data.  When false, workflows
-        are sampled fresh from the workload model.
+
+    Each round's incoming workflow is a row drawn uniformly from the
+    evaluation dataset -- the paper replays its historical datasets, and
+    this also keeps the subset experiments (Experiment 3) training on the
+    truncated data -- and its runtime is drawn from that row's precomputed
+    expected runtime and noise scale, exactly as
+    :meth:`~repro.workloads.base.WorkloadModel.observed_runtime` draws it.
+    A workload whose class overrides ``observed_runtime`` is refused with
+    ``TypeError``, because the replay would silently ignore the override.
     """
 
     def __init__(
@@ -282,13 +285,17 @@ class OnlineSimulation:
         evaluation_frame: DataFrame,
         config: Optional[SimulationConfig] = None,
         feature_names: Optional[Sequence[str]] = None,
-        sample_from_frame: bool = True,
     ):
+        if type(workload).observed_runtime is not WorkloadModel.observed_runtime:
+            raise TypeError(
+                f"{type(workload).__name__} overrides observed_runtime, which the "
+                "online replay ignores: it draws every runtime from the evaluation "
+                "rows' expected runtimes and noise scales"
+            )
         self.workload = workload
         self.catalog = catalog
         self.config = config or SimulationConfig()
         self.feature_names = list(feature_names) if feature_names else list(workload.feature_names)
-        self.sample_from_frame = bool(sample_from_frame)
         required = {"hardware", "runtime_seconds", *self.feature_names}
         missing = [c for c in required if c not in evaluation_frame]
         if missing:
@@ -313,31 +320,23 @@ class OnlineSimulation:
         # an invertible linear map), but the early under-determined
         # least-squares fits become far better conditioned when features such
         # as `area` (~1e6 m²) and `run_max_mem_rss_bytes` (~1e10) are brought
-        # to comparable magnitudes.  Disable via config.normalize_features to
-        # reproduce the raw-units behaviour.
-        if self.config.normalize_features:
-            self._feature_mean = raw_X.mean(axis=0)
-            std = raw_X.std(axis=0)
-            self._feature_std = np.where(std > 0, std, 1.0)
-        else:
-            self._feature_mean = np.zeros(raw_X.shape[1])
-            self._feature_std = np.ones(raw_X.shape[1])
-        self._X_eval = (raw_X - self._feature_mean) / self._feature_std
+        # to comparable magnitudes.
+        std = raw_X.std(axis=0)
+        self._X_eval = (raw_X - raw_X.mean(axis=0)) / np.where(std > 0, std, 1.0)
         self._y_eval = frame["runtime_seconds"].to_numpy(float)
         hardware_names = frame["hardware"].values
         self._hw_idx = np.asarray(
             [self.catalog.index_of(str(name)) for name in hardware_names], dtype=int
         )
         # Workflow replay pool: the features of every evaluation row, in the
-        # workload's own feature space (used when sample_from_frame is true).
+        # workload's own feature space.
         names = [name for name in self.workload.feature_names if name in frame]
         columns = [(name, frame[name].values) for name in names]
         pool = [{name: float(values[i]) for name, values in columns} for i in range(len(frame))]
         # Ground-truth expected runtimes (and noise scales) of every
-        # evaluation workflow on every arm.  The noise matrix feeds the
-        # engine's replay fast path: when a round replays pool row ``i`` on
-        # arm ``j``, the observation is ``max(normal(truth, sigma), ...)``
-        # exactly as WorkloadModel.observed_runtime computes it.
+        # evaluation workflow on every arm.  When a round replays pool row
+        # ``i`` on arm ``j``, the observation is ``max(normal(truth, sigma),
+        # ...)`` exactly as WorkloadModel.observed_runtime computes it.
         n_eval, n_arms = len(frame), len(self.catalog)
         truth = np.empty((n_eval, n_arms))
         sigma = np.empty((n_eval, n_arms))
@@ -347,12 +346,6 @@ class OnlineSimulation:
                 sigma[i, j] = self.workload.noise_scale(expected)
         self._truth = truth
         self._pool_sigma = sigma
-        # The replay fast path is only valid when observations come from the
-        # pool AND the workload has not customised observed_runtime.
-        self._env_fast = (
-            self.sample_from_frame
-            and type(self.workload).observed_runtime is WorkloadModel.observed_runtime
-        )
         # Arms sorted most-efficient first, footprint ties included, exactly
         # as the bandit's tolerant selection orders them, and each arm's
         # position in that order -- the batched scorer works in
@@ -369,10 +362,9 @@ class OnlineSimulation:
         # Layouts used by the batched scorer: features x rows, arms x rows.
         self._XT_eval = np.ascontiguousarray(self._X_eval.T)
         self._acceptable_T = np.ascontiguousarray(self._acceptable.T)
+        # Pool row i is evaluation row i, so its context is row i of the
+        # standardised matrix.
         self._workflow_pool = pool
-        # Scaled context vector of every pool row: pool row i is evaluation
-        # row i, so its context is row i of the standardised matrix.
-        self._pool_contexts = self._X_eval
 
     # ------------------------------------------------------------------ #
     def _score_models(self, W: np.ndarray, b: np.ndarray) -> Tuple[float, float]:

@@ -12,7 +12,6 @@ pins at 1-4 shards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -164,26 +163,20 @@ class RecommendationService:
         owner: str,
         feature_names: Sequence[str],
         description: str = "",
-        warm_start_history: bool = True,
-        catalog: Optional[HardwareCatalog] = None,
-        tolerance: Optional[ToleranceConfig] = None,
         reward: Optional[RewardConfig] = None,
         priority: int = 0,
     ) -> BanditWare:
         """Register an application and create its recommender.
 
-        When ``warm_start_history`` is true and the history store already
-        contains runs of this application, they seed the recommender's per-arm
-        models before any online recommendation is made.
+        The recommender chooses among the service's catalog under the
+        service-wide tolerance.  When the history store already contains
+        runs of this application, they seed the recommender's per-arm models
+        before any online recommendation is made.
 
-        ``catalog`` restricts the application's arm space to a subset of the
-        platform's hardware (different applications are eligible for
-        different allocations on a shared cluster); ``tolerance`` overrides
-        the service-wide tolerance for this application only.  Both default
-        to the service-level settings.  ``reward`` selects the application's
-        observation shaping (e.g. the queue-aware ``queue_inclusive`` mode);
-        ``priority`` is the priority class stamped on the application's
-        workflow tickets for priority/preemption scheduling: an integer, as
+        ``reward`` selects the application's observation shaping (e.g. the
+        queue-aware ``queue_inclusive`` mode); ``priority`` is the priority
+        class stamped on the application's workflow tickets for
+        priority/preemption scheduling: an integer, as
         :meth:`~repro.cluster.ClusterSimulator.submit` requires (a ``bool``,
         a float or a string raises ``TypeError``).
 
@@ -195,14 +188,14 @@ class RecommendationService:
         """
         priority = check_priority(priority)
         recommender = BanditWare(
-            catalog=catalog if catalog is not None else self.catalog,
+            catalog=self.catalog,
             feature_names=feature_names,
-            tolerance=tolerance if tolerance is not None else self.tolerance,
+            tolerance=self.tolerance,
             seed=self._seed,
             reward=reward,
         )
         ingested = None
-        if warm_start_history and self.history.records_for(name):
+        if self.history.records_for(name):
             ingested = recommender.warm_start(self.history.frame_for(name))
         self.registry.register(name, owner, recommender.feature_names, description)
         self._applications[name] = _Application(
@@ -252,139 +245,6 @@ class RecommendationService:
                 explored=recommendation.explored,
             )
         return ticket
-
-    def submit_workflows(
-        self, application: str, features_batch: Sequence[Dict[str, float]]
-    ) -> List[WorkflowTicket]:
-        """Batch recommendations for many workflows of one application.
-
-        Decisions are identical to calling :meth:`submit_workflow` once per
-        element in order (the recommender's policy state advances one step
-        per workflow); tickets are issued in submission order.  The whole
-        batch is converted and checked before the first recommendation, so a
-        rejected batch changes no state.
-        """
-        app = self._application(application)
-        features_batch = [
-            {k: float(v) for k, v in features.items()} for features in features_batch
-        ]
-        recommendations = app.recommender.recommend_batch(features_batch)
-        tickets: List[WorkflowTicket] = []
-        for features, recommendation in zip(features_batch, recommendations):
-            ticket = WorkflowTicket(
-                ticket_id=self._issue_ticket_id(),
-                application=application,
-                features=features,
-                recommendation=recommendation,
-                priority=app.priority,
-            )
-            self._tickets[ticket.ticket_id] = ticket
-            tickets.append(ticket)
-        if self.log.enabled:
-            self.log.record(
-                "service",
-                "recommendation_batch",
-                application=application,
-                tickets=len(tickets),
-                hardware=[t.recommendation.hardware.name for t in tickets],
-            )
-        return tickets
-
-    def complete_workflows(self, completions: Sequence[tuple]) -> None:
-        """Report many completions at once.
-
-        Each entry is ``(ticket_id, runtime_seconds)``,
-        ``(ticket_id, runtime_seconds, queue_seconds)`` or
-        ``(ticket_id, runtime_seconds, queue_seconds, slowdown)`` -- the
-        optional third element reports the workflow's capacity wait for
-        applications in the queue-aware reward mode; the optional fourth is
-        the observed/planned runtime ratio an interference-aware cluster
-        measured, which shapes the learning signal for applications in the
-        ``slowdown_inclusive`` reward mode (and is recorded on the ticket
-        for auditing either way -- in the default mode the recommender
-        already learns the inflation through the observed runtime itself).
-
-        Observations are fed to each application's recommender through
-        :meth:`BanditWare.observe_batch` (one model refit per arm instead of
-        one per ticket); the final recommender state, run history, and ticket
-        bookkeeping are exactly those of sequential
-        :meth:`complete_workflow` calls in the same order.
-
-        A pre-flight checks the whole batch -- entries of 2-4 elements,
-        tickets known, uncompleted and unique, runtimes and queue delays
-        finite and non-negative, slowdowns finite and positive -- before any
-        application's recommender changes.  This is the cross-application
-        atomicity check: a rejected batch leaves every recommender and ticket
-        untouched and can be retried once the bad entry is fixed.
-        """
-        resolved = []
-        seen = set()
-        for entry in completions:
-            if not 2 <= len(entry) <= 4:
-                raise ValueError(
-                    f"completion entry {entry!r} has {len(entry)} elements; expected "
-                    "(ticket_id, runtime_seconds[, queue_seconds[, slowdown]])"
-                )
-            ticket_id, runtime_seconds = entry[0], entry[1]
-            queue_seconds = entry[2] if len(entry) > 2 else 0.0
-            slowdown = entry[3] if len(entry) > 3 else None
-            ticket = self.ticket(ticket_id)  # raises on unknown ids
-            if ticket_id in seen:
-                raise ValueError(f"ticket {ticket_id!r} appears twice in the batch")
-            seen.add(ticket_id)
-            if ticket.completed:
-                raise ValueError(
-                    f"ticket {ticket_id!r} was already completed "
-                    f"(observed runtime {ticket.observed_runtime}s); completions "
-                    "are observed exactly once and double reports are rejected"
-                )
-            runtime = float(runtime_seconds)
-            if not math.isfinite(runtime) or runtime < 0:
-                raise ValueError(
-                    f"ticket {ticket_id!r} reports an invalid runtime {runtime_seconds!r}; "
-                    "runtimes must be finite and non-negative"
-                )
-            queue = float(queue_seconds)
-            if not math.isfinite(queue) or queue < 0:
-                raise ValueError(
-                    f"ticket {ticket_id!r} reports an invalid queue delay {queue_seconds!r}; "
-                    "queue delays must be finite and non-negative"
-                )
-            if slowdown is not None:
-                slowdown = float(slowdown)
-                if not math.isfinite(slowdown) or slowdown <= 0:
-                    raise ValueError(
-                        f"ticket {ticket_id!r} reports an invalid slowdown {slowdown!r}; "
-                        "slowdowns must be finite and positive"
-                    )
-            resolved.append((ticket, runtime, queue, slowdown))
-        by_application: Dict[str, List[tuple]] = {}
-        for entry in resolved:
-            by_application.setdefault(entry[0].application, []).append(entry)
-        for application, batch in by_application.items():
-            self._applications[application].recommender.observe_batch(
-                [ticket.features for ticket, _, _, _ in batch],
-                [ticket.recommendation.hardware for ticket, _, _, _ in batch],
-                [runtime for _, runtime, _, _ in batch],
-                queues_seconds=[queue for _, _, queue, _ in batch],
-                slowdowns=[slowdown for _, _, _, slowdown in batch],
-            )
-        for ticket, runtime, queue, slowdown in resolved:
-            ticket.completed = True
-            ticket.observed_runtime = runtime
-            ticket.observed_queue_seconds = queue
-            ticket.observed_slowdown = slowdown
-            self.history.add(
-                RunRecord(
-                    run_id=ticket.ticket_id,
-                    application=ticket.application,
-                    hardware=ticket.recommendation.hardware.name,
-                    runtime_seconds=runtime,
-                    features=ticket.features,
-                )
-            )
-        if self.log.enabled:
-            self.log.record("service", "workflow_completed_batch", tickets=len(resolved))
 
     def complete_workflow(
         self,

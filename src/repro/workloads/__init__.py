@@ -4,7 +4,7 @@ The paper evaluates BanditWare on three applications whose run histories were
 collected on real NDP hardware.  Those traces are not public, so each
 application is modelled here as a *workload model*: a feature sampler plus a
 ground-truth runtime function per hardware configuration, calibrated to the
-qualitative behaviour the paper reports (see DESIGN.md, "Substitutions").
+qualitative behaviour the paper reports (see README.md, "Substitutions").
 
 * :mod:`~repro.workloads.base` -- abstractions shared by all workload models
   (:class:`WorkloadModel`, :class:`RunRecord`, :class:`TraceGenerator`).

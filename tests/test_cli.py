@@ -76,11 +76,74 @@ class TestRunExperiment:
         assert code_serial == code_parallel == 0
         assert output_serial == output_parallel
 
-    @pytest.mark.parametrize("flag", ["--rounds", "--simulations"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_rejects_a_budget_below_one(self, flag, value):
-        with pytest.raises(SystemExit, match=f"{flag} must be positive"):
-            run_cli("run-experiment", "cycles_synthetic", flag, value)
+
+
+#: Each command with its required arguments; ``{tmp}`` is a scratch directory.
+COMMANDS = {
+    "run-experiment": ["run-experiment", "cycles_synthetic"],
+    "run-contention": ["run-contention", "--scenario", "light"],
+    "generate-dataset": ["generate-dataset", "cycles", "--output", "{tmp}/out"],
+    "recommend": ["recommend", "--dataset", "{tmp}/missing", "--features", "num_tasks=40"],
+}
+
+#: (command, flag, value, requirement): counts are at least 1 except
+#: --rows, --sweep-seeds and --replications (0 means off), seeds at least 0,
+#: and tolerances finite and non-negative.
+OUT_OF_RANGE_FLAGS = [
+    ("run-experiment", "--rounds", "0", "positive"),
+    ("run-experiment", "--rounds", "-1", "positive"),
+    ("run-experiment", "--simulations", "0", "positive"),
+    ("run-experiment", "--simulations", "-1", "positive"),
+    ("run-experiment", "--subsample", "0", "positive"),
+    ("run-experiment", "--every", "0", "positive"),
+    ("run-experiment", "--workers", "0", "positive"),
+    ("run-experiment", "--seed", "-1", "non-negative"),
+    ("run-contention", "--seed", "-1", "non-negative"),
+    ("run-contention", "--rows", "-1", "non-negative"),
+    ("run-contention", "--sweep-seeds", "-1", "non-negative"),
+    ("run-contention", "--replications", "-3", "non-negative"),
+    ("run-contention", "--workers", "0", "positive"),
+    ("generate-dataset", "--runs", "0", "positive"),
+    ("generate-dataset", "--runs", "-5", "positive"),
+    ("generate-dataset", "--seed", "-1", "non-negative"),
+    ("recommend", "--tolerance-ratio", "-1", "finite and non-negative"),
+    ("recommend", "--tolerance-ratio", "nan", "finite and non-negative"),
+    ("recommend", "--tolerance-seconds", "-1", "finite and non-negative"),
+    ("recommend", "--tolerance-seconds", "inf", "finite and non-negative"),
+    ("recommend", "--seed", "-1", "non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, requirement",
+    OUT_OF_RANGE_FLAGS,
+    ids=[" ".join(case[:3]) for case in OUT_OF_RANGE_FLAGS],
+)
+def test_rejects_a_budget_below_one(tmp_path, command, flag, value, requirement):
+    """Every numeric flag is checked once, with one line, before any work."""
+    argv = [arg.format(tmp=tmp_path) for arg in COMMANDS[command]]
+    with pytest.raises(SystemExit, match=f"^{flag} must be {requirement}, got "):
+        run_cli(*argv, flag, value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-experiment", "cycles_synthetic", "--rounds", "1", "--simulations", "1",
+         "--subsample", "10", "--every", "1", "--workers", "1", "--seed", "0"],
+        ["run-contention", "--scenario", "light", "--seed", "0", "--rows", "0",
+         "--sweep-seeds", "0", "--replications", "0", "--workers", "1"],
+        ["generate-dataset", "cycles", "--output", "{tmp}/out", "--runs", "1", "--seed", "0"],
+        ["recommend", "--dataset", "{tmp}/cycles", "--features", "num_tasks=40",
+         "--tolerance-ratio", "0", "--tolerance-seconds", "0", "--seed", "0"],
+    ],
+    ids=["run-experiment", "run-contention", "generate-dataset", "recommend"],
+)
+def test_accepts_the_lowest_allowed_values(tmp_path, argv):
+    run_cli("generate-dataset", "cycles", "--output", str(tmp_path / "cycles"), "--runs", "20")
+    code, output = run_cli(*[arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 0 and output
 
 
 class TestRunContention:

@@ -92,6 +92,20 @@ class TestLeastSquaresModel:
         with pytest.raises(ValueError):
             LeastSquaresModel(0)
 
+    def test_unused_buffer_rows_are_zero(self, rng):
+        # A checkpoint pickles the buffers whole, so the rows past the
+        # observation count must not hold stale memory, before and after
+        # the buffers grow.  Freed junk arrays of the buffers' sizes put
+        # stale memory on offer first.
+        stale = [np.full(n, 7.0) for n in (8, 9, 16, 24, 48) for _ in range(8)]
+        del stale
+        model = LeastSquaresModel(2)
+        for n_rows in (3, 11):
+            while model.n_observations < n_rows:
+                model.update_vector(rng.uniform(0, 10, size=2), float(rng.uniform(1, 50)))
+            assert not model._design[n_rows:].any()
+            assert not model._targets[n_rows:].any()
+
 
 #: Run in a fresh interpreter: import the package, fit once under- and once
 #: over-determined, and note whether either heavy module got loaded; then

@@ -11,7 +11,7 @@ from repro.core.policies import (
     RandomPolicy,
     ThompsonSamplingPolicy,
 )
-from repro.core.selection import ToleranceConfig
+from repro.core.selection import ToleranceConfig, TolerantSelector
 from repro.hardware import ndp_catalog
 
 
@@ -168,6 +168,24 @@ class TestGreedyPolicy:
     def test_model_count_mismatch(self, catalog, models, rng):
         with pytest.raises(ValueError):
             GreedyPolicy().select(np.array([5.0]), models[:1], catalog, rng)
+
+    def test_decision_records_the_selection(self, catalog, rng):
+        models = _fitted_models(catalog, slopes=[2.0, 5.0, 1.0], intercepts=[0.0, 0.0, 0.0])
+        tolerance = ToleranceConfig(ratio=1.5)
+        context = np.array([5.0])
+        decision = GreedyPolicy(tolerance=tolerance).select(context, models, catalog, rng)
+        values = [model.predict_vector(context) for model in models]
+        arm, _, limit, n_candidates = TolerantSelector(tolerance).select_index(catalog, values)
+        assert decision.arm_index == arm
+        assert decision.estimates == dict(zip(catalog.names, values))
+        assert decision.detail == {"tolerance_limit": limit, "n_candidates": float(n_candidates)}
+
+    def test_seeding_decision_carries_every_estimate(self, catalog, rng):
+        fresh = [LeastSquaresModel(1) for _ in catalog]
+        decision = GreedyPolicy().select(np.array([1.0]), fresh, catalog, rng)
+        assert decision.arm_index == 0
+        assert decision.estimates == {name: 0.0 for name in catalog.names}
+        assert decision.detail == {"seeded_unseen_arm": 1.0}
 
 
 class TestRandomPolicy:

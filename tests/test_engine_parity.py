@@ -2,15 +2,18 @@
 
 The engine's contract is that none of its speed machinery changes results:
 
-* ``recommend_batch`` / ``observe_batch`` reproduce the exact decisions and
-  final model state of sequential calls under identical seeds;
+* ``observe_batch`` reproduces the final model state of sequential
+  ``observe`` calls;
 * ``n_workers > 1`` reproduces the serial per-round RMSE/accuracy series
-  bit for bit;
+  bit for bit, also on the thread fallback;
+* ``run_online_replication``'s replay of the evaluation pool reproduces a
+  test-local loop that draws every runtime through the workload's
+  ``observed_runtime``, bit for bit;
 * the lockstep block reproduces ``run_online_replication`` bit for bit.
   It is compared in-process, never against a stored file: scoring bits
   depend on the host's BLAS kernels;
-* the array-based tolerant-selection fast path picks the same arm as the
-  dict-based audit path;
+* the ε-greedy policy decides the same with and without its audit
+  estimates;
 * the incremental normal-equation solver matches the full per-round lstsq
   refits.
 """
@@ -22,7 +25,7 @@ from repro.core.banditware import BanditWare
 from repro.core.models import LeastSquaresModel, RecursiveLeastSquaresModel, RidgeModel
 from repro.core.models.linear import min_norm_solution
 from repro.core.policies import DecayingEpsilonGreedyPolicy
-from repro.core.selection import ToleranceConfig, TolerantSelector
+from repro.core.selection import ToleranceConfig
 from repro.evaluation import EXPERIMENT_NAMES, OnlineSimulation, SimulationConfig, build_experiment
 from repro.evaluation.engine import (
     replication_sequences,
@@ -48,15 +51,6 @@ def _random_features(rng, n=1):
 class TestBatchSequentialParity:
     def _bandit(self, ndp, seed=11):
         return BanditWare(catalog=ndp, feature_names=["x0", "x1"], seed=seed)
-
-    def test_recommend_batch_matches_sequential(self, ndp):
-        rng = np.random.default_rng(0)
-        batch = _random_features(rng, 12)
-        a, b = self._bandit(ndp), self._bandit(ndp)
-        sequential = [a.recommend(f) for f in batch]
-        batched = b.recommend_batch(batch)
-        assert [r.hardware.name for r in sequential] == [r.hardware.name for r in batched]
-        assert [r.explored for r in sequential] == [r.explored for r in batched]
 
     def test_observe_batch_matches_sequential(self, ndp, linear_workload):
         rng = np.random.default_rng(1)
@@ -170,13 +164,36 @@ class TestWorkerParity:
         assert np.array_equal(serial.rmse, parallel.rmse)
         assert np.array_equal(serial.accuracy, parallel.accuracy)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"policy": "thompson", "arm_model": "rls"}],
+        ids=["lockstep", "per-replication"],
+    )
+    def test_thread_fallback_bit_identical_to_serial(
+        self, linear_setup, ndp, overrides, monkeypatch
+    ):
+        import concurrent.futures
+
+        attempts = []
+
+        def unavailable(*args, **kwargs):
+            attempts.append(kwargs["max_workers"])
+            raise OSError("process pools are unavailable here")
+
+        serial = self._series(linear_setup, ndp, 1, **overrides)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+        fallback = self._series(linear_setup, ndp, 2, **overrides)
+        assert attempts == [2]
+        assert np.array_equal(serial.rmse, fallback.rmse)
+        assert np.array_equal(serial.accuracy, fallback.accuracy)
+
     def test_n_workers_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(n_workers=0)
 
 
 class _LognormalRuntimeWorkload(LinearRuntimeWorkload):
-    """Overrides ``observed_runtime``, which disables the replay fast path."""
+    """Overrides ``observed_runtime``, which the online replay would ignore."""
 
     def observed_runtime(self, features, hardware, rng=None):
         return self.expected_runtime(features, hardware) * float(rng.lognormal(0.0, 0.1))
@@ -193,6 +210,61 @@ def _assert_block_matches_reference(simulation):
         assert np.array_equal(accuracy, ref_accuracy)
 
 
+def _observed_runtime_reference(simulation, seed_seq):
+    """One replication that draws every runtime through ``observed_runtime``.
+
+    The test-local reference for the engine's replay: the same draws in the
+    same order (pool row, the policy's draws, runtime noise), but each
+    runtime comes from the workload model itself instead of from the
+    precomputed expectation and noise matrices.
+    """
+    cfg = simulation.config
+    rng = np.random.default_rng(seed_seq)
+    bandit = BanditWare(
+        catalog=simulation.catalog,
+        feature_names=simulation.feature_names,
+        policy=cfg.make_policy(),
+        arm_model_factory=cfg.make_arm_model_factory(),
+        seed=rng,
+    )
+    n_arms, n_features = len(simulation.catalog), len(simulation.feature_names)
+    W_hist = np.zeros((cfg.n_rounds, n_arms, n_features))
+    b_hist = np.zeros((cfg.n_rounds, n_arms))
+    for t in range(cfg.n_rounds):
+        row = int(rng.integers(len(simulation._workflow_pool)))
+        context = simulation._X_eval[row]
+        hardware = bandit.recommend_vector(context).hardware
+        runtime = simulation.workload.observed_runtime(
+            simulation._workflow_pool[row], hardware, rng
+        )
+        bandit.observe_vector(context, hardware, runtime)
+        for arm, model in enumerate(bandit.models):
+            W_hist[t, arm] = model.coefficients
+            b_hist[t, arm] = model.intercept
+    return simulation._score_series(W_hist, b_hist)
+
+
+class TestReplayMatchesTheWorkloadModel:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"epsilon0": 0.5, "decay": 0.9, "tolerance_ratio": 0.1, "tolerance_seconds": 2.0},
+            {"policy": "thompson", "arm_model": "rls"},
+        ],
+        ids=["paper", "tolerant", "per-replication"],
+    )
+    def test_replay_draws_what_observed_runtime_draws(self, linear_setup, ndp, overrides):
+        workload, frame = linear_setup
+        config = SimulationConfig(**{"n_rounds": 30, "n_simulations": 2, "seed": 4, **overrides})
+        simulation = OnlineSimulation(workload, ndp, frame, config=config)
+        for seq in replication_sequences(config.seed, config.n_simulations):
+            rmse, accuracy = run_online_replication(simulation, seq)
+            ref_rmse, ref_accuracy = _observed_runtime_reference(simulation, seq)
+            assert np.array_equal(rmse, ref_rmse)
+            assert np.array_equal(accuracy, ref_accuracy)
+
+
 class TestLockstepParity:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -200,7 +272,6 @@ class TestLockstepParity:
         definition = build_experiment(name, n_simulations=6, n_rounds=40, seed=seed)
         _assert_block_matches_reference(definition.simulation())
 
-    @pytest.mark.parametrize("sample_from_frame", [True, False], ids=["pool", "sampled"])
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -211,26 +282,16 @@ class TestLockstepParity:
         ],
         ids=["paper", "seeding-only", "tolerant"],
     )
-    def test_block_matches_reference_on_linear_workload(
-        self, linear_setup, ndp, overrides, sample_from_frame
-    ):
+    def test_block_matches_reference_on_linear_workload(self, linear_setup, ndp, overrides):
         workload, frame = linear_setup
         config = SimulationConfig(**{"n_rounds": 30, "n_simulations": 5, "seed": 4, **overrides})
-        simulation = OnlineSimulation(
-            workload, ndp, frame, config=config, sample_from_frame=sample_from_frame
-        )
-        _assert_block_matches_reference(simulation)
+        _assert_block_matches_reference(OnlineSimulation(workload, ndp, frame, config=config))
 
-    @pytest.mark.parametrize("sample_from_frame", [True, False], ids=["pool", "sampled"])
-    def test_block_matches_reference_with_custom_observed_runtime(self, ndp, sample_from_frame):
+    def test_custom_observed_runtime_is_refused(self, ndp):
         workload = _LognormalRuntimeWorkload.random(ndp, n_features=2, seed=3)
         frame = TraceGenerator(workload, ndp, seed=17).generate_frame(30, grid=True)
-        config = SimulationConfig(n_rounds=30, n_simulations=5, seed=2)
-        simulation = OnlineSimulation(
-            workload, ndp, frame, config=config, sample_from_frame=sample_from_frame
-        )
-        assert not simulation._env_fast
-        _assert_block_matches_reference(simulation)
+        with pytest.raises(TypeError, match="_LognormalRuntimeWorkload overrides observed_runtime"):
+            OnlineSimulation(workload, ndp, frame)
 
     def test_block_rejects_other_policy_model_pairs(self, linear_setup, ndp):
         workload, frame = linear_setup
@@ -241,24 +302,6 @@ class TestLockstepParity:
 
 
 class TestSelectorFastPath:
-    def test_select_index_matches_dict_select(self, ndp):
-        rng = np.random.default_rng(4)
-        for tolerance in (
-            ToleranceConfig(),
-            ToleranceConfig(ratio=0.05),
-            ToleranceConfig(seconds=20.0),
-            ToleranceConfig(ratio=0.1, seconds=5.0),
-        ):
-            selector = TolerantSelector(tolerance=tolerance)
-            for _ in range(200):
-                values = rng.uniform(-50.0, 200.0, size=len(ndp))
-                outcome = selector.select(ndp, values)
-                arm, fastest, limit, n_candidates = selector.select_index(ndp, values)
-                assert ndp[arm].name == outcome.chosen.name
-                assert ndp[fastest].name == outcome.fastest.name
-                assert limit == pytest.approx(outcome.limit)
-                assert n_candidates == len(outcome.candidates)
-
     def test_policy_fast_path_matches_audit_path(self, ndp):
         models = []
         rng = np.random.default_rng(6)
@@ -318,55 +361,3 @@ class TestIncrementalSolverParity:
             two.update_rows(X, y)
             assert np.array_equal(one.coefficients, two.coefficients)
             assert one.intercept == two.intercept
-
-
-class TestServiceBatchParity:
-    def _service(self, ndp, seed=5):
-        from repro.integration import RecommendationService
-
-        service = RecommendationService(catalog=ndp, seed=seed)
-        service.register_application("app", owner="t", feature_names=["x0", "x1"])
-        return service
-
-    def test_submit_and_complete_workflows_match_sequential(self, ndp, linear_workload):
-        rng = np.random.default_rng(8)
-        batch = _random_features(rng, 10)
-        batched = self._service(ndp)
-        sequential = self._service(ndp)
-
-        tickets_b = batched.submit_workflows("app", batch)
-        tickets_s = [sequential.submit_workflow("app", f) for f in batch]
-        assert [t.recommendation.hardware.name for t in tickets_b] == [
-            t.recommendation.hardware.name for t in tickets_s
-        ]
-
-        runtimes = [float(10 + 5 * i) for i in range(len(batch))]
-        batched.complete_workflows(
-            [(t.ticket_id, rt) for t, rt in zip(tickets_b, runtimes)]
-        )
-        for t, rt in zip(tickets_s, runtimes):
-            sequential.complete_workflow(t.ticket_id, rt)
-
-        models_b = batched.recommender_for("app").models
-        models_s = sequential.recommender_for("app").models
-        for mb, ms in zip(models_b, models_s):
-            assert np.array_equal(mb.coefficients, ms.coefficients)
-        assert not batched.pending_tickets()
-        assert len(batched.history.records_for("app")) == len(batch)
-
-    def test_complete_workflows_rejects_unknown_ticket_atomically(self, ndp):
-        service = self._service(ndp)
-        tickets = service.submit_workflows("app", [{"x0": 1.0, "x1": 2.0}])
-        with pytest.raises(KeyError):
-            service.complete_workflows([(tickets[0].ticket_id, 5.0), ("nope", 1.0)])
-        assert not tickets[0].completed
-
-    def test_complete_workflows_rejects_duplicate_ticket_in_batch(self, ndp):
-        service = self._service(ndp)
-        tickets = service.submit_workflows("app", [{"x0": 1.0, "x1": 2.0}])
-        with pytest.raises(ValueError, match="twice"):
-            service.complete_workflows(
-                [(tickets[0].ticket_id, 5.0), (tickets[0].ticket_id, 6.0)]
-            )
-        assert not tickets[0].completed
-        assert not service.history.records_for("app")

@@ -90,6 +90,22 @@ class TestScenarioSweep:
         parallel = [r.summary() for r in run_scenario_sweep(scenarios, n_workers=2)]
         assert serial == parallel
 
+    def test_thread_fallback_matches_serial(self, monkeypatch):
+        import concurrent.futures
+
+        attempts = []
+
+        def unavailable(*args, **kwargs):
+            attempts.append(kwargs["max_workers"])
+            raise OSError("process pools are unavailable here")
+
+        scenarios = [build_scenario("autoscale-burst", seed=s) for s in (0, 1)]
+        serial = [r.summary() for r in run_scenario_sweep(scenarios, n_workers=1)]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+        fallback = [r.summary() for r in run_scenario_sweep(scenarios, n_workers=2)]
+        assert attempts == [2]
+        assert serial == fallback
+
     @pytest.mark.parametrize("n_workers", [0, 1.5, True])
     def test_rejects_bad_worker_count(self, n_workers):
         with pytest.raises(ValueError):

@@ -197,16 +197,6 @@ class TestOnlineSimulation:
         with pytest.raises(KeyError):
             OnlineSimulation(workload, ndp, bad)
 
-    def test_sample_from_model_mode(self, linear_setup, ndp):
-        workload, frame = linear_setup
-        sim = OnlineSimulation(
-            workload, ndp, frame,
-            config=SimulationConfig(n_rounds=10, n_simulations=2, seed=0),
-            sample_from_frame=False,
-        )
-        result = sim.run()
-        assert np.all(np.isfinite(result.rmse))
-
 
 def _assert_accuracy_matches_row_by_row(bundle, config):
     """Score ``bundle`` under ``config`` and re-score every history by hand.

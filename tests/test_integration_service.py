@@ -1,10 +1,13 @@
 """Integration tests: the NDP-style recommendation service end to end."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSimulator
-from repro.hardware import HardwareCatalog, ndp_catalog
+from repro.core import ToleranceConfig
+from repro.hardware import ndp_catalog
 from repro.integration import (
     ApplicationRegistry,
     RecommendationService,
@@ -115,6 +118,19 @@ class TestRecommendationService:
         service = RecommendationService(catalog=ndp_catalog(), history=history)
         assert service.history is history
 
+    def test_application_uses_the_service_catalog_and_tolerance(self, ndp):
+        tolerance = ToleranceConfig(ratio=0.05, seconds=2.0)
+        service = RecommendationService(catalog=ndp, tolerance=tolerance, seed=0)
+        recommender = service.register_application("cycles", "alice", ["num_tasks"])
+        assert recommender.catalog is ndp
+        assert recommender.policy.selector.tolerance is tolerance
+
+    def test_register_application_takes_no_per_application_overrides(self):
+        parameters = inspect.signature(RecommendationService.register_application).parameters
+        assert list(parameters) == [
+            "self", "name", "owner", "feature_names", "description", "reward", "priority"
+        ]
+
     def test_warm_start_from_existing_history(self, ndp):
         workload = LinearRuntimeWorkload.random(ndp, n_features=1, seed=3)
         history = RunHistoryStore()
@@ -126,57 +142,28 @@ class TestRecommendationService:
         )
         assert sum(recommender.observation_counts().values()) == 20
 
-    def test_batch_completion_with_invalid_runtime_mutates_nothing(self):
-        """Regression: a bad runtime mid-batch must not leave partial state.
-
-        Before the pre-flight validation, a NaN runtime for application B
-        was only rejected *after* application A's recommender had already
-        ingested its observations (tickets still marked incomplete), so a
-        retry double-learned A's rows.
-        """
+    def test_invalid_runtime_mutates_nothing(self):
+        """A rejected completion leaves no partial state, and its retry learns once."""
         service = self._service()
-        service.register_application("app-a", "alice", ["x"])
-        service.register_application("app-b", "bob", ["x"])
-        ticket_a = service.submit_workflow("app-a", {"x": 1.0})
-        ticket_b = service.submit_workflow("app-b", {"x": 2.0})
+        service.register_application("cycles", "alice", ["num_tasks"])
+        ticket = service.submit_workflow("cycles", {"num_tasks": 100.0})
         with pytest.raises(ValueError, match="finite and non-negative"):
-            service.complete_workflows(
-                [(ticket_a.ticket_id, 50.0), (ticket_b.ticket_id, float("nan"))]
-            )
-        # No recommender observed anything; no ticket completed; no history.
-        for app in ("app-a", "app-b"):
-            assert sum(service.recommender_for(app).observation_counts().values()) == 0
-        assert not service.ticket(ticket_a.ticket_id).completed
-        assert not service.ticket(ticket_b.ticket_id).completed
+            service.complete_workflow(ticket.ticket_id, float("nan"))
+        assert sum(service.recommender_for("cycles").observation_counts().values()) == 0
+        assert not service.ticket(ticket.ticket_id).completed
         assert len(service.history) == 0
-        # The retry with corrected runtimes learns each row exactly once.
-        service.complete_workflows(
-            [(ticket_a.ticket_id, 50.0), (ticket_b.ticket_id, 60.0)]
-        )
-        for app in ("app-a", "app-b"):
-            assert sum(service.recommender_for(app).observation_counts().values()) == 1
-        assert len(service.history) == 2
+        service.complete_workflow(ticket.ticket_id, 50.0)
+        assert sum(service.recommender_for("cycles").observation_counts().values()) == 1
+        assert len(service.history) == 1
 
-    def test_batch_completion_rejects_negative_and_infinite_runtimes(self):
+    def test_completion_rejects_negative_and_infinite_runtimes(self):
         service = self._service()
         service.register_application("cycles", "alice", ["num_tasks"])
         for bad in (-1.0, float("inf"), float("-inf")):
             ticket = service.submit_workflow("cycles", {"num_tasks": 100.0})
             with pytest.raises(ValueError, match="finite and non-negative"):
-                service.complete_workflows([(ticket.ticket_id, bad)])
+                service.complete_workflow(ticket.ticket_id, bad)
             assert not service.ticket(ticket.ticket_id).completed
-
-    def test_register_application_with_custom_catalog(self, ndp):
-        subset = HardwareCatalog([ndp["H0"], ndp["H1"]])
-        service = RecommendationService(catalog=ndp, seed=0)
-        recommender = service.register_application(
-            "narrow", "alice", ["x"], catalog=subset
-        )
-        assert recommender.catalog.names == ["H0", "H1"]
-        for _ in range(10):
-            ticket = service.submit_workflow("narrow", {"x": 1.0})
-            assert ticket.recommendation.hardware.name in {"H0", "H1"}
-            service.complete_workflow(ticket.ticket_id, 10.0)
 
     def test_run_workflow_end_to_end_with_cluster(self):
         log = EventLog()
@@ -300,9 +287,7 @@ class TestQueueAwareServiceCompletions:
         from repro.hardware import ndp_catalog
 
         service = RecommendationService(catalog=ndp_catalog(), seed=0)
-        service.register_application(
-            "app", "alice", ["x"], warm_start_history=False, **register_kwargs
-        )
+        service.register_application("app", "alice", ["x"], **register_kwargs)
         return service
 
     def test_priority_stamped_on_tickets(self):
@@ -322,40 +307,22 @@ class TestQueueAwareServiceCompletions:
         service.complete_workflow(ticket.ticket_id, 12.0, queue_seconds=3.0)
         assert service.ticket(ticket.ticket_id).observed_queue_seconds == 3.0
 
-    def test_complete_workflows_accepts_triples(self):
+    def test_complete_workflow_defaults_to_no_queue_and_no_slowdown(self):
         service = self._service()
-        first = service.submit_workflow("app", {"x": 1.0})
-        second = service.submit_workflow("app", {"x": 2.0})
-        service.complete_workflows(
-            [(first.ticket_id, 10.0, 4.0), (second.ticket_id, 20.0)]
-        )
-        assert service.ticket(first.ticket_id).observed_queue_seconds == 4.0
-        assert service.ticket(second.ticket_id).observed_queue_seconds == 0.0
+        ticket = service.submit_workflow("app", {"x": 1.0})
+        service.complete_workflow(ticket.ticket_id, 20.0)
+        assert service.ticket(ticket.ticket_id).observed_queue_seconds == 0.0
+        assert service.ticket(ticket.ticket_id).observed_slowdown is None
 
-    def test_invalid_queue_delay_rejects_whole_batch(self):
+    def test_invalid_queue_delay_is_rejected_before_anything_changes(self):
         service = self._service()
-        good = service.submit_workflow("app", {"x": 1.0})
-        bad = service.submit_workflow("app", {"x": 2.0})
-        with pytest.raises(ValueError, match="queue delay"):
-            service.complete_workflows(
-                [(good.ticket_id, 10.0, 0.0), (bad.ticket_id, 20.0, -1.0)]
-            )
-        # Pre-flight validation: nothing was committed, retry succeeds.
-        assert not service.ticket(good.ticket_id).completed
-        service.complete_workflows(
-            [(good.ticket_id, 10.0, 0.0), (bad.ticket_id, 20.0, 1.0)]
-        )
-        assert service.ticket(bad.ticket_id).completed
-
-    def test_complete_workflows_accepts_slowdown_quadruples(self):
-        service = self._service()
-        first = service.submit_workflow("app", {"x": 1.0})
-        second = service.submit_workflow("app", {"x": 2.0})
-        service.complete_workflows(
-            [(first.ticket_id, 15.0, 4.0, 1.5), (second.ticket_id, 20.0, 0.0)]
-        )
-        assert service.ticket(first.ticket_id).observed_slowdown == 1.5
-        assert service.ticket(second.ticket_id).observed_slowdown is None
+        ticket = service.submit_workflow("app", {"x": 2.0})
+        with pytest.raises(ValueError, match="queue_seconds"):
+            service.complete_workflow(ticket.ticket_id, 20.0, queue_seconds=-1.0)
+        assert not service.ticket(ticket.ticket_id).completed
+        assert sum(service.recommender_for("app").observation_counts().values()) == 0
+        service.complete_workflow(ticket.ticket_id, 20.0, queue_seconds=1.0)
+        assert service.ticket(ticket.ticket_id).completed
 
     def test_complete_workflow_records_slowdown(self):
         service = self._service()
@@ -363,23 +330,16 @@ class TestQueueAwareServiceCompletions:
         service.complete_workflow(ticket.ticket_id, 12.0, queue_seconds=3.0, slowdown=1.2)
         assert service.ticket(ticket.ticket_id).observed_slowdown == 1.2
 
-    def test_invalid_slowdown_rejects_whole_batch(self):
+    def test_invalid_slowdown_is_rejected_before_anything_changes(self):
         service = self._service()
-        good = service.submit_workflow("app", {"x": 1.0})
-        bad = service.submit_workflow("app", {"x": 2.0})
-        with pytest.raises(ValueError, match="slowdown"):
-            service.complete_workflows(
-                [(good.ticket_id, 10.0, 0.0, 1.0), (bad.ticket_id, 20.0, 0.0, 0.0)]
-            )
-        assert not service.ticket(good.ticket_id).completed
-        with pytest.raises(ValueError, match="slowdown"):
-            service.complete_workflows(
-                [(bad.ticket_id, 20.0, 0.0, float("nan"))]
-            )
-        service.complete_workflows(
-            [(good.ticket_id, 10.0, 0.0, 1.0), (bad.ticket_id, 20.0, 0.0, 1.1)]
-        )
-        assert service.ticket(bad.ticket_id).observed_slowdown == 1.1
+        ticket = service.submit_workflow("app", {"x": 2.0})
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="slowdown"):
+                service.complete_workflow(ticket.ticket_id, 20.0, slowdown=bad)
+        assert not service.ticket(ticket.ticket_id).completed
+        assert sum(service.recommender_for("app").observation_counts().values()) == 0
+        service.complete_workflow(ticket.ticket_id, 20.0, slowdown=1.1)
+        assert service.ticket(ticket.ticket_id).observed_slowdown == 1.1
 
     def test_queue_aware_application_learns_from_delay(self):
         from repro.core import RewardConfig
@@ -390,10 +350,8 @@ class TestQueueAwareServiceCompletions:
         first = service.submit_workflow("app", {"x": 1.0})
         second = service.submit_workflow("app", {"x": 2.0})
         hardware = first.recommendation.hardware.name
-        # Force both observations onto the first ticket's arm via triples.
-        service.complete_workflows(
-            [(first.ticket_id, 10.0, 5.0), (second.ticket_id, 20.0, 10.0)]
-        )
+        service.complete_workflow(first.ticket_id, 10.0, queue_seconds=5.0)
+        service.complete_workflow(second.ticket_id, 20.0, queue_seconds=10.0)
         recommender = service.recommender_for("app")
         arm_model = model_of(recommender, hardware)
         if second.recommendation.hardware.name == hardware:
@@ -412,11 +370,10 @@ class TestQueueAwareServiceCompletions:
         first = service.submit_workflow("app", {"x": 1.0})
         second = service.submit_workflow("app", {"x": 2.0})
         hardware = first.recommendation.hardware.name
-        # Quadruples: observed 20/40 at slowdown 2.0 -> planned 10/20, so
-        # the slowdown-inclusive training target is 30x.
-        service.complete_workflows(
-            [(first.ticket_id, 20.0, 0.0, 2.0), (second.ticket_id, 40.0, 0.0, 2.0)]
-        )
+        # Observed 20/40 at slowdown 2.0 -> planned 10/20, so the
+        # slowdown-inclusive training target is 30x.
+        service.complete_workflow(first.ticket_id, 20.0, slowdown=2.0)
+        service.complete_workflow(second.ticket_id, 40.0, slowdown=2.0)
         recommender = service.recommender_for("app")
         arm_model = model_of(recommender, hardware)
         if second.recommendation.hardware.name == hardware:
@@ -427,27 +384,3 @@ class TestQueueAwareServiceCompletions:
         assert service.ticket(first.ticket_id).observed_runtime == 20.0
         assert service.ticket(first.ticket_id).observed_slowdown == 2.0
         assert [rec.slowdown for rec in recommender.history] == [2.0, 2.0]
-
-    def test_single_completion_matches_batch_for_slowdown_mode(self):
-        from repro.core import RewardConfig
-
-        batch_service = self._service(
-            reward=RewardConfig(mode="slowdown_inclusive", slowdown_weight=1.0)
-        )
-        single_service = self._service(
-            reward=RewardConfig(mode="slowdown_inclusive", slowdown_weight=1.0)
-        )
-        b1 = batch_service.submit_workflow("app", {"x": 1.0})
-        b2 = batch_service.submit_workflow("app", {"x": 2.0})
-        s1 = single_service.submit_workflow("app", {"x": 1.0})
-        s2 = single_service.submit_workflow("app", {"x": 2.0})
-        batch_service.complete_workflows(
-            [(b1.ticket_id, 20.0, 0.0, 2.0), (b2.ticket_id, 40.0, 0.0, 1.6)]
-        )
-        single_service.complete_workflow(s1.ticket_id, 20.0, 0.0, 2.0)
-        single_service.complete_workflow(s2.ticket_id, 40.0, 0.0, 1.6)
-        x = np.asarray([3.0])
-        for hw in ("H0", "H1", "H2"):
-            assert model_of(batch_service.recommender_for("app"), hw).predict(
-                x
-            ) == pytest.approx(model_of(single_service.recommender_for("app"), hw).predict(x))

@@ -155,74 +155,6 @@ class TestDoubleCompletionRejected:
         with pytest.raises(ValueError, match="12.5"):
             service.complete_workflow(ticket.ticket_id, 99.0)
 
-    def test_batch_completion_path(self):
-        service, ticket = self._submitted()
-        service.complete_workflows([(ticket.ticket_id, 10.0)])
-        with pytest.raises(ValueError, match="already completed"):
-            service.complete_workflows([(ticket.ticket_id, 10.0)])
-
-
-class TestCrossShardPreflight:
-    """``complete_workflows`` validates across every shard before any mutates."""
-
-    def _multi_shard_batch(self):
-        service, workloads = build_reference_service(n_shards=4)
-        tickets = []
-        for app in ("alpha", "beta", "gamma"):
-            features = {f: 1.0 for f in service.recommender_for(app).feature_names}
-            tickets.append(service.submit_workflow(app, features))
-        shards = {service.shard_for(t.application) for t in tickets}
-        assert len(shards) > 1, "batch must span shards for this test to bite"
-        return service, tickets
-
-    def _state_fingerprint(self, service):
-        return json.loads(
-            json.dumps(
-                {
-                    app: {
-                        "coefficients": service.recommender_for(app).coefficients(),
-                        "counts": service.recommender_for(app).observation_counts(),
-                    }
-                    for app in ("alpha", "beta", "gamma")
-                }
-            )
-        )
-
-    @pytest.mark.parametrize(
-        "bad_entry_for_last, match",
-        [
-            (lambda t: (t.ticket_id, float("nan")), "finite and non-negative"),
-            (lambda t: (t.ticket_id, -1.0), "finite and non-negative"),
-            (lambda t: (t.ticket_id, 10.0, float("inf")), "queue delay"),
-            (lambda t: (t.ticket_id, 10.0, 0.0, 0.0), "slowdown"),
-            (lambda t: ("wf-999999", 10.0), "unknown ticket"),
-        ],
-    )
-    def test_bad_entry_on_one_shard_leaves_all_shards_untouched(
-        self, bad_entry_for_last, match
-    ):
-        service, tickets = self._multi_shard_batch()
-        before = self._state_fingerprint(service)
-        batch = [(t.ticket_id, 10.0) for t in tickets[:-1]]
-        batch.append(bad_entry_for_last(tickets[-1]))
-        with pytest.raises((ValueError, KeyError), match=match):
-            service.complete_workflows(batch)
-        assert self._state_fingerprint(service) == before
-        assert all(not t.completed for t in tickets)
-        assert len(service.history) == len(
-            service.history.records_for("beta")
-        )  # only the warm-start rows
-        # The batch is retryable after repairing the bad entry.
-        service.complete_workflows([(t.ticket_id, 10.0) for t in tickets])
-        assert all(t.completed for t in tickets)
-
-    def test_duplicate_ticket_across_shards_rejected(self):
-        service, tickets = self._multi_shard_batch()
-        batch = [(t.ticket_id, 10.0) for t in tickets] + [(tickets[0].ticket_id, 10.0)]
-        with pytest.raises(ValueError, match="appears twice"):
-            service.complete_workflows(batch)
-        assert all(not t.completed for t in tickets)
-
 
 class TestCheckpointResumeAgainstReference:
     """Checkpoint -> restore mid-stream continues bit-identically."""

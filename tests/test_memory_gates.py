@@ -118,8 +118,8 @@ def test_sustained_service_traffic_memory_budget(request):
 
     One caller drives the ``service-zipf`` load service (32 applications,
     2 shards) with Zipf-skewed submissions, keeps at most 32 tickets
-    pending, and completes the oldest half of the window each time it
-    fills -- one ticket alone, the rest in one batch.  The service retains
+    pending, and completes the oldest half of the window, one ticket at a
+    time, each time it fills.  The service retains
     a ticket per request by design (history is the product), so the gate
     pins the *constant factor*: it catches per-request state beyond the
     ticket and its history row, or completed work kept alive elsewhere.
@@ -144,11 +144,11 @@ def test_sustained_service_traffic_memory_budget(request):
         weights = ZipfianAppMix(config.n_apps, config.zipf_exponent).weights()
         pending = collections.deque()
 
-        def completion(ticket):
+        def complete(ticket):
             runtime = workloads[ticket.application].observed_runtime(
                 ticket.features, ticket.recommendation.hardware, rng
             )
-            return ticket.ticket_id, runtime
+            service.complete_workflow(ticket.ticket_id, runtime)
 
         for index in rng.choice(config.n_apps, size=n_requests, p=weights):
             app = apps[index]
@@ -156,10 +156,10 @@ def test_sustained_service_traffic_memory_budget(request):
                 service.submit_workflow(app, workloads[app].sample_features(rng))
             )
             if len(pending) == window:
-                service.complete_workflow(*completion(pending.popleft()))
-                batch = [pending.popleft() for _ in range(window // 2 - 1)]
-                service.complete_workflows([completion(ticket) for ticket in batch])
-        service.complete_workflows([completion(ticket) for ticket in pending])
+                for _ in range(window // 2):
+                    complete(pending.popleft())
+        for ticket in pending:
+            complete(ticket)
         assert not service.pending_tickets()
         assert len(service.history) == n_requests
 

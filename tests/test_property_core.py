@@ -44,12 +44,12 @@ class TestTolerantSelectionProperties:
             name: data.draw(finite_floats, label=f"estimate_{name}") for name in catalog.names
         }
         selector = TolerantSelector(ToleranceConfig(ratio=ratio, seconds=seconds))
-        outcome = selector.select(catalog, estimates)
-        fastest = min(estimates.values())
+        values = list(estimates.values())
+        chosen, fastest_arm, _, _ = selector.select_index(catalog, values)
+        fastest = min(values)
         limit = (1.0 + ratio) * fastest + seconds
-        assert estimates[outcome.chosen.name] <= limit + 1e-9
-        assert outcome.fastest.name in estimates
-        assert estimates[outcome.fastest.name] == fastest
+        assert values[chosen] <= limit + 1e-9
+        assert values[fastest_arm] == fastest
 
     @settings(max_examples=100)
     @given(catalogs(), st.data())
@@ -57,8 +57,9 @@ class TestTolerantSelectionProperties:
         estimates = {
             name: data.draw(finite_floats, label=f"estimate_{name}") for name in catalog.names
         }
-        outcome = TolerantSelector().select(catalog, estimates)
-        assert estimates[outcome.chosen.name] == min(estimates.values())
+        values = list(estimates.values())
+        chosen = TolerantSelector().select_index(catalog, values)[0]
+        assert values[chosen] == min(values)
 
     @settings(max_examples=100)
     @given(catalogs(), st.data(), st.floats(min_value=0.0, max_value=10.0))
@@ -67,10 +68,11 @@ class TestTolerantSelectionProperties:
         estimates = {
             name: data.draw(finite_floats, label=f"estimate_{name}") for name in catalog.names
         }
-        narrow = TolerantSelector(ToleranceConfig(seconds=0.0)).select(catalog, estimates)
-        wide = TolerantSelector(ToleranceConfig(seconds=seconds)).select(catalog, estimates)
-        cost = {hw.name: footprint(hw.cpus, hw.memory_gb, hw.gpus) for hw in catalog}
-        assert cost[wide.chosen.name] <= cost[narrow.chosen.name] + 1e-12
+        values = list(estimates.values())
+        narrow = TolerantSelector(ToleranceConfig(seconds=0.0)).select_index(catalog, values)[0]
+        wide = TolerantSelector(ToleranceConfig(seconds=seconds)).select_index(catalog, values)[0]
+        cost = [footprint(hw.cpus, hw.memory_gb, hw.gpus) for hw in catalog]
+        assert cost[wide] <= cost[narrow] + 1e-12
 
 
 #: Estimates that tie often: a small pool of repeated values (zeros of both
@@ -90,27 +92,24 @@ class TestOneSelectionRule:
         tolerance_knob.map(lambda v: v / 50.0),
         tolerance_knob,
     )
-    def test_dict_and_index_selection_agree(self, catalog_name, data, ratio, seconds):
+    def test_index_selection_follows_algorithm_1(self, catalog_name, data, ratio, seconds):
         catalog = ndp_catalog() if catalog_name == "ndp" else matmul_catalog()
         values = data.draw(
             st.lists(tie_prone_estimates, min_size=len(catalog), max_size=len(catalog)),
             label="estimates",
         )
         selector = TolerantSelector(ToleranceConfig(ratio=ratio, seconds=seconds))
-        outcome = selector.select(catalog, dict(zip(catalog.names, values)))
         chosen, fastest, limit, n_candidates = selector.select_index(catalog, np.asarray(values))
-        assert catalog.index_of(outcome.chosen) == chosen
-        assert catalog.index_of(outcome.fastest) == fastest
-        assert outcome.limit == limit
-        assert len(outcome.candidates) == n_candidates
-        # Both follow Algorithm 1 as written: first-minimum fastest arm, the
-        # clamped limit, the most efficient arm within it.
+        # A plain list of the same floats decides the same way.
+        assert selector.select_index(catalog, values) == (chosen, fastest, limit, n_candidates)
+        # Algorithm 1 as written: first-minimum fastest arm, the clamped
+        # limit, the most efficient arm within it.
         first_fastest = int(np.argmin(values))
         reference_limit = max((1.0 + ratio) * values[first_fastest] + seconds, values[first_fastest])
         candidates = [hw for hw, value in zip(catalog, values) if value <= reference_limit]
         assert fastest == first_fastest
         assert limit == reference_limit
-        assert outcome.chosen == rank_by_efficiency(candidates)[0]
+        assert catalog[chosen] == rank_by_efficiency(candidates)[0]
         assert n_candidates == len(candidates)
 
 

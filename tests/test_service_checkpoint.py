@@ -113,6 +113,35 @@ class TestCheckpointRoundTrip:
         assert len(restored.history) == len(service.history)
 
 
+class TestCheckpointBytes:
+    # After 20 rounds every decision so far explored; after 60 the
+    # selectors have cached their catalogs' efficiency order.
+    @pytest.mark.parametrize("n_rounds", [CHECKPOINT_ROUNDS, 60])
+    def test_same_state_checkpoints_to_the_same_bytes(self, n_rounds):
+        """Neither stale memory nor a memory address reaches the file.
+
+        Before each capture the test frees float arrays of every size the
+        least-squares buffers take, filled with a junk value of its own, so
+        a buffer allocated uninitialised would pick up different bytes each
+        time.  Every service stays alive, so no two of them share object
+        addresses.
+        """
+        services = []
+
+        def capture(junk):
+            stale = [np.full(n, junk) for n in range(1, 257) for _ in range(8)]
+            del stale
+            service, workloads = build_reference_service(n_shards=2)
+            drive_reference_stream(service, workloads, n_rounds)
+            services.append(service)
+            return service.checkpoint()
+
+        first, *others = [capture(junk) for junk in (1.5, -2.25, 7e300)]
+        for other in others:
+            assert other.payload == first.payload
+            assert other.digest == first.digest
+
+
 def _generator_seeded_service(n_shards):
     """Three applications sharing one ``numpy.random.Generator`` seed."""
     catalog = ndp_catalog()

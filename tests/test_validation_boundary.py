@@ -1,7 +1,7 @@
 """The validation contract: every input is checked once, where it enters.
 
 ``BanditWare.recommend*`` / ``observe*``, ``RecommendationService``'s
-``submit_workflow(s)`` / ``complete_workflow(s)`` and
+``submit_workflow`` / ``complete_workflow`` and
 ``ClusterSimulator.submit`` / ``run_until`` are the public entries.  A
 bad input must be rejected at the entry with the documented exception type
 and message, before any state moves: observation counts, the mutation
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSimulator, Node
-from repro.core import BanditWare, RewardConfig
+from repro.core import BanditWare
 from repro.core.policies import (
     DecayingEpsilonGreedyPolicy,
     GreedyPolicy,
@@ -188,9 +188,9 @@ class TestBanditWareEntries:
 # --------------------------------------------------------------------- #
 # The recommendation service
 # --------------------------------------------------------------------- #
-def _service(log=None, reward=None):
+def _service(log=None):
     service = RecommendationService(catalog=ndp_catalog(), seed=5, n_shards=2, log=log)
-    service.register_application("alpha", "alice", ["x0", "x1"], reward=reward)
+    service.register_application("alpha", "alice", ["x0", "x1"])
     service.register_application("beta", "bob", ["x0", "x1"])
     rng = np.random.default_rng(1)
     for _ in range(8):
@@ -222,28 +222,16 @@ SERVICE_CASES = [
     ("submit_workflow", lambda s, t: s.submit_workflow("alpha", {"x0": NAN, "x1": 1.0}), ValueError, "non-finite"),
     ("submit_workflow", lambda s, t: s.submit_workflow("alpha", dict(GOOD, note="x")), ValueError, "could not convert"),
     ("submit_workflow", lambda s, t: s.submit_workflow("gamma", GOOD), KeyError, "no recommender"),
-    ("submit_workflows", lambda s, t: s.submit_workflows("alpha", [GOOD, {"x1": 1.0}]), KeyError, "missing"),
-    ("submit_workflows", lambda s, t: s.submit_workflows("alpha", [GOOD, {"x0": INF, "x1": 1.0}]), ValueError, "non-finite"),
-    ("submit_workflows", lambda s, t: s.submit_workflows("alpha", [GOOD, dict(GOOD, note="x")]), ValueError, "could not convert"),
+    ("submit_workflow", lambda s, t: s.submit_workflow("alpha", {"x0": INF, "x1": 1.0}), ValueError, "non-finite"),
     ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, NAN), ValueError, "finite and non-negative"),
     ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, -1.0), ValueError, "finite and non-negative"),
     ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, 5.0, queue_seconds=INF), ValueError, "queue"),
     ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, 5.0, slowdown=0.0), ValueError, "slowdown"),
     ("complete_workflow", lambda s, t: s.complete_workflow("wf-999999", 5.0), KeyError, "unknown ticket"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, INF)]), ValueError, "finite and non-negative"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, -1.0)]), ValueError, "queue delay"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, 0.0, NAN)]), ValueError, "slowdown"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), ("wf-999999", 5.0)]), KeyError, "unknown ticket"),
-    # Entries of the wrong shape: the 0- and 1-element ones used to raise
-    # IndexError, and the 5-element one completed with its extra element
-    # dropped.
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), ()]), ValueError, "has 0 elements"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id,)]), ValueError, "has 1 elements"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, 5.0, 0.0, 1.0, "extra")]), ValueError, "has 5 elements"),
-    # An unknown application on the batch entry, and non-numeric runtimes.
-    ("submit_workflows", lambda s, t: s.submit_workflows("gamma", [GOOD]), KeyError, "no recommender"),
+    ("complete_workflow", lambda s, t: s.complete_workflow(t[1].ticket_id, INF), ValueError, "finite and non-negative"),
+    ("complete_workflow", lambda s, t: s.complete_workflow(t[1].ticket_id, 5.0, -1.0), ValueError, "queue"),
+    ("complete_workflow", lambda s, t: s.complete_workflow(t[1].ticket_id, 5.0, 0.0, NAN), ValueError, "slowdown"),
     ("complete_workflow", lambda s, t: s.complete_workflow(t[0].ticket_id, "fast"), ValueError, "could not convert"),
-    ("complete_workflows", lambda s, t: s.complete_workflows([(t[0].ticket_id, 5.0), (t[1].ticket_id, "fast")]), ValueError, "could not convert"),
 ]
 
 
@@ -261,8 +249,7 @@ class TestServiceEntries:
             call(service, tickets)
         assert _service_state(service) == before
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_rejected_submit_leaves_the_recommender_untouched(self, batch):
+    def test_rejected_submit_leaves_the_recommender_untouched(self):
         # A non-numeric extra value used to be converted only after the
         # recommendation: ε had decayed, the round counter and the RNG had
         # moved, and no ticket was issued.
@@ -273,35 +260,11 @@ class TestServiceEntries:
         pending = len(service.pending_tickets())
         bad = dict(GOOD, note="x")
         with pytest.raises(ValueError):
-            if batch:
-                service.submit_workflows("alpha", [GOOD, bad])
-            else:
-                service.submit_workflow("alpha", bad)
+            service.submit_workflow("alpha", bad)
         assert recommender.policy.epsilon == epsilon
         assert recommender.policy._round == rounds
         assert repr(recommender._rng.bit_generator.state) == rng_state
         assert len(service.pending_tickets()) == pending
-
-    @pytest.mark.parametrize(
-        "reward",
-        [None, RewardConfig("queue_inclusive"), RewardConfig("slowdown_inclusive", slowdown_weight=0.5)],
-        ids=["runtime", "queue", "slowdown"],
-    )
-    def test_batch_completion_matches_sequential_completions(self, reward):
-        # complete_workflows feeds each application's rows through
-        # observe_batch; the result is that of one-by-one completions.
-        batched, sequential = _service(reward=reward), _service(reward=reward)
-        reports = [(12.0, 3.0, 1.4), (7.0, 0.0, None), (9.5, 1.0, 2.0), (4.0, 0.5, 1.0)]
-        tickets_b = _pending(batched, n=len(reports))
-        tickets_s = _pending(sequential, n=len(reports))
-        batched.complete_workflows(
-            [(t.ticket_id, *report) for t, report in zip(tickets_b, reports)]
-        )
-        for ticket, (runtime, queue, slowdown) in zip(tickets_s, reports):
-            sequential.complete_workflow(ticket.ticket_id, runtime, queue, slowdown)
-        assert _service_state(batched) == _service_state(sequential)
-        a, b = batched.recommender_for("alpha"), sequential.recommender_for("alpha")
-        assert a.history == b.history
 
 
 # --------------------------------------------------------------------- #
@@ -380,10 +343,11 @@ def _cycle(log):
     first = service.submit_workflow("a", {"x": 1.0})
     second = service.submit_workflow("b", {"x": 1.0, "y": 2.0})
     service.complete_workflow(first.ticket_id, 10.0)
-    batch = service.submit_workflows("a", [{"x": 2.0}, {"x": 3.0}])
-    service.complete_workflows(
-        [(second.ticket_id, 5.0, 1.0), (batch[0].ticket_id, 7.0), (batch[1].ticket_id, 8.0, 0.0, 1.5)]
-    )
+    third = service.submit_workflow("a", {"x": 2.0})
+    fourth = service.submit_workflow("a", {"x": 3.0})
+    service.complete_workflow(second.ticket_id, 5.0, queue_seconds=1.0)
+    service.complete_workflow(third.ticket_id, 7.0)
+    service.complete_workflow(fourth.ticket_id, 8.0, slowdown=1.5)
 
 
 @pytest.fixture
@@ -424,10 +388,13 @@ class TestDisabledLog:
             ("service", "recommendation", {"ticket": "wf-000001", "application": "a", "hardware": "H0", "explored": True}),
             ("service", "recommendation", {"ticket": "wf-000002", "application": "b", "hardware": "H0", "explored": True}),
             ("service", "workflow_completed", {"ticket": "wf-000001", "runtime": 10.0}),
-            ("service", "recommendation_batch", {"application": "a", "tickets": 2, "hardware": ["H1", "H1"]}),
-            ("service", "workflow_completed_batch", {"tickets": 3}),
+            ("service", "recommendation", {"ticket": "wf-000003", "application": "a", "hardware": "H1", "explored": True}),
+            ("service", "recommendation", {"ticket": "wf-000004", "application": "a", "hardware": "H1", "explored": True}),
+            ("service", "workflow_completed", {"ticket": "wf-000002", "runtime": 5.0}),
+            ("service", "workflow_completed", {"ticket": "wf-000003", "runtime": 7.0}),
+            ("service", "workflow_completed", {"ticket": "wf-000004", "runtime": 8.0}),
         ]
-        assert [r.seq for r in log] == list(range(7))
+        assert [r.seq for r in log] == list(range(10))
 
     def test_event_log_records_the_priority_tiers_run(self):
         log = EventLog()
